@@ -93,11 +93,6 @@ _POOL_METHODS = {"submit", "map", "imap", "imap_unordered", "apply",
 _CLOCK_ATTRS = {"time", "time_ns", "perf_counter", "perf_counter_ns",
                 "monotonic", "monotonic_ns", "process_time"}
 
-def _suppressions(source: str) -> Dict[int, Set[str]]:
-    """Line-pragma table only (historical helper; the full machinery
-    including file-wide waivers is :class:`SuppressionTable`)."""
-    return SuppressionTable.from_source(source).lines
-
 
 def _is_set_expr(node: ast.AST) -> bool:
     """Does ``node`` syntactically produce a set with host-hash order?"""

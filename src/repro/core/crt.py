@@ -85,8 +85,9 @@ class CrtMachine(Machine):
 
             self.recovery = RecoveryManager(self, self.controller)
 
-    def _post_tick(self) -> None:
-        self.controller.tick(self.now)
+    def _verify(self, now: int) -> None:
+        self.controller.tick(now)
+        super()._verify(now)
 
     def machine_stats(self):
         stats = super().machine_stats()

@@ -12,15 +12,21 @@ A *machine* is one single-chip device configuration from the paper:
 ``make_machine(kind, config, programs)`` builds any of them.
 """
 
-from typing import Dict, List, Optional
+import logging
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.core.metrics import (FaultEvent, RunResult, Termination,
                                 ThreadResult)
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.core import Core
+from repro.pipeline.core import Core, Phase
 from repro.pipeline.thread import HwThread, ThreadRole
+
+#: Runs that do not end the way they should (cycle-limit truncation,
+#: drain-grace expiry, hang forensics) leave one warning here.
+run_log = logging.getLogger("repro.run")
 
 
 class Machine:
@@ -109,25 +115,31 @@ class Machine:
     # -- run loop ---------------------------------------------------------------
     def run(self, max_instructions: int = 10_000,
             max_cycles: Optional[int] = None,
-            warmup: int = 0) -> RunResult:
+            warmup: int = 0,
+            step: Optional[Callable[[], None]] = None) -> RunResult:
         """Run every logical thread for ``max_instructions`` retirements.
 
         Threads keep executing after reaching their target (so contention
         stays realistic); each thread's IPC is frozen at the cycle it hit
         its own target, the Section 6.4 methodology.
+
+        ``step`` advances the machine one cycle and defaults to
+        :meth:`step`.  Observers (the stage profiler, the occupancy
+        sampler) pass a step that walks the same :attr:`phases`; the
+        post-halt drain always uses :meth:`step`.
         """
         if warmup:
             self.warm(warmup)
         if max_cycles is None:
             max_cycles = max_instructions * 60 + 20_000
+        if step is None:
+            step = self.step
         self._arm(max_instructions)
-        while self.now < max_cycles:
-            if self._halted():
-                break
-            self.step()
+        while self.now < max_cycles and not self._halted():
+            step()
         return self._finish(max_instructions, max_cycles)
 
-    # -- run-loop pieces (shared with harness.tracing.OccupancySampler) ----
+    # -- run-loop pieces -----------------------------------------------------
     def _arm(self, max_instructions: int) -> None:
         """Set retirement targets and attach the forward-progress watchdog."""
         for thread in self._measured.values():
@@ -161,15 +173,13 @@ class Machine:
         result = self._collect(max_instructions)
         result.drain_truncated = not drained
 
-        from repro.harness.tracing import log_run_warning
-
         incomplete = any(t.stats.done_cycle is None and not t.done
                          for t in self._measured.values())
         if self.abort_reason is not None:
             result.termination = self.abort_reason
             if self.recovery is not None:
                 result.recovery = self.recovery.stats.summary()
-            log_run_warning(
+            run_log.warning(
                 f"{self.kind}: run aborted {result.termination.value} "
                 f"at cycle {self.now}")
         elif self.watchdog is not None and self.watchdog.verdict is not None:
@@ -178,7 +188,7 @@ class Machine:
                 result.hang_report = self.watchdog.report.to_dict()
                 # One line to the log; full forensics live in the result
                 # (a campaign of wedged runs must not flood stderr).
-                log_run_warning(
+                run_log.warning(
                     f"{self.kind}: "
                     + self.watchdog.report.format().splitlines()[0].lstrip("# "))
             if self.recovery is not None:
@@ -188,7 +198,7 @@ class Machine:
             lagging = sorted(
                 name for name, t in self._measured.items()
                 if t.stats.done_cycle is None and not t.done)
-            log_run_warning(
+            run_log.warning(
                 f"{self.kind}: cycle limit {max_cycles} reached before "
                 f"{', '.join(lagging)} hit the {max_instructions}-instruction "
                 f"target (termination=cycle-limit, not a completed run)")
@@ -200,7 +210,7 @@ class Machine:
                 if self.recovery.stats.recoveries:
                     result.termination = Termination.RECOVERED
             if not drained:
-                log_run_warning(
+                run_log.warning(
                     f"{self.kind}: drain grace expired at cycle {self.now} "
                     f"with stores still queued; final memory image may be "
                     f"incomplete")
@@ -232,22 +242,41 @@ class Machine:
         return not any(thread.store_queue
                        for core in self.cores for thread in core.threads)
 
+    # -- one cycle -------------------------------------------------------
+    @cached_property
+    def phases(self) -> Tuple[Phase, ...]:
+        """One cycle as ``(stage, phase)`` pairs, in the order :meth:`step`
+        calls them with the current cycle: the fault injector, every
+        core's :attr:`Core.phases`, RMT verification and recovery, every
+        memory hierarchy, then advancing ``now`` under the watchdog.
+
+        Built on first use, after the subclass added its cores and
+        hierarchies; ``stage`` is what the stage profiler charges.
+        """
+        return (("queue", self._inject),
+                *(phase for core in self.cores for phase in core.phases),
+                ("verify", self._verify),
+                *(("commit", memory.tick) for memory in self.hierarchies),
+                ("verify", self._advance))
+
     def step(self) -> None:
+        now = self.now
+        for _, phase in self.phases:
+            phase(now)
+
+    def _inject(self, now: int) -> None:
         if self.injector is not None:
-            self.injector.tick(self.now)
-        for core in self.cores:
-            core.tick(self.now)
-        self._post_tick()
+            self.injector.tick(now)
+
+    def _verify(self, now: int) -> None:
+        """Machine-specific verification (RMT controllers), then recovery."""
         if self.recovery is not None:
-            self.recovery.tick(self.now)
-        for hierarchy in self.hierarchies:
-            hierarchy.tick(self.now)
-        self.now += 1
+            self.recovery.tick(now)
+
+    def _advance(self, now: int) -> None:
+        self.now = now + 1
         if self.watchdog is not None:
             self.watchdog.observe(self.now)
-
-    def _post_tick(self) -> None:
-        """Machine-specific per-cycle work (RMT controllers etc.)."""
 
     # -- results ---------------------------------------------------------------------
     def _collect(self, target: int) -> RunResult:
@@ -266,7 +295,7 @@ class Machine:
         stats: Dict[str, float] = {}
         for core in self.cores:
             prefix = f"core{core.core_id}."
-            stats[prefix + "cycles"] = core.stats.cycles
+            stats[prefix + "cycles"] = self.now
             stats[prefix + "retired"] = core.stats.retired_total
             stats[prefix + "squashes"] = core.stats.squashes
             stats[prefix + "line_mispredict_rate"] = (

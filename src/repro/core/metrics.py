@@ -161,15 +161,3 @@ def mean_smt_efficiency(result: RunResult,
 def arithmetic_mean(values: List[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
-
-# ServiceCounters moved to the observability layer (repro.obs.metrics)
-# when it grew a lock and atomic multi-field updates; re-exported here
-# because this module is its historical home and the serve layer's
-# public import path.
-from repro.obs.metrics import ServiceCounters  # noqa: E402
-
-__all__ = [
-    "FaultEvent", "RunResult", "ServiceCounters", "Termination",
-    "ThreadResult", "arithmetic_mean", "mean_smt_efficiency",
-    "smt_efficiency",
-]

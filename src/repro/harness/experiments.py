@@ -102,13 +102,14 @@ def fig6_srt_one_thread(runner: Runner,
     nosc = runner.variant_config(store_comparison=False)
     for name in _benchmarks(benchmarks):
         base_ipc = runner.baseline_ipc(name)
+        thread = runner.program(name).name
         row = {
-            "base2": runner.run("base2", [name]).ipc_of(name) / base_ipc,
-            "srt": runner.run("srt", [name]).ipc_of(name) / base_ipc,
+            "base2": runner.run("base2", [name]).ipc_of(thread) / base_ipc,
+            "srt": runner.run("srt", [name]).ipc_of(thread) / base_ipc,
             "srt_ptsq": runner.run("srt", [name],
-                                   config=ptsq).ipc_of(name) / base_ipc,
+                                   config=ptsq).ipc_of(thread) / base_ipc,
             "srt_nosc": runner.run("srt", [name],
-                                   config=nosc).ipc_of(name) / base_ipc,
+                                   config=nosc).ipc_of(thread) / base_ipc,
         }
         result.add_row(name, row)
     return result.finish()
@@ -137,8 +138,9 @@ def fig7_psr(runner: Runner,
                             warmup=runner.warmup)
         frac_off = machine_off.controller.pairs[0].tracker.stats.same_unit_fraction
         frac_on = machine_on.controller.pairs[0].tracker.stats.same_unit_fraction
-        ipc_ratio = (on.ipc_of(name) / off.ipc_of(name)
-                     if off.ipc_of(name) else 0.0)
+        thread = runner.program(name).name
+        ipc_ratio = (on.ipc_of(thread) / off.ipc_of(thread)
+                     if off.ipc_of(thread) else 0.0)
         result.add_row(name, {"no_psr": frac_off, "psr": frac_on,
                               "ipc_ratio": ipc_ratio})
     return result.finish()
@@ -222,8 +224,9 @@ def slack_distribution(runner: Runner, benchmark: str = "gcc",
     machine = runner.make("srt", [benchmark])
     sampler = OccupancySampler(machine, interval=8)
     sampler.run(runner.instructions, warmup=runner.warmup)
-    histogram = sampler.histogram(f"pair.{benchmark}.slack",
-                                  bucket_width=bucket_width)
+    histogram = sampler.histogram(
+        f"pair.{runner.program(benchmark).name}.slack",
+        bucket_width=bucket_width)
     result = ExperimentResult(
         "slack_dist", f"Leading-trailing slack distribution ({benchmark})",
         series=["samples"])
@@ -272,10 +275,11 @@ def store_queue_sweep(runner: Runner, benchmark: str = "mgrid",
         "sq_sweep", f"SRT efficiency vs store-queue size ({benchmark})",
         series=["efficiency"])
     base_ipc = runner.baseline_ipc(benchmark)
+    thread = runner.program(benchmark).name
     for size in sizes:
         config = runner.variant_config(per_thread_store_queues=True)
         config.core.store_queue_entries = size
-        ipc = runner.run("srt", [benchmark], config=config).ipc_of(benchmark)
+        ipc = runner.run("srt", [benchmark], config=config).ipc_of(thread)
         result.add_row(str(size), {"efficiency": ipc / base_ipc})
     return result.finish()
 
@@ -297,12 +301,13 @@ def fig10_crt_one_thread(runner: Runner,
         series=["lock0", "lock8", "crt"])
     for name in _benchmarks(benchmarks):
         base_ipc = runner.baseline_ipc(name)
+        thread = runner.program(name).name
         row = {
             "lock0": runner.run("lockstep", [name],
-                                checker_latency=0).ipc_of(name) / base_ipc,
+                                checker_latency=0).ipc_of(thread) / base_ipc,
             "lock8": runner.run("lockstep", [name],
-                                checker_latency=8).ipc_of(name) / base_ipc,
-            "crt": runner.run("crt", [name]).ipc_of(name) / base_ipc,
+                                checker_latency=8).ipc_of(thread) / base_ipc,
+            "crt": runner.run("crt", [name]).ipc_of(thread) / base_ipc,
         }
         result.add_row(name, row)
     return result.finish()
@@ -486,10 +491,11 @@ def ablation_fetch_policy(runner: Runner,
     icount = runner.variant_config(trailing_priority=False)
     for name in _benchmarks(benchmarks):
         base_ipc = runner.baseline_ipc(name)
+        thread = runner.program(name).name
         result.add_row(name, {
-            "priority": runner.run("srt", [name]).ipc_of(name) / base_ipc,
+            "priority": runner.run("srt", [name]).ipc_of(thread) / base_ipc,
             "icount": runner.run("srt", [name],
-                                 config=icount).ipc_of(name) / base_ipc,
+                                 config=icount).ipc_of(thread) / base_ipc,
         })
     return result.finish()
 
@@ -502,9 +508,10 @@ def ablation_cross_latency(runner: Runner, benchmark: str = "swim",
         "ablation_cross", f"CRT efficiency vs cross-core latency ({benchmark})",
         series=["efficiency"])
     base_ipc = runner.baseline_ipc(benchmark)
+    thread = runner.program(benchmark).name
     for latency in latencies:
         config = runner.variant_config(crt_cross_latency=latency)
-        ipc = runner.run("crt", [benchmark], config=config).ipc_of(benchmark)
+        ipc = runner.run("crt", [benchmark], config=config).ipc_of(thread)
         result.add_row(str(latency), {"efficiency": ipc / base_ipc})
     return result.finish()
 
@@ -518,9 +525,10 @@ def ablation_checker_latency(runner: Runner, benchmark: str = "swim",
         f"Lockstep efficiency vs checker latency ({benchmark})",
         series=["efficiency"])
     base_ipc = runner.baseline_ipc(benchmark)
+    thread = runner.program(benchmark).name
     for latency in latencies:
         ipc = runner.run("lockstep", [benchmark],
-                         checker_latency=latency).ipc_of(benchmark)
+                         checker_latency=latency).ipc_of(thread)
         result.add_row(str(latency), {"efficiency": ipc / base_ipc})
     return result.finish()
 
@@ -537,9 +545,10 @@ def ablation_slack_fetch(runner: Runner, benchmark: str = "swim",
         "ablation_slack", f"SRT efficiency vs explicit slack ({benchmark})",
         series=["efficiency"])
     base_ipc = runner.baseline_ipc(benchmark)
+    thread = runner.program(benchmark).name
     for slack in slacks:
         config = runner.variant_config(srt_slack_instructions=slack)
-        ipc = runner.run("srt", [benchmark], config=config).ipc_of(benchmark)
+        ipc = runner.run("srt", [benchmark], config=config).ipc_of(thread)
         result.add_row(str(slack), {"efficiency": ipc / base_ipc})
     return result.finish()
 
@@ -590,9 +599,10 @@ def ablation_lvq_size(runner: Runner, benchmark: str = "swim",
         "ablation_lvq", f"SRT efficiency vs LVQ size ({benchmark})",
         series=["efficiency"])
     base_ipc = runner.baseline_ipc(benchmark)
+    thread = runner.program(benchmark).name
     for size in sizes:
         config = runner.variant_config(lvq_entries=size)
-        ipc = runner.run("srt", [benchmark], config=config).ipc_of(benchmark)
+        ipc = runner.run("srt", [benchmark], config=config).ipc_of(thread)
         result.add_row(str(size), {"efficiency": ipc / base_ipc})
     return result.finish()
 

@@ -11,28 +11,11 @@ Two tools a simulator release needs:
   for debugging and teaching.
 """
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.machine import Machine
 from repro.pipeline.uop import Uop
-
-#: All run-loop anomaly warnings (cycle-limit truncation, drain-grace
-#: expiry, hang forensics) funnel through this logger so harnesses can
-#: silence or redirect them in one place.
-run_log = logging.getLogger("repro.run")
-
-
-def log_run_warning(message: str) -> None:
-    """One-line warning for a run that did not end the way it should.
-
-    ``Machine._finish`` calls this instead of silently truncating: a
-    cycle-limit hit, an expired drain grace period, or a watchdog
-    verdict each leave an explicit trace in the log as well as in
-    ``RunResult.termination``.
-    """
-    run_log.warning(message)
 
 
 @dataclass
@@ -111,21 +94,16 @@ class OccupancySampler:
 
     def run(self, max_instructions: int, warmup: int = 0,
             max_cycles: Optional[int] = None):
-        """Like ``machine.run`` but sampling along the way."""
+        """``machine.run``, sampling every ``interval`` cycles."""
         machine = self.machine
-        if warmup:
-            machine.warm(warmup)
-        if max_cycles is None:
-            max_cycles = max_instructions * 60 + 20_000
-        machine._arm(max_instructions)
-        while machine.now < max_cycles:
-            if machine._halted():
-                break
+
+        def step() -> None:
             machine.step()
             if machine.now % self.interval == 0:
                 self.samples.append(OccupancySample(machine.now,
                                                     self._snapshot()))
-        return machine._finish(max_instructions, max_cycles)
+
+        return machine.run(max_instructions, max_cycles, warmup, step=step)
 
     def series(self, key: str) -> List[int]:
         return [s.values[key] for s in self.samples if key in s.values]

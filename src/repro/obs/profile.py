@@ -2,35 +2,27 @@
 
 The determinism linter (S102) bans wall-clock reads inside the cycle
 layers, and the run loop is the hottest code in the repo — so the
-profiler *drives the loop from outside* instead of instrumenting it:
-:meth:`StageProfiler.run` replays ``Machine.step`` / ``Core.tick``
-phase-by-phase with a ``perf_counter`` fence between stage groups,
-exactly the external-driver pattern of
-:class:`repro.harness.tracing.OccupancySampler`.  Disarmed overhead is
-therefore literally zero — the plain ``machine.run`` path is untouched
-(``benchmarks/test_campaign_throughput.py`` holds the whole disarmed
-obs surface under 2% of per-task cost).
+profiler *observes the loop from outside* instead of instrumenting it:
+:meth:`StageProfiler.run` hands ``Machine.run`` a step that walks
+``Machine.phases`` — the same table ``Machine.step`` walks — with a
+``perf_counter`` fence after every phase.  Disarmed overhead is
+therefore literally zero (``benchmarks/test_campaign_throughput.py``
+holds the whole disarmed obs surface under 2% of per-task cost), and a
+profiled run returns the identical :class:`RunResult` by construction
+(pinned by ``tests/test_obs_profile.py`` and
+``tests/test_golden_runs.py``).
 
-Stage mapping (the paper's pipeline vocabulary):
-
-========  ==========================================================
-fetch     ``_deliver_fetch`` + ``ibox.fetch`` (instruction supply)
-queue     event writeback, ``qbox.issue``, queue insert, rename,
-          and the fault injector (in-flight bookkeeping)
-verify    ``_post_tick`` (RMT output comparison / LVQ / slack) +
-          recovery tick + watchdog observation
-commit    ``_retire`` + ``mbox.drain_stores`` + hierarchy tick
-========  ==========================================================
-
-The phase *order* inside a profiled cycle is byte-for-byte the order
-of ``Machine.step`` and ``Core.tick`` — only timing fences are added
-— so a profiled run returns the identical :class:`RunResult` as a
-plain one (pinned by ``tests/test_obs_profile.py``; update the table
-below together with those two methods).
+Each phase is charged to the stage the table tags it with (the paper's
+pipeline vocabulary): ``fetch`` — instruction supply; ``queue`` —
+writeback, issue, queue insert, rename and the fault injector;
+``verify`` — RMT output comparison, recovery, and advancing the cycle
+under the watchdog; ``commit`` — retirement, store drain and the
+memory hierarchy.  ``total_s`` spans the whole ``Machine.run`` call
+after warm-up, including the post-halt drain, which runs unprofiled.
 """
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.metrics import RunResult
 
@@ -39,7 +31,7 @@ STAGES = ("fetch", "queue", "verify", "commit")
 
 
 class StageProfiler:
-    """Drives a machine's run loop, attributing time to pipeline stages.
+    """Observes a machine's run loop, attributing time to pipeline stages.
 
     Usage::
 
@@ -48,8 +40,9 @@ class StageProfiler:
         print(profiler.report())
 
     ``seconds`` maps each stage to attributed wall time; ``cycles`` is
-    the number of profiled cycles; ``overhead_s`` is loop time not
-    attributed to any stage (the fences themselves, loop control).
+    the number of profiled cycles; ``overhead_s`` is run time not
+    attributed to any stage (the fences themselves, loop control, and
+    arming and finishing the run).
     """
 
     def __init__(self) -> None:
@@ -64,64 +57,29 @@ class StageProfiler:
         """``machine.run`` with per-stage timing; identical result."""
         if warmup:
             machine.warm(warmup)
-        if max_cycles is None:
-            max_cycles = max_instructions * 60 + 20_000
-        machine._arm(max_instructions)
-        loop_start = time.perf_counter()
-        while machine.now < max_cycles:
-            if machine._halted():
-                break
-            self._profiled_step(machine)
-        self.total_s += time.perf_counter() - loop_start
-        # The post-halt drain inside _finish runs unprofiled (it is the
-        # tail grace window, not steady-state behaviour).
-        return machine._finish(max_instructions, max_cycles)
+        start = time.perf_counter()
+        result = machine.run(max_instructions, max_cycles,
+                             step=self._timed_step(machine))
+        self.total_s += time.perf_counter() - start
+        return result
 
-    def _profiled_step(self, machine) -> None:
-        """``Machine.step`` with stage fences, preserving phase order."""
+    def _timed_step(self, machine) -> Callable[[], None]:
+        """``machine.step`` with a fence after every phase."""
+        phases = machine.phases
         seconds = self.seconds
         clock = time.perf_counter
-        now = machine.now
-        t0 = clock()
-        if machine.injector is not None:
-            machine.injector.tick(now)
-        t1 = clock()
-        seconds["queue"] += t1 - t0
-        for core in machine.cores:
-            # Core.tick, inlined with fences between phase groups.
-            core.now = now
-            t0 = clock()
-            core._process_events(now)
-            t1 = clock()
-            core._retire(now)
-            core.mbox.drain_stores(now)
-            t2 = clock()
-            core.qbox.issue(now)
-            core._insert_queue(now)
-            core._rename(now)
-            t3 = clock()
-            core._deliver_fetch(now)
-            core.ibox.fetch(now)
-            t4 = clock()
-            core.stats.cycles += 1
-            seconds["queue"] += (t1 - t0) + (t3 - t2)
-            seconds["commit"] += t2 - t1
-            seconds["fetch"] += t4 - t3
-        t0 = clock()
-        machine._post_tick()
-        if machine.recovery is not None:
-            machine.recovery.tick(now)
-        t1 = clock()
-        seconds["verify"] += t1 - t0
-        for hierarchy in machine.hierarchies:
-            hierarchy.tick(now)
-        t2 = clock()
-        seconds["commit"] += t2 - t1
-        machine.now = now + 1
-        if machine.watchdog is not None:
-            machine.watchdog.observe(machine.now)
-        seconds["verify"] += clock() - t2
-        self.cycles += 1
+
+        def step() -> None:
+            now = machine.now
+            last = clock()
+            for stage, phase in phases:
+                phase(now)
+                fence = clock()
+                seconds[stage] += fence - last
+                last = fence
+            self.cycles += 1
+
+        return step
 
     # -- reporting ---------------------------------------------------------
     @property
@@ -130,7 +88,7 @@ class StageProfiler:
 
     @property
     def overhead_s(self) -> float:
-        """Loop time not attributed to a stage (fences, loop control)."""
+        """Run time not attributed to a stage (fences, loop control)."""
         return max(0.0, self.total_s - self.attributed_s)
 
     def shares(self) -> Dict[str, float]:

@@ -1,20 +1,23 @@
 """One SMT core: the boxes wired together, plus rename, completion,
 retirement, and squash.
 
-Cycle phases (``tick``), youngest-information-first so each phase sees
-the machine state its hardware counterpart would:
+Cycle phases, youngest-information-first so each phase sees the machine
+state its hardware counterpart would.  ``Core.phases`` lists them once,
+in this order, each tagged with the profiler stage it is charged to;
+``tick`` walks that table, and ``Machine.step`` walks it flattened with
+the machine-level phases:
 
-1. writeback/complete events (EBOX results, branch resolution)
-2. retirement (QBOX completion unit) and store drain (MBOX)
-3. issue (QBOX scheduler)
-4. instruction-queue insertion (PBOX output pipe)
-5. rename/map (PBOX; one chunk per cycle)
-6. fetch delivery and fetch (IBOX)
+1. writeback/complete events (EBOX results, branch resolution) — queue
+2. retirement (QBOX completion unit) and store drain (MBOX) — commit
+3. issue (QBOX scheduler) — queue
+4. instruction-queue insertion (PBOX output pipe) — queue
+5. rename/map (PBOX; one chunk per cycle) — queue
+6. fetch delivery and fetch (IBOX) — fetch
 """
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
@@ -35,10 +38,12 @@ from repro.util.delayline import DelayLine
 # retire-eligible ("additional cycles to retire beyond the MBOX").
 RETIRE_MARGIN = 2
 
+#: One entry of a cycle's phase table: (profiler stage, phase(now)).
+Phase = Tuple[str, Callable[[int], None]]
+
 
 @dataclass
 class CoreStats:
-    cycles: int = 0
     retired_total: int = 0
     squashes: int = 0
     rename_stalls: int = 0
@@ -106,7 +111,17 @@ class Core:
         self._rename_rotation = 0
         self._retire_rotation = 0
         self.stats = CoreStats()
-        self.now = 0
+        #: One cycle of this core, in the order of the module docstring.
+        self.phases: Tuple[Phase, ...] = (
+            ("queue", self._process_events),
+            ("commit", self._retire),
+            ("commit", self.mbox.drain_stores),
+            ("queue", self.qbox.issue),
+            ("queue", self._insert_queue),
+            ("queue", self._rename),
+            ("fetch", self._deliver_fetch),
+            ("fetch", self.ibox.fetch),
+        )
 
     # -- setup -----------------------------------------------------------
     def add_thread(self, program: Program, role: ThreadRole = ThreadRole.SINGLE,
@@ -135,16 +150,8 @@ class Core:
 
     # -- main loop ----------------------------------------------------------
     def tick(self, now: int) -> None:
-        self.now = now
-        self._process_events(now)
-        self._retire(now)
-        self.mbox.drain_stores(now)
-        self.qbox.issue(now)
-        self._insert_queue(now)
-        self._rename(now)
-        self._deliver_fetch(now)
-        self.ibox.fetch(now)
-        self.stats.cycles += 1
+        for _, phase in self.phases:
+            phase(now)
 
     # -- phase 1: writeback ----------------------------------------------------
     def _process_events(self, now: int) -> None:
@@ -173,8 +180,12 @@ class Core:
 
     def _resolve_control(self, thread: HwThread, uop: Uop, now: int) -> None:
         instr = uop.instr
-        mispredicted = (uop.actual_taken != uop.pred_taken
-                        or uop.actual_target != uop.pred_target)
+        mispredicted = uop.actual_target != uop.pred_target
+        if not uop.outcome_known:
+            # The LPQ carries the retired path, not taken bits (a JMP to
+            # its own fall-through reads as not taken there), so only a
+            # predicted path is also judged by its taken bit.
+            mispredicted = mispredicted or uop.actual_taken != uop.pred_taken
         # Train predictors (LPQ-fed trailing threads train nothing: their
         # stream comes from the line prediction queue, not the predictors).
         if not (thread.is_trailing and thread.fetch_via_lpq):
@@ -416,9 +427,3 @@ class Core:
             thread.fetch_stalled_until, now + self.config.redirect_penalty)
         thread.fetch_halted = False
         self.hooks.on_squash(self, thread, from_seq, now)
-
-    # -- introspection -------------------------------------------------------------------
-    def thread_ipc(self, tid: int) -> float:
-        thread = self.threads[tid]
-        cycles = thread.stats.done_cycle or self.stats.cycles
-        return thread.stats.retired / cycles if cycles else 0.0

@@ -49,7 +49,6 @@ from concurrent.futures import BrokenExecutor
 from typing import Deque, Dict, List, Optional
 
 from repro.chaos import chaos_point_async
-from repro.core.metrics import ServiceCounters
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve.cache import ResultCache
@@ -202,7 +201,7 @@ class Scheduler:
         self.job_timeout = max(0.0, float(job_timeout))
         self.infra_retry_budget = max(0, int(infra_retries))
         self.infra_requeues = 0  # total across all jobs, for /metrics
-        self.counters = ServiceCounters()
+        self.counters = obs_metrics.ServiceCounters()
         self.jobs: Dict[str, Job] = {}
         self._queued: List[Job] = []
         self._running: Dict[str, Job] = {}

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.harness import (Runner, fig6_srt_one_thread, fig7_psr,
-                           fig9_store_lifetime, line_predictor_rates,
-                           render_table)
+                           fig9_store_lifetime, fig10_crt_one_thread,
+                           line_predictor_rates, render_table,
+                           slack_distribution)
 from repro.harness.experiments import ExperimentResult
 
 
@@ -82,6 +83,26 @@ class TestDrivers:
         row = result.rows["m88ksim"]
         assert 0 <= row["base_rate"] < 1
         assert row["trailing_misfetches"] == 0
+
+
+class TestSeededRunner:
+    """``Runner(seed=3)`` names its programs ``name#3``; the drivers must
+    find each logical thread under that name."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self):
+        return Runner(instructions=200, warmup=500, seed=3)
+
+    def test_one_thread_figures(self, seeded):
+        assert seeded.program("m88ksim").name == "m88ksim#3"
+        for driver in (fig6_srt_one_thread, fig10_crt_one_thread):
+            row = driver(seeded, ["m88ksim"]).rows["m88ksim"]
+            assert all(value > 0 for value in row.values()), row
+
+    def test_slack_distribution(self, seeded):
+        result = slack_distribution(seeded, "gcc")
+        assert result.rows
+        assert result.summary["mean_slack"] > 0
 
 
 class TestRenderComparison:

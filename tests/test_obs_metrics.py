@@ -148,11 +148,6 @@ class TestServiceCounters:
         assert counters == ServiceCounters(accepted=1)
         assert counters != ServiceCounters()
 
-    def test_compat_import_path(self):
-        """The historical import path still serves the same class."""
-        from repro.core.metrics import ServiceCounters as Legacy
-        assert Legacy is ServiceCounters
-
     def test_invariant_never_tears_under_hammer(self):
         """Regression test for the torn-read race in `/metrics`.
 

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.core.metrics import ServiceCounters
+from repro.obs.metrics import ServiceCounters
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobSpec
 from repro.serve.pool import JobCancelled

@@ -59,6 +59,22 @@ class TestBasicRedundancy:
         assert len(trailing.load_queue) == 0
 
 
+@pytest.mark.parametrize("kind, name, seed, cycles", [
+    ("srt", "m88ksim", 5, 2704), ("crt", "m88ksim", 5, 2648),
+    ("srt", "li", 27, 2966), ("crt", "li", 27, 2870),
+])
+def test_jump_to_own_fall_through_is_no_fault(kind, name, seed, cycles):
+    """m88ksim#5 (pc 870) and li#27 (pc 1438) execute a JMP whose target
+    is its own fall-through.  The LPQ hands the trailing thread that
+    path as straight-line code; matching targets are agreement, not a
+    control-flow divergence, and timing is unchanged."""
+    machine = make_machine(kind, MachineConfig(),
+                           [generate_benchmark(name, seed=seed)])
+    result = machine.run(max_instructions=2000, warmup=500)
+    assert result.fault_events == []
+    assert result.cycles == cycles
+
+
 class TestStoreQueueBehaviour:
     def test_leading_store_lifetime_extended(self):
         """Section 7.1: leading stores wait ~39 extra cycles for their
