@@ -3,11 +3,12 @@
 Resolution is deliberately the cheap four-fifths: module-level
 functions, ``from x import y`` (chased through package re-exports),
 ``self.method``, and ``self.member.method`` chains where the member's
-class is known from the constructor — the same ctor-assignment and
-parameter-annotation machinery the lockset analyzer uses for its
-member models.  Anything else stays an *external* call site carrying
+class is known from a constructor call or a parameter annotation in
+``__init__``.  Anything else stays an *external* call site carrying
 its dotted text, which is exactly what the rule catalogs match
-(``time.sleep``, ``.acquire``, ``.glob``).
+(``time.sleep``, ``.acquire``, ``.glob``).  The S6/S7 rule families
+and the lockset analyzer (:mod:`repro.verify.lockset`) all resolve
+calls through this one graph.
 
 Each call site records how the callee runs relative to the caller:
 
@@ -32,8 +33,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow.ir import (FuncDecl, dotted_name,
-                                    iter_functions, parse_annotation)
+from repro.analysis.flow.ir import (FuncDecl, child_blocks, dotted_name,
+                                    iter_functions, parse_annotation,
+                                    self_attr)
 
 #: Wrappers whose call arguments are awaited/scheduled on the loop.
 _SCHED_WRAPPERS = {"create_task", "ensure_future", "gather", "wait_for",
@@ -301,7 +303,7 @@ class _GraphBuilder:
                     if (isinstance(target, ast.Name)
                             and value_cls is not None):
                         var_types[target.id] = value_cls.cid
-                    attr = _self_attr(target)
+                    attr = self_attr(target)
                     if attr is not None and value_cls is not None:
                         cls.members[attr] = value_cls.cid
 
@@ -327,14 +329,6 @@ class _GraphBuilder:
             if cid is not None:
                 return self.graph.classes.get(cid)
         return None
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"):
-        return node.attr
-    return None
 
 
 class _SiteCollector:
@@ -386,15 +380,8 @@ class _SiteCollector:
                                  ast.ClassDef)):
                 continue
             out.append(stmt)
-            for name in ("body", "orelse", "finalbody"):
-                block = getattr(stmt, name, None)
-                if isinstance(block, list):
-                    stack.extend(s for s in block
-                                 if isinstance(s, ast.stmt))
-            for handler in getattr(stmt, "handlers", []):
-                stack.extend(handler.body)
-            for case in getattr(stmt, "cases", []):
-                stack.extend(case.body)
+            for block in child_blocks(stmt):
+                stack.extend(block)
         return out
 
     @staticmethod

@@ -10,10 +10,13 @@ a release in a ``finally`` sanitizes *both*; abrupt exits (``return``
 / ``break`` / ``continue``) unwind through every pending ``finally``
 and ``with`` cleanup, exactly as the interpreter does.
 
-The module also hosts the small AST helpers (dotted names, function
-iteration) shared with :mod:`repro.analysis.simlint` and
-:mod:`repro.verify.lockset`, so the three analyzers agree on what a
-call is called.
+The same CFGs carry :mod:`repro.verify.lockset`'s held-lock analysis:
+``with-enter`` acquires, ``with-cleanup`` releases, and an exception
+edge carries whatever was held before its block raised.
+
+The module also hosts the small AST helpers (dotted names, ``self.X``
+attributes, function iteration, annotations) that the call graph and
+the lockset analyzer share, so both agree on what a call is called.
 """
 
 import ast
@@ -323,6 +326,15 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``self.X`` → ``"X"``, else None."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"):
+        return node.attr
+    return None
+
+
 @dataclass(frozen=True)
 class FuncDecl:
     """One function/method definition found in a module tree."""
@@ -337,8 +349,22 @@ class FuncDecl:
         return isinstance(self.node, ast.AsyncFunctionDef)
 
 
+def child_blocks(stmt: ast.stmt) -> Iterator[List[ast.stmt]]:
+    """The statement lists nested in a compound statement: bodies,
+    ``else``/``finally`` blocks, ``except`` handlers, ``match`` cases."""
+    for name in ("body", "orelse", "finalbody"):
+        block = getattr(stmt, name, None)
+        if isinstance(block, list):
+            yield block
+    for handler in getattr(stmt, "handlers", []):
+        yield handler.body
+    for case in getattr(stmt, "cases", []):
+        yield case.body
+
+
 def iter_functions(tree: ast.Module) -> Iterator[FuncDecl]:
-    """Every function in ``tree``, methods and nested defs included."""
+    """Every function in ``tree``, methods and nested defs included —
+    also defs under an ``if``/``with``/``try``/loop of their scope."""
 
     def walk(body: Sequence[ast.stmt], prefix: str,
              cls: Optional[str], parent: Optional[str]
@@ -351,6 +377,9 @@ def iter_functions(tree: ast.Module) -> Iterator[FuncDecl]:
             elif isinstance(stmt, ast.ClassDef):
                 yield from walk(stmt.body, f"{prefix}{stmt.name}.",
                                 stmt.name, parent)
+            else:
+                for block in child_blocks(stmt):
+                    yield from walk(block, prefix, cls, parent)
 
     yield from walk(tree.body, "", None, None)
 

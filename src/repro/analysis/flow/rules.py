@@ -206,7 +206,7 @@ def _s602_findings(graph: CallGraph) -> List[LintFinding]:
 
 # -- S603: off-loop asyncio touches ----------------------------------------
 
-def _off_loop_set(graph: CallGraph) -> Dict[str, str]:
+def off_loop_set(graph: CallGraph) -> Dict[str, str]:
     """fid -> description of how it ends up on a worker thread."""
     origins: Dict[str, str] = {}
     frontier: List[str] = []
@@ -248,7 +248,7 @@ def _loop_touch(site: CallSite) -> Optional[str]:
 
 def _s603_findings(graph: CallGraph) -> List[LintFinding]:
     findings = []
-    for fid, origin in _off_loop_set(graph).items():
+    for fid, origin in off_loop_set(graph).items():
         info = graph.functions[fid]
         for site in graph.sites.get(fid, ()):
             if site.kind == "enters-loop":

@@ -17,7 +17,7 @@ never called stale by a run that did not execute the lockset engine.
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9,\s]+)")
 _SUPPRESS_FILE_RE = re.compile(
@@ -238,14 +238,3 @@ def unused_suppressions(rel_path: str, table: SuppressionTable,
             f"suppression 'disable-file={rule}' matches no finding in "
             f"this module; remove the stale pragma"))
     return findings
-
-
-def rules_for_engine(engine: str) -> List[LintRule]:
-    return [rule for rule in LINT_RULES.values() if rule.engine == engine]
-
-
-def select_findings(findings: Sequence[LintFinding],
-                    prefixes: Sequence[str]) -> List[LintFinding]:
-    """Findings whose rule id starts with any of ``prefixes``."""
-    return [f for f in findings
-            if any(f.rule.startswith(p) for p in prefixes)]

@@ -479,12 +479,6 @@ class BitLiveness:
     live_before: List[int]
     defined_later: List[int]
 
-    def demand_before(self, pc: int, reg: int) -> int:
-        return self.before[pc][reg]
-
-    def demand_after(self, pc: int, reg: int) -> int:
-        return self.after[pc][reg]
-
 
 def _or_lists(target: List[int], source: List[int]) -> bool:
     changed = False

@@ -41,7 +41,8 @@ class CrtMachine(Machine):
                 trailing_priority=config.trailing_priority))
 
         # Leading thread of program i on core i%2; its trailing thread on
-        # the other core (Figure 5's cross-coupled arrangement).
+        # the other core (Figure 5's cross-coupled arrangement).  With
+        # one core both land on core 0: SRT's placement.
         placements = []
         for index, program in enumerate(programs):
             lead_core = index % num_cores

@@ -22,15 +22,10 @@ class PsrStats:
     pairs: int = 0
     same_unit: int = 0
     same_half: int = 0
-    steering_fallbacks: int = 0   # opposite half full, had to share
 
     @property
     def same_unit_fraction(self) -> float:
         return self.same_unit / self.pairs if self.pairs else 0.0
-
-    @property
-    def same_half_fraction(self) -> float:
-        return self.same_half / self.pairs if self.pairs else 0.0
 
 
 class FuCorrespondenceTracker:

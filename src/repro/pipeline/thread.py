@@ -66,7 +66,6 @@ class HwThread:
         # virtual PC range livelock a 2-way L1I set).
         self.addr_offset = (asid << 33) + asid * 161 * 64
         self.partner: Optional["HwThread"] = None  # redundant counterpart
-        self.pair_id: Optional[int] = None         # logical thread id
         self.core = None                           # owning Core (set on add)
         self.rename = RenameMap(regfile)
         self.stats = ThreadStats()

@@ -112,11 +112,6 @@ class ServeServer:
         await self.scheduler.drain()
         self._stopping.set()
 
-    async def serve_until_stopped(self) -> None:
-        """Run until :meth:`shutdown` is called (typically by a signal)."""
-        await self.start()
-        await self._stopping.wait()
-
     def install_signal_handlers(self) -> None:
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):

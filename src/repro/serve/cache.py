@@ -177,16 +177,6 @@ class ResultCache:
                 pass
             raise
 
-    def evict(self, key: str) -> bool:
-        """Drop ``key`` if present (admin/endpoint use); True if it was."""
-        path = self.path(key)
-        if not path.exists():
-            return False
-        with self._lock:
-            self.evictions += 1
-        path.unlink()
-        return True
-
     # -- introspection -----------------------------------------------------
     def entry_count(self) -> int:
         if not self.root.exists():

@@ -16,22 +16,29 @@ declares its discipline in a ``Concurrency:`` docstring block::
         loop-confined: jobs, _queued, _running
         unguarded-ok: cancel_event
 
-and a flow-sensitive stdlib-``ast`` pass checks the code against it:
+and a flow-sensitive pass checks the code against it.  The pass runs on
+the :mod:`repro.analysis.flow` front end: the locks held at each point
+of a function come from a forward must-analysis over its CFG (a
+``with`` entry acquires, its cleanup releases, an exception edge
+carries the locks held before the raising block; a nested def starts
+empty — it runs later, possibly on another thread), and calls resolve
+through the flow call graph.
 
 - **S501** — a ``guarded-by`` field accessed outside a ``with`` region
   holding its lock (``__init__`` excepted: the object is not yet
-  shared).  A ``loop-confined`` field accessed from a method that runs
-  off-loop (handed to ``run_in_executor``/``Executor.submit`` or a
-  ``Thread(target=...)``) is the same defect.  When a class declares a
-  contract, any field *written* outside ``__init__`` must appear in it
-  — silent growth of undeclared shared state is flagged too.  Classes
-  that own locks but declare nothing are checked in inference mode: a
-  field written both under a lock and outside any lock is flagged.
+  shared).  A ``loop-confined`` field accessed from a function that
+  runs off-loop (handed to ``run_in_executor``/``Executor.submit`` or a
+  ``Thread(target=...)``, or called from one, transitively) is the
+  same defect.  When a class declares a contract, any field *written*
+  outside ``__init__`` must appear in it — silent growth of undeclared
+  shared state is flagged too.  Classes that own locks but declare
+  nothing are checked in inference mode: a field written both under a
+  lock and outside any lock is flagged.
 - **S502** — lock acquisition-order cycles.  Acquiring lock B while
-  holding lock A adds edge A→B (including one call level deep through
-  ``self.method()`` and ``self.attr.method()`` receivers); any cycle
-  in the resulting graph across every analyzed module is a potential
-  deadlock.
+  holding lock A adds edge A→B, whether B is taken in the same function
+  or any number of resolved calls below it (one bottom-up summary of
+  the locks each function acquires); any cycle in the resulting graph
+  across every analyzed module is a potential deadlock.
 - **S503** — blocking calls made while holding a lock: ``.wait()`` on
   anything but the held condition itself, thread/process ``.join()``,
   ``time.sleep``, socket reads, and ``Queue.get/.put``.
@@ -56,9 +63,12 @@ so ``repro verify lockset`` and ``repro lint`` speak one language.
 import ast
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
+from repro.analysis.flow import (CFG, build_callgraph, build_cfg,
+                                 dotted_name, off_loop_set, self_attr,
+                                 solve_bottom_up)
 from repro.analysis.registry import LintFinding, SuppressionTable
 from repro.analysis.simlint import package_root
 
@@ -79,40 +89,27 @@ LOCKSET_TARGETS = (
 
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore",
                    "BoundedSemaphore"}
+_QUEUE_FACTORIES = {"Queue", "LifoQueue", "PriorityQueue", "SimpleQueue"}
 _BLOCKING_ATTRS = {"wait", "recv", "recv_into", "accept", "urlopen",
                    "getresponse", "select"}
 _CONTRACT_RE = re.compile(
     r"^\s*(?:(guarded-by)\s+(\w+)|(loop-confined)|(unguarded-ok))\s*:"
     r"\s*(.*)$")
 _PRECONDITION_RE = re.compile(r"Caller must hold\s+`?(\w+)`?")
+#: Call-site kinds whose callee runs now, on the caller's thread.
+_CALL_KINDS = {"call", "await"}
+
+#: One held lock: (lock node, the ``with`` statement that took it, or
+#: None for a documented precondition).  Keying holds on the statement
+#: lets a re-entrant inner ``with`` release only its own hold.
+_Hold = Tuple[str, Optional[ast.AST]]
 
 
-def _is_lock_ctor(node: ast.AST) -> bool:
+def _ctor(node: ast.AST) -> str:
+    """``"Lock"`` for ``Lock()`` or ``threading.Lock()``, else ``""``."""
     if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id in _LOCK_FACTORIES
-    return (isinstance(func, ast.Attribute)
-            and func.attr in _LOCK_FACTORIES)
-
-
-def _is_queue_ctor(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else (
-        func.attr if isinstance(func, ast.Attribute) else "")
-    return name in {"Queue", "LifoQueue", "PriorityQueue", "SimpleQueue"}
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``self.X`` → ``"X"``, else None."""
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"):
-        return node.attr
-    return None
+        return ""
+    return (dotted_name(node.func) or "").rsplit(".", 1)[-1]
 
 
 @dataclass
@@ -162,145 +159,127 @@ class Contract:
 @dataclass
 class _ClassModel:
     name: str
-    node: ast.ClassDef
     contract: Contract
     locks: Set[str] = field(default_factory=set)       # self.<lock> attrs
     queues: Set[str] = field(default_factory=set)      # Queue-typed attrs
-    members: Dict[str, str] = field(default_factory=dict)  # attr -> class
-    off_loop: Set[str] = field(default_factory=set)    # methods run off-loop
-    #: method name -> lock nodes it acquires directly (for S502 edges
-    #: one call level deep).
-    acquired_by_method: Dict[str, Set[str]] = field(default_factory=dict)
+    #: field -> first line it is written (outside ``__init__``) with /
+    #: without a lock held, for inference mode.
+    writes_locked: Dict[str, int] = field(default_factory=dict)
+    writes_unlocked: Dict[str, int] = field(default_factory=dict)
 
     def lock_node(self, lockattr: str) -> str:
         return f"{self.name}.{lockattr}"
 
 
+def _held_locks(cfg: CFG, entry: FrozenSet[_Hold],
+                acquires: Callable[[ast.AST], List[str]]
+                ) -> Dict[int, FrozenSet[_Hold]]:
+    """Locks held on every path into each reachable block of ``cfg``."""
+    held: Dict[int, FrozenSet[_Hold]] = {cfg.entry: entry}
+    work = [cfg.entry]
+    while work:
+        block = cfg.blocks[work.pop()]
+        before = held[block.idx]
+        after = before
+        if block.kind == "with-enter":
+            after = before.union((lock, block.node)
+                                 for lock in acquires(block.node))
+        elif block.kind == "with-cleanup":
+            after = frozenset(h for h in before if h[1] is not block.node)
+        flows = [(succ, after) for succ in block.succ]
+        if block.exc is not None:
+            flows.append((block.exc, before))
+        for succ, out in flows:
+            old = held.get(succ)
+            new = out if old is None else old & out
+            if new != old:
+                held[succ] = new
+                work.append(succ)
+    return held
+
+
+def _evaluated(roots: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    """Every node under ``roots`` that runs now: lambda bodies are
+    deferred, so they carry no lock context and are skipped."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Lambda):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 class _ModuleAnalysis:
-    """Per-module pass; cross-module state (the lock-order graph) is
-    accumulated by :class:`LocksetAnalyzer`."""
+    """One module's contracts, locks and findings; the lock-order graph
+    is accumulated across modules by :func:`analyze_modules`."""
 
     def __init__(self, rel_path: str, source: str) -> None:
         self.rel = rel_path
-        self.suppress = SuppressionTable.from_source(source)
+        self.source = source
         self.tree = ast.parse(source, filename=rel_path)
-        self.findings: List[LintFinding] = []
+        self.suppress: Optional[SuppressionTable] = None
+        #: Insertion-ordered set: a ``finally`` body is lowered once per
+        #: exit path, so one statement can be scanned more than once.
+        self.findings: Dict[LintFinding, None] = {}
         self.classes: Dict[str, _ClassModel] = {}
         self.module_locks: Set[str] = set()   # module-level lock globals
         self.module_contract = Contract.from_docstring(
             ast.get_docstring(self.tree))
         #: (holder, acquired, line) lock-order edges discovered here.
         self.edges: List[Tuple[str, str, int]] = []
-        self._collect()
-        #: Class registry for call-through edge resolution; widened to
-        #: the whole analysis universe by :func:`analyze_modules` so
-        #: holding a lock while calling into another module's class
-        #: still contributes acquisition-order edges.
-        self.all_classes: Dict[str, _ClassModel] = self.classes
-
-    # -- pass 1: structure --------------------------------------------------
-    def _collect(self) -> None:
         for stmt in self.tree.body:
-            if isinstance(stmt, ast.Assign) and _is_lock_ctor(stmt.value):
+            if (isinstance(stmt, ast.Assign)
+                    and _ctor(stmt.value) in _LOCK_FACTORIES):
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         self.module_locks.add(target.id)
             if isinstance(stmt, ast.ClassDef):
                 model = _ClassModel(
-                    name=stmt.name, node=stmt,
+                    name=stmt.name,
                     contract=Contract.from_docstring(
                         ast.get_docstring(stmt)))
-                self._collect_init(model)
-                self._collect_off_loop(model)
-                self._collect_acquisitions(model)
+                self._collect_init(model, stmt)
                 self.classes[stmt.name] = model
 
-    def _collect_init(self, model: _ClassModel) -> None:
-        for item in model.node.body:
+    # -- structure ----------------------------------------------------------
+    @staticmethod
+    def _collect_init(model: _ClassModel, node: ast.ClassDef) -> None:
+        for item in node.body:
             if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and item.name == "__init__"):
-                # Parameter type annotations resolve member classes for
-                # the dependency-injection idiom (self.cache = cache
-                # where __init__ takes cache: ResultCache).
-                params: Dict[str, str] = {}
-                lock_params: Set[str] = set()
-                for arg in item.args.args + item.args.kwonlyargs:
-                    note = arg.annotation
-                    if isinstance(note, ast.Name):
-                        params[arg.arg] = note.id
-                    elif (isinstance(note, ast.Constant)
-                          and isinstance(note.value, str)):
-                        params[arg.arg] = note.value.strip('"\'')
-                    # Lock injection: `__init__(..., lock: threading.Lock)`
-                    # assigned to self is as much this class's lock as an
-                    # inline construction (the metrics registry shares one
-                    # lock across every metric it creates this way).
-                    note_name = (note.id if isinstance(note, ast.Name)
-                                 else note.attr
-                                 if isinstance(note, ast.Attribute)
-                                 else None)
-                    if note_name in _LOCK_FACTORIES:
-                        lock_params.add(arg.arg)
+                # Lock injection: `__init__(..., lock: threading.Lock)`
+                # assigned to self is as much this class's lock as an
+                # inline construction (the metrics registry shares one
+                # lock across every metric it creates this way).
+                lock_params = {
+                    arg.arg for arg in item.args.args + item.args.kwonlyargs
+                    if (dotted_name(arg.annotation) or "").rsplit(
+                        ".", 1)[-1] in _LOCK_FACTORIES}
                 for node in ast.walk(item):
                     if not isinstance(node, ast.Assign):
                         continue
                     for target in node.targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is None:
                             continue
-                        if _is_lock_ctor(node.value):
+                        if _ctor(node.value) in _LOCK_FACTORIES or (
+                                isinstance(node.value, ast.Name)
+                                and node.value.id in lock_params):
                             model.locks.add(attr)
-                        elif _is_queue_ctor(node.value):
+                        elif _ctor(node.value) in _QUEUE_FACTORIES:
                             model.queues.add(attr)
-                        elif (isinstance(node.value, ast.Call)
-                              and isinstance(node.value.func, ast.Name)):
-                            model.members[attr] = node.value.func.id
-                        elif (isinstance(node.value, ast.Name)
-                              and node.value.id in lock_params):
-                            model.locks.add(attr)
-                        elif (isinstance(node.value, ast.Name)
-                              and node.value.id in params):
-                            model.members[attr] = params[node.value.id]
 
-    def _collect_off_loop(self, model: _ClassModel) -> None:
-        """Methods handed to executors or threads anywhere in the
-        module run outside the event loop."""
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            callee = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else "")
-            candidates: List[ast.AST] = []
-            if callee in ("run_in_executor", "submit"):
-                candidates.extend(node.args)
-            if callee == "Thread":
-                candidates.extend(kw.value for kw in node.keywords
-                                  if kw.arg == "target")
-            for arg in candidates:
-                attr = _self_attr(arg)
-                if attr is not None:
-                    model.off_loop.add(attr)
-
-    def _collect_acquisitions(self, model: _ClassModel) -> None:
-        for item in model.node.body:
-            if not isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            acquired: Set[str] = set()
-            for node in ast.walk(item):
-                if isinstance(node, ast.With):
-                    for lock in self._locks_of_with(node, model):
-                        acquired.add(lock)
-            model.acquired_by_method[item.name] = acquired
-
-    def _locks_of_with(self, node: ast.With,
-                       model: Optional[_ClassModel]) -> List[str]:
-        """Lock nodes a ``with`` statement acquires, in item order."""
+    def locks_of_with(self, node: ast.AST,
+                      model: Optional[_ClassModel]) -> List[str]:
+        """Lock nodes a ``with`` statement acquires, in item order
+        (``async with`` takes asyncio primitives, not thread locks)."""
         out: List[str] = []
+        if not isinstance(node, ast.With):
+            return out
         for item in node.items:
             expr = item.context_expr
-            attr = _self_attr(expr)
+            attr = self_attr(expr)
             if (attr is not None and model is not None
                     and attr in model.locks):
                 out.append(model.lock_node(attr))
@@ -309,168 +288,68 @@ class _ModuleAnalysis:
                 out.append(f"{self.rel}::{expr.id}")
         return out
 
-    # -- pass 2: flow-sensitive checks --------------------------------------
-    def run(self) -> None:
-        for model in self.classes.values():
-            inference = bool(model.locks) and not model.contract.declared
-            writes_locked: Dict[str, int] = {}
-            writes_unlocked: Dict[str, int] = {}
-            for item in model.node.body:
-                if not isinstance(item, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                held: Tuple[str, ...] = ()
-                doc = ast.get_docstring(item)
-                if doc:
-                    for lockattr in _PRECONDITION_RE.findall(doc):
-                        if lockattr in model.locks:
-                            held = held + (model.lock_node(lockattr),)
-                self._walk(item.body, model, item, held,
-                           writes_locked, writes_unlocked)
-            if inference:
-                for name in sorted(set(writes_locked) &
-                                   set(writes_unlocked)):
-                    self._report(
-                        "S501", writes_unlocked[name],
-                        f"{model.name}.{name} is written under a lock "
-                        f"at line {writes_locked[name]} but without "
-                        f"one here; guard both or declare the field "
-                        f"in a 'Concurrency:' docstring block")
-        self._walk_module_scope()
+    # -- flow-sensitive checks ----------------------------------------------
+    def check_function(self, cfg: CFG, model: Optional[_ClassModel],
+                       nested: bool, off_loop: bool,
+                       callee_locks: Dict[int, FrozenSet[str]]) -> None:
+        """S501/S503 findings and S502 edges of one function.
 
-    def _walk_module_scope(self) -> None:
-        """Module-level functions against module-level locks/globals."""
-        for item in self.tree.body:
-            if not isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
+        ``model`` is the class a method (or a def nested in one) belongs
+        to, None at module scope; ``callee_locks`` maps a resolved call
+        node to the locks its callee acquires, at any depth.
+        """
+        func = cfg.func
+        entry: FrozenSet[_Hold] = frozenset()
+        if model is not None and not nested:
+            entry = frozenset(
+                (model.lock_node(attr), None)
+                for attr in _PRECONDITION_RE.findall(
+                    ast.get_docstring(func) or "")
+                if attr in model.locks)
+        holds = _held_locks(cfg, entry,
+                            lambda node: self.locks_of_with(node, model))
+        for block in cfg.blocks:
+            if block.idx not in holds or block.kind == "with-cleanup":
                 continue
-            self._walk_stmts_module(item.body, ())
-
-    def _walk_stmts_module(self, body: Sequence[ast.stmt],
-                           held: Tuple[str, ...]) -> None:
-        guards = self.module_contract.guards
-        for stmt in body:
-            if isinstance(stmt, ast.With):
-                acquired = self._locks_of_with(stmt, None)
-                for lock in acquired:
-                    for holder in held:
-                        if holder != lock:
-                            self.edges.append((holder, lock, stmt.lineno))
-                self._walk_stmts_module(stmt.body,
-                                        held + tuple(acquired))
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            for node in self._expr_nodes(stmt, header_only=False):
-                if isinstance(node, ast.Name) and node.id in guards:
-                    lock = f"{self.rel}::{guards[node.id]}"
-                    if lock not in held:
-                        self._report(
+            held = sorted({lock for lock, _ in holds[block.idx]})
+            if block.kind == "with-enter":
+                self._order_edges(held, self.locks_of_with(block.node, model),
+                                  block.line)
+            for node in _evaluated(cfg.block_exprs(block)):
+                if model is not None:
+                    attr = self_attr(node)
+                    if attr is not None:
+                        self._check_field(node, attr, model, func.name,
+                                          held, off_loop)
+                elif (isinstance(node, ast.Name)
+                      and node.id in self.module_contract.guards):
+                    lockname = self.module_contract.guards[node.id]
+                    if f"{self.rel}::{lockname}" not in held:
+                        self.report(
                             "S501", node.lineno,
                             f"global {node.id} is declared guarded-by "
-                            f"{guards[node.id]} but accessed without it")
+                            f"{lockname} but accessed without it")
                 if isinstance(node, ast.Call) and held:
-                    self._check_blocking(node, held, None)
-            for child_body in self._compound_bodies(stmt):
-                self._walk_stmts_module(child_body, held)
-
-    def _walk(self, body: Sequence[ast.stmt], model: _ClassModel,
-              method: ast.AST, held: Tuple[str, ...],
-              writes_locked: Dict[str, int],
-              writes_unlocked: Dict[str, int],
-              in_closure: bool = False) -> None:
-        method_name = getattr(method, "name", "<lambda>")
-        in_init = method_name == "__init__"
-        for stmt in body:
-            if isinstance(stmt, ast.With):
-                acquired = self._locks_of_with(stmt, model)
-                for lock in acquired:
-                    for holder in held:
-                        if holder != lock:
-                            self.edges.append((holder, lock, stmt.lineno))
-                self._scan_exprs(stmt, model, method_name, held,
-                                 writes_locked, writes_unlocked,
-                                 in_init, header_only=True)
-                self._walk(stmt.body, model, method, held + tuple(acquired),
-                           writes_locked, writes_unlocked, in_closure)
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # A closure's body runs later, possibly on another
-                # thread: analyze it with an empty lockset.
-                self._walk(stmt.body, model, stmt, (),
-                           writes_locked, writes_unlocked, in_closure=True)
-                continue
-            if isinstance(stmt, ast.ClassDef):
-                continue
-            self._scan_exprs(stmt, model, method_name, held,
-                             writes_locked, writes_unlocked, in_init)
-            for child_body in self._compound_bodies(stmt):
-                self._walk(child_body, model, method, held,
-                           writes_locked, writes_unlocked, in_closure)
-
-    @staticmethod
-    def _compound_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
-        bodies = []
-        for name in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, name, None)
-            if isinstance(block, list) and block and \
-                    isinstance(block[0], ast.stmt):
-                bodies.append(block)
-        for handler in getattr(stmt, "handlers", []):
-            bodies.append(handler.body)
-        return bodies
-
-    def _scan_exprs(self, stmt: ast.stmt, model: _ClassModel,
-                    method_name: str, held: Tuple[str, ...],
-                    writes_locked: Dict[str, int],
-                    writes_unlocked: Dict[str, int],
-                    in_init: bool, header_only: bool = False) -> None:
-        """S501 field accesses, S502 call-through edges, S503 blocking
-        calls in the expressions of one statement (not child blocks)."""
-        for node in self._expr_nodes(stmt, header_only):
-            attr = _self_attr(node)
-            if attr is not None and isinstance(node, ast.Attribute):
-                is_write = isinstance(node.ctx, (ast.Store, ast.Del))
-                self._check_field(node, attr, model, method_name, held,
-                                  is_write, in_init)
-                if is_write and not in_init:
-                    target = (writes_locked if held else writes_unlocked)
-                    target.setdefault(attr, node.lineno)
-            if isinstance(node, ast.Call):
-                if held:
                     self._check_blocking(node, held, model)
-                self._call_through_edges(node, model, held)
+                    self._order_edges(
+                        held, sorted(callee_locks.get(id(node), ())),
+                        node.lineno)
 
-    def _expr_nodes(self, stmt: ast.stmt,
-                    header_only: bool) -> List[ast.AST]:
-        """Expression-level nodes of ``stmt`` excluding nested
-        statement blocks (walked separately with their own locksets)."""
-        out: List[ast.AST] = []
-        stack: List[ast.AST] = []
-        if header_only:
-            # With headers: only the context expressions.
-            stack.extend(item.context_expr
-                         for item in getattr(stmt, "items", []))
-        else:
-            for field_name, value in ast.iter_fields(stmt):
-                if isinstance(value, ast.expr):
-                    stack.append(value)
-                elif isinstance(value, list):
-                    stack.extend(v for v in value
-                                 if isinstance(v, ast.expr))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.Lambda,)):
-                continue  # deferred execution; no lock context
-            out.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        return out
+    def _order_edges(self, held: Sequence[str], acquired: Iterable[str],
+                     line: int) -> None:
+        for lock in acquired:
+            for holder in held:
+                if holder != lock:
+                    self.edges.append((holder, lock, line))
 
     def _check_field(self, node: ast.Attribute, attr: str,
                      model: _ClassModel, method_name: str,
-                     held: Tuple[str, ...], is_write: bool,
-                     in_init: bool) -> None:
+                     held: Sequence[str], off_loop: bool) -> None:
+        in_init = method_name == "__init__"
+        is_write = isinstance(node.ctx, (ast.Store, ast.Del))
+        if is_write and not in_init:
+            writes = model.writes_locked if held else model.writes_unlocked
+            writes[attr] = min(writes.get(attr, node.lineno), node.lineno)
         contract = model.contract
         if not contract.declared or in_init:
             return
@@ -479,28 +358,43 @@ class _ModuleAnalysis:
         if attr in contract.guards:
             lock = model.lock_node(contract.guards[attr])
             if lock not in held:
-                self._report(
+                self.report(
                     "S501", node.lineno,
                     f"{model.name}.{attr} is declared guarded-by "
                     f"{contract.guards[attr]} but accessed without "
                     f"holding it (in {method_name})")
             return
         if attr in contract.loop_confined:
-            if method_name in model.off_loop:
-                self._report(
+            if off_loop:
+                self.report(
                     "S501", node.lineno,
                     f"{model.name}.{attr} is declared loop-confined "
                     f"but {method_name} runs off-loop (handed to an "
                     f"executor or thread)")
             return
         if is_write and not contract.mentions(attr):
-            self._report(
+            self.report(
                 "S501", node.lineno,
                 f"{model.name}.{attr} is written outside __init__ but "
                 f"missing from the class 'Concurrency:' contract; "
                 f"declare its guard (or loop-confined / unguarded-ok)")
 
-    def _check_blocking(self, node: ast.Call, held: Tuple[str, ...],
+    def check_inference(self) -> None:
+        """Lock-owning classes without a contract: a field written both
+        under a lock and outside any lock is a race."""
+        for model in self.classes.values():
+            if not model.locks or model.contract.declared:
+                continue
+            for name in sorted(set(model.writes_locked) &
+                               set(model.writes_unlocked)):
+                self.report(
+                    "S501", model.writes_unlocked[name],
+                    f"{model.name}.{name} is written under a lock "
+                    f"at line {model.writes_locked[name]} but without "
+                    f"one here; guard both or declare the field "
+                    f"in a 'Concurrency:' docstring block")
+
+    def _check_blocking(self, node: ast.Call, held: Sequence[str],
                         model: Optional[_ClassModel]) -> None:
         func = node.func
         if not isinstance(func, ast.Attribute):
@@ -508,7 +402,7 @@ class _ModuleAnalysis:
         attr = func.attr
         blocking = None
         if attr in _BLOCKING_ATTRS:
-            receiver = _self_attr(func.value)
+            receiver = self_attr(func.value)
             if (receiver is not None and model is not None
                     and model.lock_node(receiver) in held):
                 return  # Condition.wait on the held condition itself
@@ -519,50 +413,25 @@ class _ModuleAnalysis:
                 and func.value.id == "time"):
             blocking = "time.sleep()"
         elif attr in ("get", "put"):
-            receiver = _self_attr(func.value)
+            receiver = self_attr(func.value)
             if (receiver is not None and model is not None
                     and receiver in model.queues):
                 blocking = f"Queue.{attr}()"
         if blocking is not None:
-            locks = ", ".join(sorted(held))
-            self._report(
+            locks = ", ".join(held)
+            self.report(
                 "S503", node.lineno,
                 f"blocking call {blocking} while holding {locks}; "
                 f"release the lock first or use a timeout-and-retry "
                 f"outside the critical section")
 
-    def _call_through_edges(self, node: ast.Call,
-                            model: Optional[_ClassModel],
-                            held: Tuple[str, ...]) -> None:
-        """One-level interprocedural S502 edges: self.m() and
-        self.member.m() receivers whose methods acquire locks."""
-        if not held or model is None:
-            return
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        receiver_attr = _self_attr(func.value)
-        callee_locks: Set[str] = set()
-        if receiver_attr is None:
-            # self.m(...) — same class, one level deep.
-            if _self_attr(func) is not None:
-                callee_locks = model.acquired_by_method.get(func.attr,
-                                                            set())
-        else:
-            member_class = model.members.get(receiver_attr)
-            target = self.all_classes.get(member_class or "")
-            if target is not None:
-                callee_locks = target.acquired_by_method.get(func.attr,
-                                                             set())
-        for lock in callee_locks:
-            for holder in held:
-                if holder != lock:
-                    self.edges.append((holder, lock, node.lineno))
-
-    def _report(self, rule: str, line: int, message: str) -> None:
-        if self.suppress.active(rule, line):
-            return
-        self.findings.append(LintFinding(rule, self.rel, line, message))
+    def report(self, rule: str, line: int, message: str) -> None:
+        # Pragmas are tokenized on a module's first finding, so a clean
+        # module never pays for it.
+        if self.suppress is None:
+            self.suppress = SuppressionTable.from_source(self.source)
+        if not self.suppress.active(rule, line):
+            self.findings[LintFinding(rule, self.rel, line, message)] = None
 
 
 def _find_cycles(edges: Dict[str, Set[str]]) -> List[List[str]]:
@@ -589,28 +458,56 @@ def _find_cycles(edges: Dict[str, Set[str]]) -> List[List[str]]:
 
 def analyze_modules(modules: Sequence[Tuple[str, str]]) -> List[LintFinding]:
     """Analyze (rel_path, source) pairs as one lock-order universe."""
-    analyses = [_ModuleAnalysis(rel, source) for rel, source in modules]
-    universe: Dict[str, _ClassModel] = {}
-    for analysis in analyses:
-        universe.update(analysis.classes)
-    findings: List[LintFinding] = []
-    graph: Dict[str, Set[str]] = {}
-    edge_site: Dict[Tuple[str, str], Tuple["_ModuleAnalysis", int]] = {}
-    for analysis in analyses:
-        analysis.all_classes = universe
-        analysis.run()
-        findings.extend(analysis.findings)
+    analyses = {rel: _ModuleAnalysis(rel, source)
+                for rel, source in modules}
+    graph = build_callgraph([(rel, analysis.tree)
+                             for rel, analysis in analyses.items()])
+    off_loop = off_loop_set(graph)
+    scopes: Dict[str, Tuple[_ModuleAnalysis, Optional[_ClassModel],
+                            CFG, bool]] = {}
+    direct: Dict[str, FrozenSet[str]] = {}
+    for fid, info in graph.functions.items():
+        analysis = analyses[info.rel]
+        decl = info.decl
+        model = analysis.classes.get(decl.cls) if decl.cls else None
+        if decl.cls and (model is None or not
+                         decl.qualname.startswith(decl.cls + ".")):
+            continue  # a class nested in a class or function
+        cfg = build_cfg(decl.node, fid)
+        scopes[fid] = (analysis, model, cfg, decl.parent is not None)
+        direct[fid] = frozenset(
+            lock for block in cfg.blocks if block.kind == "with-enter"
+            for lock in analysis.locks_of_with(block.node, model))
+
+    def transfer(fid: str,
+                 summaries: Dict[str, object]) -> FrozenSet[str]:
+        acquired = set(direct.get(fid, ()))
+        for callee in graph.callees(fid, _CALL_KINDS):
+            acquired |= summaries.get(callee, frozenset())
+        return frozenset(acquired)
+
+    acquires = solve_bottom_up(graph, _CALL_KINDS, transfer)
+    for fid, (analysis, model, cfg, nested) in scopes.items():
+        callee_locks = {id(site.node): acquires[site.target]
+                        for site in graph.edges(fid, _CALL_KINDS)}
+        analysis.check_function(cfg, model, nested, fid in off_loop,
+                                callee_locks)
+
+    lock_order: Dict[str, Set[str]] = {}
+    edge_site: Dict[Tuple[str, str], Tuple[_ModuleAnalysis, int]] = {}
+    for analysis in analyses.values():
+        analysis.check_inference()
         for holder, acquired, line in analysis.edges:
-            graph.setdefault(holder, set()).add(acquired)
+            lock_order.setdefault(holder, set()).add(acquired)
             edge_site.setdefault((holder, acquired), (analysis, line))
-    for cycle in _find_cycles(graph):
+    for cycle in _find_cycles(lock_order):
         analysis, line = edge_site[(cycle[0], cycle[1])]
-        message = (f"lock acquisition-order cycle: "
-                   f"{' -> '.join(cycle)}; impose a global order or "
-                   f"merge the locks")
-        if not analysis.suppress.active("S502", line):
-            findings.append(
-                LintFinding("S502", analysis.rel, line, message))
+        analysis.report(
+            "S502", line,
+            f"lock acquisition-order cycle: {' -> '.join(cycle)}; "
+            f"impose a global order or merge the locks")
+    findings = [finding for analysis in analyses.values()
+                for finding in analysis.findings]
     findings.sort(key=LintFinding.sort_key)
     return findings
 
@@ -620,14 +517,8 @@ def analyze_source(source: str, rel_path: str) -> List[LintFinding]:
     return analyze_modules([(rel_path, source)])
 
 
-def analyze_lockset(root: Optional[Path] = None,
-                    targets: Sequence[str] = LOCKSET_TARGETS,
-                    ) -> List[LintFinding]:
+def analyze_lockset() -> List[LintFinding]:
     """Analyze the shipped target modules under the package root."""
-    base = root or package_root()
-    modules: List[Tuple[str, str]] = []
-    for rel in targets:
-        path = base / rel
-        if path.exists():  # targets may trail the tree during refactors
-            modules.append((rel, path.read_text(encoding="utf-8")))
-    return analyze_modules(modules)
+    base = package_root()
+    return analyze_modules([(rel, (base / rel).read_text(encoding="utf-8"))
+                            for rel in LOCKSET_TARGETS])

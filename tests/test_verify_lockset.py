@@ -157,6 +157,33 @@ class Metric:
                             "        self.value += 1")
         assert rules_of(analyze(bad)) == ["S501"]
 
+    def test_closure_under_lock_starts_unlocked(self):
+        # The nested def runs later, without the lock its definer held.
+        src = '''
+import threading
+
+class C:
+    """C.
+
+    Concurrency:
+        guarded-by _lock: value
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.value = 0
+
+    def later(self):
+        with self._lock:
+            def peek():
+                return self.value
+            self.value += 1
+        return peek
+'''
+        findings = analyze(src)
+        assert [(f.rule, f.line) for f in findings] == [("S501", 18)]
+        assert "(in peek)" in findings[0].message
+
     def test_undeclared_write_flagged(self):
         src = '''
 import threading
@@ -221,6 +248,87 @@ class S:
         findings = analyze(src)
         assert rules_of(findings) == ["S501"]
         assert "off-loop" in findings[0].message
+
+    def test_loop_confined_field_via_helper_of_off_loop_method(self):
+        src = '''
+import asyncio
+
+class S:
+    """S.
+
+    Concurrency:
+        loop-confined: jobs
+    """
+
+    def __init__(self):
+        self.jobs = {}
+
+    def _work(self):
+        self._record()
+
+    def _record(self):
+        self.jobs["x"] = 1  # reached from an executor thread
+
+    async def go(self, loop):
+        await loop.run_in_executor(None, self._work)
+'''
+        findings = analyze(src)
+        assert rules_of(findings) == ["S501"]
+        assert "_record runs off-loop" in findings[0].message
+
+    def test_off_loop_is_per_class_not_per_method_name(self):
+        # Worker ships its own _work; S._work never leaves the loop.
+        src = '''
+import asyncio
+
+class S:
+    """S.
+
+    Concurrency:
+        loop-confined: jobs
+    """
+
+    def __init__(self):
+        self.jobs = {}
+
+    def _work(self):
+        self.jobs["x"] = 1
+
+
+class Worker:
+    def _work(self):
+        return 1
+
+    async def go(self, loop):
+        await loop.run_in_executor(None, self._work)
+'''
+        assert analyze(src) == []
+
+    def test_guarded_field_in_match_case(self):
+        src = '''
+import threading
+
+class C:
+    """C.
+
+    Concurrency:
+        guarded-by _lock: value
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.value = 0
+
+    def apply(self, command):
+        match command:
+            case "reset":
+                self.value = 0
+            case _:
+                with self._lock:
+                    self.value += 1
+'''
+        findings = analyze(src)
+        assert [(f.rule, f.line) for f in findings] == [("S501", 18)]
 
     def test_module_level_globals(self):
         src = '''
@@ -299,6 +407,8 @@ class C:
         store = '''
 import threading
 
+from repro.campaign.engine import Engine
+
 class Store:
     def __init__(self, engine: "Engine"):
         self._slock = threading.Lock()
@@ -310,6 +420,8 @@ class Store:
 '''
         engine = '''
 import threading
+
+from repro.campaign.store import Store
 
 class Engine:
     def __init__(self):
@@ -359,6 +471,63 @@ class C:
         findings = analyze(src)
         assert rules_of(findings) == ["S502"]
 
+
+    def test_cycle_two_calls_down(self):
+        src = '''
+import threading
+
+class C:
+    def __init__(self):
+        self._a = threading.Lock()
+        self._b = threading.Lock()
+
+    def outer(self):
+        with self._a:
+            self.middle()
+
+    def middle(self):
+        self.inner()
+
+    def inner(self):
+        with self._b:
+            pass
+
+    def reverse(self):
+        with self._b:
+            with self._a:
+                pass
+'''
+        findings = analyze(src)
+        assert rules_of(findings) == ["S502"]
+        assert "C._a" in findings[0].message
+        assert "C._b" in findings[0].message
+
+    def test_cycle_through_module_function_call(self):
+        src = '''
+import threading
+
+_A = threading.Lock()
+_B = threading.Lock()
+
+
+def take_b():
+    with _B:
+        pass
+
+
+def one():
+    with _A:
+        take_b()
+
+
+def two():
+    with _B:
+        with _A:
+            pass
+'''
+        findings = analyze(src)
+        assert rules_of(findings) == ["S502"]
+        assert "serve/example.py::_A" in findings[0].message
 
 class TestS503:
     def test_blocking_calls_under_lock(self):
