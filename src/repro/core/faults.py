@@ -510,7 +510,13 @@ def run_arch_fault_experiment(program, fault: "ArchFault",
     allowed — dead state legitimately retains the flip).
     """
     golden_stores, golden_end = _arch_golden(program, instructions)
-    executor = FunctionalExecutor(program)
+    code = program
+    if isinstance(fault, ArchDestFieldFault):
+        # The faulty decode runs against a private copy of the code: the
+        # caller's program is immutable (and memoized as such).
+        code = dataclasses.replace(program,
+                                   instructions=list(program.instructions))
+    executor = FunctionalExecutor(code)
     faulty_stores = []
     detected_step: Optional[int] = None
     crashed = False
@@ -521,11 +527,11 @@ def run_arch_fault_experiment(program, fault: "ArchFault",
             _inject_arch_fault(executor, fault)
         swapped = None
         if (isinstance(fault, ArchDestFieldFault) and step == fault.step
-                and program.in_range(executor.state.pc)):
+                and code.in_range(executor.state.pc)):
             pc = executor.state.pc
-            swapped = (pc, program.instructions[pc])
+            swapped = (pc, code.instructions[pc])
             original = swapped[1]
-            program.instructions[pc] = dataclasses.replace(
+            code.instructions[pc] = dataclasses.replace(
                 original, rd=original.rd ^ (1 << fault.bit))
         try:
             result = executor.step()
@@ -535,7 +541,7 @@ def run_arch_fault_experiment(program, fault: "ArchFault",
             break
         finally:
             if swapped is not None:
-                program.instructions[swapped[0]] = swapped[1]
+                code.instructions[swapped[0]] = swapped[1]
         if result.store is not None:
             index = len(faulty_stores)
             faulty_stores.append((step, result.instr.op.name,

@@ -75,42 +75,44 @@ class Machine:
         """Warm caches and branch predictors before measuring.
 
         Mirrors the paper's methodology (Section 6.2: structures are
-        warmed before statistics are collected).  The architectural
-        executor walks each program's future path; the blocks it touches
-        are installed in every hierarchy, and its branch outcomes train
-        the conditional predictors of the cores that will run the thread.
+        warmed before statistics are collected).  Each program's future
+        architectural path (:meth:`Program.warm_path`, executed once per
+        program and then replayed) is walked step by step: the blocks it
+        touches are installed in every hierarchy, and its branch
+        outcomes train the conditional predictors of the cores that will
+        run the thread.
         """
-        from repro.isa.executor import FunctionalExecutor
-
-        for name, hw in self._measured.items():
-            executor = FunctionalExecutor(hw.program)
-            cores = [core for core in self.cores
-                     if any(t.program is hw.program for t in core.threads)]
-            for step in executor.run(instructions):
-                code_addr = hw.phys_addr(hw.program.pc_to_addr(step.pc))
-                data_addr = None
-                if step.load is not None:
-                    data_addr = hw.phys_addr(step.load[0])
-                elif step.store is not None:
-                    data_addr = hw.phys_addr(step.store[0])
-                for hierarchy in self.hierarchies:
-                    for index in range(hierarchy.num_cores):
-                        hierarchy.l1i[index].warm(code_addr)
-                        if data_addr is not None:
-                            hierarchy.l1d[index].warm(data_addr)
-                    hierarchy.l2.warm(code_addr)
-                    if data_addr is not None:
-                        hierarchy.l2.warm(data_addr)
-                if step.instr.is_conditional:
-                    for core in cores:
-                        for thread in core.threads:
-                            if (thread.program is hw.program
-                                    and not thread.is_trailing):
-                                predicted = (
-                                    core.branch_predictor.predict_conditional(
-                                        thread.tid, step.pc))
-                                core.branch_predictor.update_conditional(
-                                    thread.tid, step.pc, step.taken, predicted)
+        for hw in self._measured.values():
+            program = hw.program
+            path = program.warm_path(instructions)
+            code_addr, phys_addr = hw.code_addr, hw.phys_addr
+            # One step's cache warms, in order: per hierarchy, each
+            # core's L1I (code) and L1D (data), then the L2 (code, data).
+            levels = []
+            for hierarchy in self.hierarchies:
+                for index in range(hierarchy.num_cores):
+                    levels += [(hierarchy.l1i[index].warm, False),
+                               (hierarchy.l1d[index].warm, True)]
+                levels += [(hierarchy.l2.warm, False),
+                           (hierarchy.l2.warm, True)]
+            trainers = [(core.branch_predictor, thread.tid)
+                        for core in self.cores for thread in core.threads
+                        if thread.program is program
+                        and not thread.is_trailing]
+            for pc, data, taken in path.steps(instructions):
+                code = code_addr(pc)
+                if data is not None:
+                    data = phys_addr(data)
+                for warm, is_data in levels:
+                    if not is_data:
+                        warm(code)
+                    elif data is not None:
+                        warm(data)
+                if taken is not None:
+                    for predictor, tid in trainers:
+                        predicted = predictor.predict_conditional(tid, pc)
+                        predictor.update_conditional(tid, pc, taken,
+                                                     predicted)
 
     # -- run loop ---------------------------------------------------------------
     def run(self, max_instructions: int = 10_000,

@@ -6,8 +6,10 @@ produces (tests assert that), and the redundant threads of an RMT
 machine must produce outputs identical to it in the absence of faults.
 """
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Instruction, Op
 from repro.isa.program import Program
@@ -203,3 +205,52 @@ class FunctionalExecutor:
                 break
             results.append(self.step())
         return results
+
+
+#: Encoding of ``WarmPath.data`` for a step that touched no memory (data
+#: addresses are word-aligned, so never odd) and of ``WarmPath.branches``.
+_NO_DATA = 1
+_NOT_CONDITIONAL, _FELL_THROUGH, _TAKEN = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class WarmPath:
+    """The first steps of a program's architectural path, stored as
+    compact arrays: what a machine's warm-up replays (``Machine.warm``).
+    """
+
+    pcs: array
+    data: array
+    branches: bytes
+    #: The path ends at a HALT: no longer run records more steps.
+    halted: bool
+
+    def __len__(self) -> int:
+        return len(self.pcs)
+
+    def steps(self, count: int
+              ) -> Iterator[Tuple[int, Optional[int], Optional[bool]]]:
+        """The first ``count`` steps as (pc, word address loaded or
+        stored or ``None``, taken for a conditional branch or ``None``)."""
+        for pc, data, branch in islice(
+                zip(self.pcs, self.data, self.branches), count):
+            yield (pc, None if data == _NO_DATA else data,
+                   None if branch == _NOT_CONDITIONAL else branch == _TAKEN)
+
+
+def record_warm_path(program: Program, steps: int) -> WarmPath:
+    """Execute up to ``steps`` instructions of ``program`` (stopping on
+    HALT) and keep what a warm-up replays of each."""
+    executor = FunctionalExecutor(program)
+    pcs = array("I")
+    data = array("Q")
+    branches = bytearray()
+    for step in executor.run(steps):
+        pcs.append(step.pc)
+        access = step.load or step.store
+        data.append(_NO_DATA if access is None else access[0])
+        if step.instr.is_conditional:
+            branches.append(_TAKEN if step.taken else _FELL_THROUGH)
+        else:
+            branches.append(_NOT_CONDITIONAL)
+    return WarmPath(pcs, data, bytes(branches), executor.state.halted)

@@ -15,7 +15,8 @@ hardwired to zero.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import Dict, Optional, Tuple
 
 NUM_ARCH_REGS = 64
 ZERO_REG = 0
@@ -23,7 +24,12 @@ INSTRUCTION_BYTES = 4
 
 
 class Op(enum.Enum):
-    """Opcodes, grouped by the functional-unit class that executes them."""
+    """Opcodes, grouped by the functional-unit class that executes them.
+
+    Each member carries its decoded :class:`OpInfo` as ``info``.
+    """
+
+    info: "OpInfo"
 
     # Integer arithmetic (integer unit pool).
     ADD = enum.auto()
@@ -71,62 +77,106 @@ class FuClass(enum.Enum):
     FP = "fp"
 
 
-_FU_CLASS = {
-    Op.ADD: FuClass.INT,
-    Op.SUB: FuClass.INT,
-    Op.MUL: FuClass.INT,
-    Op.ADDI: FuClass.INT,
-    Op.LDI: FuClass.INT,
-    Op.CMPLT: FuClass.INT,
-    Op.CMPEQ: FuClass.INT,
-    Op.AND: FuClass.LOGIC,
-    Op.OR: FuClass.LOGIC,
-    Op.XOR: FuClass.LOGIC,
-    Op.SHL: FuClass.LOGIC,
-    Op.SHR: FuClass.LOGIC,
-    Op.ANDI: FuClass.LOGIC,
-    Op.XORI: FuClass.LOGIC,
-    Op.NOP: FuClass.LOGIC,
-    Op.FADD: FuClass.FP,
-    Op.FMUL: FuClass.FP,
-    Op.FMA: FuClass.FP,
-    Op.FDIV: FuClass.FP,
-    Op.LD: FuClass.MEM,
-    Op.ST: FuClass.MEM,
-    Op.STH: FuClass.MEM,
-    Op.MEMBAR: FuClass.MEM,
-    # Control flow resolves on the integer pool.
-    Op.BEQZ: FuClass.INT,
-    Op.BNEZ: FuClass.INT,
-    Op.BR: FuClass.INT,
-    Op.JMP: FuClass.INT,
-    Op.CALL: FuClass.INT,
-    Op.RET: FuClass.INT,
-    Op.HALT: FuClass.INT,
-}
-
-# Execute latency (cycles in the EBOX/FBOX) per opcode; memory latency is
-# modelled by the MBOX, so LD/ST carry only their issue latency here.
-_EXEC_LATENCY = {
-    Op.MUL: 7,
-    Op.FADD: 4,
-    Op.FMUL: 4,
-    Op.FMA: 4,
-    Op.FDIV: 12,
-}
 DEFAULT_EXEC_LATENCY = 1
-
-_CONTROL_OPS = {Op.BEQZ, Op.BNEZ, Op.BR, Op.JMP, Op.CALL, Op.RET}
-_CONDITIONAL_OPS = {Op.BEQZ, Op.BNEZ}
-_INDIRECT_OPS = {Op.JMP, Op.RET}
 
 
 @dataclass(frozen=True)
+class OpInfo:
+    """Everything the machines and the analyses ask of one opcode.
+
+    Decoded once, at import: each :class:`Op` member carries its record
+    as ``op.info``, so an instruction reaches it with an attribute read
+    instead of hashing the enum into a table.
+    """
+
+    mnemonic: str
+    fu_class: FuClass
+    #: Execute latency in the EBOX/FBOX; memory latency is modelled by
+    #: the MBOX, so LD/ST carry only their issue latency here.
+    exec_latency: int = DEFAULT_EXEC_LATENCY
+    is_load: bool = False
+    is_store: bool = False
+    #: Sub-word stores cannot fully forward to a word load.
+    is_partial_store: bool = False
+    is_membar: bool = False
+    is_control: bool = False
+    is_conditional: bool = False
+    is_indirect: bool = False
+    is_call: bool = False
+    is_return: bool = False
+    is_halt: bool = False
+    #: Writes ``rd`` (unless ``rd`` is the hardwired ``r0``).
+    writes: bool = True
+    #: Reads the first ``source_count`` of (ra, rb, rd).
+    source_count: int = 2
+    #: Operand text after the mnemonic (and ``rd``), for ``__str__``.
+    operands: str = "r{ra} r{rb}"
+
+
+def _decode(op: Op, fu_class: FuClass, **fields: object) -> None:
+    op.info = OpInfo(op.name.lower(), fu_class, **fields)
+
+
+_IMM = dict(source_count=1, operands="r{ra} {imm}")
+_NO_OPERANDS = dict(writes=False, source_count=0, operands="")
+_BRANCH = dict(is_control=True, writes=False)
+
+for _op in (Op.ADD, Op.SUB, Op.CMPLT, Op.CMPEQ):
+    _decode(_op, FuClass.INT)
+_decode(Op.MUL, FuClass.INT, exec_latency=7)
+_decode(Op.ADDI, FuClass.INT, **_IMM)
+_decode(Op.LDI, FuClass.INT, source_count=0, operands="{imm}")
+for _op in (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR):
+    _decode(_op, FuClass.LOGIC)
+for _op in (Op.ANDI, Op.XORI):
+    _decode(_op, FuClass.LOGIC, **_IMM)
+_decode(Op.NOP, FuClass.LOGIC, **_NO_OPERANDS)
+for _op in (Op.FADD, Op.FMUL):
+    _decode(_op, FuClass.FP, exec_latency=4)
+_decode(Op.FMA, FuClass.FP, exec_latency=4, source_count=3)
+_decode(Op.FDIV, FuClass.FP, exec_latency=12)
+_decode(Op.LD, FuClass.MEM, is_load=True, source_count=1,
+        operands="r{ra}+{imm}")
+_decode(Op.ST, FuClass.MEM, is_store=True, writes=False,
+        operands="r{ra}+{imm} r{rb}")
+_decode(Op.STH, FuClass.MEM, is_store=True, is_partial_store=True,
+        writes=False, operands="r{ra}+{imm} r{rb}")
+_decode(Op.MEMBAR, FuClass.MEM, is_membar=True, **_NO_OPERANDS)
+# Control flow resolves on the integer pool.
+for _op in (Op.BEQZ, Op.BNEZ):
+    _decode(_op, FuClass.INT, is_conditional=True, source_count=1,
+            operands="r{ra} @{target}", **_BRANCH)
+_decode(Op.BR, FuClass.INT, source_count=0, operands="@{target}", **_BRANCH)
+_decode(Op.JMP, FuClass.INT, is_indirect=True, source_count=1,
+        operands="r{ra}", **_BRANCH)
+_decode(Op.CALL, FuClass.INT, is_control=True, is_call=True, source_count=0,
+        operands="@{target}")
+_decode(Op.RET, FuClass.INT, is_indirect=True, is_return=True,
+        source_count=1, operands="r{ra}", **_BRANCH)
+_decode(Op.HALT, FuClass.INT, is_halt=True, **_NO_OPERANDS)
+
+#: One shared tuple per distinct source list: programs repeat the same
+#: few register combinations thousands of times.
+_SOURCE_REGS: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+
+def _classified(name: str) -> property:
+    """An :class:`Instruction` property answered by its opcode's record."""
+    return property(attrgetter("op.info." + name),
+                    doc=f"``{name}`` of the opcode's :class:`OpInfo`.")
+
+
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """A static RISC-R instruction.
 
     ``target`` is an instruction index (the ISA's PCs count instructions;
     byte addresses are derived as ``pc * INSTRUCTION_BYTES``).
+
+    Construction decodes the two operand-dependent facts once and stores
+    them: ``writes_reg`` and ``source_regs`` (the architectural
+    registers read, one interned tuple per distinct list).  Everything
+    else comes from the opcode's :class:`OpInfo`.
     """
 
     op: Op
@@ -136,106 +186,54 @@ class Instruction:
     imm: int = 0
     target: Optional[int] = None
     label: str = field(default="", compare=False)
+    writes_reg: bool = field(init=False, repr=False, compare=False)
+    source_regs: Tuple[int, ...] = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self) -> None:
-        for name, reg in (("rd", self.rd), ("ra", self.ra), ("rb", self.rb)):
-            if not 0 <= reg < NUM_ARCH_REGS:
-                raise ValueError(f"{self.op.name}: {name} out of range: {reg}")
-        if self.op in _CONTROL_OPS and self.op not in _INDIRECT_OPS:
-            if self.target is None:
-                raise ValueError(f"{self.op.name} requires a target")
+        info = self.op.info
+        rd, ra, rb = self.rd, self.ra, self.rb
+        if not (0 <= rd < NUM_ARCH_REGS and 0 <= ra < NUM_ARCH_REGS
+                and 0 <= rb < NUM_ARCH_REGS):
+            for name, reg in (("rd", rd), ("ra", ra), ("rb", rb)):
+                if not 0 <= reg < NUM_ARCH_REGS:
+                    raise ValueError(
+                        f"{self.op.name}: {name} out of range: {reg}")
+        if (info.is_control and not info.is_indirect
+                and self.target is None):
+            raise ValueError(f"{self.op.name} requires a target")
+        sources = (ra, rb, rd)[:info.source_count]
+        decoded = object.__setattr__
+        decoded(self, "writes_reg", info.writes and rd != ZERO_REG)
+        decoded(self, "source_regs",
+                _SOURCE_REGS.setdefault(sources, sources))
 
-    # -- classification ------------------------------------------------
-    @property
-    def fu_class(self) -> FuClass:
-        return _FU_CLASS[self.op]
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled instruction is
+        # decoded (and its source tuple interned) like a fresh one.
+        return (type(self), (self.op, self.rd, self.ra, self.rb, self.imm,
+                             self.target, self.label))
 
-    @property
-    def exec_latency(self) -> int:
-        return _EXEC_LATENCY.get(self.op, DEFAULT_EXEC_LATENCY)
-
-    @property
-    def is_load(self) -> bool:
-        return self.op is Op.LD
-
-    @property
-    def is_store(self) -> bool:
-        return self.op in (Op.ST, Op.STH)
-
-    @property
-    def is_partial_store(self) -> bool:
-        """True for sub-word stores that cannot fully forward to a word load."""
-        return self.op is Op.STH
-
-    @property
-    def is_membar(self) -> bool:
-        return self.op is Op.MEMBAR
-
-    @property
-    def is_control(self) -> bool:
-        return self.op in _CONTROL_OPS
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.op in _CONDITIONAL_OPS
-
-    @property
-    def is_indirect(self) -> bool:
-        return self.op in _INDIRECT_OPS
-
-    @property
-    def is_call(self) -> bool:
-        return self.op is Op.CALL
-
-    @property
-    def is_return(self) -> bool:
-        return self.op is Op.RET
-
-    @property
-    def is_halt(self) -> bool:
-        return self.op is Op.HALT
-
-    @property
-    def writes_reg(self) -> bool:
-        if self.op in (Op.ST, Op.STH, Op.MEMBAR, Op.NOP, Op.HALT, Op.BEQZ,
-                       Op.BNEZ, Op.BR, Op.JMP, Op.RET):
-            return False
-        return self.rd != ZERO_REG
-
-    @property
-    def source_regs(self) -> tuple:
-        """Architectural registers read by this instruction."""
-        if self.op in (Op.LDI, Op.NOP, Op.HALT, Op.BR, Op.CALL, Op.MEMBAR):
-            return ()
-        if self.op in (Op.ADDI, Op.ANDI, Op.XORI, Op.LD, Op.BEQZ, Op.BNEZ,
-                       Op.JMP, Op.RET):
-            return (self.ra,)
-        if self.op in (Op.ST, Op.STH):
-            return (self.ra, self.rb)
-        if self.op is Op.FMA:
-            return (self.ra, self.rb, self.rd)
-        return (self.ra, self.rb)
+    # -- classification (the opcode's record) ----------------------------
+    fu_class = _classified("fu_class")
+    exec_latency = _classified("exec_latency")
+    is_load = _classified("is_load")
+    is_store = _classified("is_store")
+    is_partial_store = _classified("is_partial_store")
+    is_membar = _classified("is_membar")
+    is_control = _classified("is_control")
+    is_conditional = _classified("is_conditional")
+    is_indirect = _classified("is_indirect")
+    is_call = _classified("is_call")
+    is_return = _classified("is_return")
+    is_halt = _classified("is_halt")
 
     def __str__(self) -> str:
-        parts = [self.op.name.lower()]
-        if self.writes_reg or self.op is Op.FMA:
+        info = self.op.info
+        parts = [info.mnemonic]
+        if self.writes_reg or info.source_count == 3:  # FMA reads rd
             parts.append(f"r{self.rd}")
-        if self.op in (Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.OR, Op.XOR, Op.SHL,
-                       Op.SHR, Op.CMPLT, Op.CMPEQ, Op.FADD, Op.FMUL, Op.FMA,
-                       Op.FDIV):
-            parts += [f"r{self.ra}", f"r{self.rb}"]
-        elif self.op in (Op.ADDI, Op.ANDI, Op.XORI):
-            parts += [f"r{self.ra}", str(self.imm)]
-        elif self.op is Op.LDI:
-            parts.append(str(self.imm))
-        elif self.op is Op.LD:
-            parts.append(f"r{self.ra}+{self.imm}")
-        elif self.op in (Op.ST, Op.STH):
-            parts += [f"r{self.ra}+{self.imm}", f"r{self.rb}"]
-        elif self.op in (Op.BEQZ, Op.BNEZ):
-            parts += [f"r{self.ra}", f"@{self.target}"]
-        elif self.op in (Op.BR, Op.CALL):
-            parts.append(f"@{self.target}")
-        elif self.op in (Op.JMP, Op.RET):
-            parts.append(f"r{self.ra}")
+        if info.operands:
+            parts.append(info.operands.format(
+                ra=self.ra, rb=self.rb, imm=self.imm, target=self.target))
         return " ".join(parts)

@@ -7,9 +7,12 @@ interfere through memory.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.isa.executor import WarmPath
 
 
 @dataclass
@@ -26,6 +29,8 @@ class Program:
     entry: int = 0
     code_base: int = 0x1000_0000
     metadata: Dict[str, object] = field(default_factory=dict)
+    _warm_path: Optional["WarmPath"] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.instructions:
@@ -54,6 +59,22 @@ class Program:
     def pc_to_addr(self, pc: int) -> int:
         """Byte address of instruction ``pc`` (for the instruction cache)."""
         return self.code_base + pc * INSTRUCTION_BYTES
+
+    def warm_path(self, steps: int) -> "WarmPath":
+        """The program's architectural path, at least ``steps`` steps long
+        unless it halts first (it may be longer: replay a prefix).
+
+        Recorded once and kept, which is sound because a program never
+        changes after construction; a longer request records again.
+        Only later warm-ups of this same object replay: the first one
+        pays for recording as well.
+        """
+        path = self._warm_path
+        if path is None or (len(path) < steps and not path.halted):
+            from repro.isa.executor import record_warm_path
+
+            path = self._warm_path = record_warm_path(self, steps)
+        return path
 
     @property
     def static_branch_count(self) -> int:

@@ -22,7 +22,8 @@ Refresh the committed baseline in one line::
     REPRO_BENCH_OUT=benchmarks/baseline.json python -m pytest \\
         benchmarks/test_campaign_throughput.py \\
         benchmarks/test_flow_analysis.py \\
-        benchmarks/test_verify_explore.py -q -s
+        benchmarks/test_verify_explore.py \\
+        benchmarks/test_cycle_core.py -q -s
 
 The gate's teeth are proven the same way the verify mutation gates
 are: ``tests/test_obs_bench.py`` seeds a 2x slowdown into a recorded

@@ -168,6 +168,7 @@ class Core:
             return  # squashed while in flight
         if uop.phys_dest is not None:
             self.regfile.write(uop.phys_dest, uop.result or 0)
+            self.qbox.wake(uop.phys_dest)
 
     def _complete(self, uop: Uop, now: int) -> None:
         if uop.state is not UopState.ISSUED:
@@ -405,7 +406,10 @@ class Core:
                 thread.next_store_index = uop.store_index
                 if uop in thread.store_queue:
                     thread.store_queue.remove(uop)
-            if uop.state in (UopState.RENAMED, UopState.QUEUED):
+            if uop.state is UopState.QUEUED:
+                self.qbox.squash(uop)
+                thread.iq_occupancy -= 1
+            elif uop.state is UopState.RENAMED:
                 thread.iq_occupancy -= 1
             if uop.ras_snapshot is not None:
                 ras_restore = uop.ras_snapshot

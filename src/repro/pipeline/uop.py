@@ -17,9 +17,13 @@ class UopState(enum.Enum):
     SQUASHED = enum.auto()
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Uop:
-    """One dynamic instance of an instruction."""
+    """One dynamic instance of an instruction.
+
+    Compared by identity: ``seq`` is unique per core, so the load and
+    store queues' ``in`` / ``remove`` need nothing more.
+    """
 
     seq: int                     # core-wide age (rename order)
     thread: int                  # hardware thread context id
@@ -42,6 +46,8 @@ class Uop:
 
     # Queue / execute state.
     queue_half: Optional[int] = None
+    queue_order: int = 0              # insertion stamp (select age order)
+    waiting: int = 0                  # sources not yet ready (wakeup)
     fu: Optional[tuple] = None        # (FuClass, unit index) actually used
     result: Optional[int] = None
     actual_taken: bool = False
@@ -66,10 +72,6 @@ class Uop:
     issue_cycle: int = -1
     complete_cycle: int = -1
     retire_cycle: int = -1
-
-    @property
-    def alive(self) -> bool:
-        return self.state not in (UopState.SQUASHED, UopState.RETIRED)
 
     def __repr__(self) -> str:  # compact, for debugging traces
         return (f"<uop#{self.seq} t{self.thread} pc={self.pc} "

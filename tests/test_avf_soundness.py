@@ -65,3 +65,41 @@ def test_no_predicted_masked_site_is_detected(profile):
 
 def test_property_covers_at_least_fifty_instances():
     assert len(SPEC95_NAMES) * SEEDS_PER_PROFILE >= 50
+
+
+class RecordingList(list):
+    """A list that remembers every item assignment made into it."""
+
+    def __init__(self, items) -> None:
+        super().__init__(items)
+        self.assigned = []
+
+    def __setitem__(self, index, value) -> None:
+        self.assigned.append(index)
+        super().__setitem__(index, value)
+
+
+def test_destfield_experiment_never_writes_into_the_callers_program():
+    from repro.core.faults import ArchDestFieldFault, run_arch_fault_experiment
+    from repro.isa.generator import generate_benchmark
+    from repro.isa.program import Program
+
+    source = generate_benchmark("gcc", seed=1)
+    watched = Program(name=source.name,
+                      instructions=RecordingList(source.instructions),
+                      initial_memory=source.initial_memory)
+    before = list(watched.instructions)
+    outcomes = []
+    for step in (0, 7, 40, 150):
+        for bit in (0, 3, 5):
+            for program in (watched, source):
+                report = run_arch_fault_experiment(
+                    program, ArchDestFieldFault(step=step, bit=bit),
+                    instructions=INSTRUCTIONS)
+                outcomes.append((program is watched, step, bit,
+                                 report.to_dict()))
+    assert watched.instructions.assigned == []
+    assert list(watched.instructions) == before
+    # The private copy changes nothing the experiment reports.
+    assert [o[1:] for o in outcomes[0::2]] == [o[1:] for o in outcomes[1::2]]
+    assert {o[3]["outcome"] for o in outcomes} - {"masked"}

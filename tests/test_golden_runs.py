@@ -31,6 +31,7 @@ from repro.core.faults import (TransientResultFault,
 from repro.core.machine import make_machine
 from repro.harness.tracing import OccupancySampler
 from repro.isa.generator import generate_benchmark
+from repro.isa.profiles import SPEC95_NAMES
 from repro.obs.profile import StageProfiler
 from repro.util.canonical import content_hash
 
@@ -73,6 +74,14 @@ DRIVERS = ("run", "profile", "sample")
 RUN_CASES = [f"{config}/{program}" for config in CONFIGS
              for program in PROGRAMS]
 
+#: The wide corpus: kind/profile#seed, one program per machine.
+CORPUS_KINDS = ("base", "srt", "crt", "lockstep")
+CORPUS_SEEDS = (1, 2)
+CORPUS_INSTRUCTIONS = 200
+CORPUS_WARMUP = 500
+CORPUS_CASES = [f"{kind}/{name}#{seed}" for kind in CORPUS_KINDS
+                for name in SPEC95_NAMES for seed in CORPUS_SEEDS]
+
 
 def rounded(data: object) -> object:
     """``data`` with every float rounded to FLOAT_DIGITS digits."""
@@ -90,8 +99,8 @@ def digest(data: object) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def program(name: str):
-    return generate_benchmark(name, seed=SEED)
+def program(name: str, seed: int = SEED):
+    return generate_benchmark(name, seed=seed)
 
 
 def build(case: str):
@@ -118,6 +127,16 @@ def drive(case: str, driver: str) -> Tuple[str, List[object]]:
         samples = [[sample.cycle, sample.values]
                    for sample in sampler.samples]
     return digest(result.to_dict()), samples
+
+
+def corpus_run(case: str) -> str:
+    """Digest of one wide-corpus case through ``Machine.run``."""
+    kind, workload = case.split("/")
+    name, seed = workload.split("#")
+    machine = make_machine(kind, MachineConfig(), [program(name, int(seed))])
+    result = machine.run(max_instructions=CORPUS_INSTRUCTIONS,
+                         warmup=CORPUS_WARMUP)
+    return digest(result.to_dict())
 
 
 def fault_run(case: str) -> Tuple[str, str]:
@@ -150,6 +169,11 @@ def test_run_digest(case, driver):
         assert digest(samples) == golden()["samples"][case]
 
 
+@pytest.mark.parametrize("case", CORPUS_CASES)
+def test_corpus_digest(case):
+    assert corpus_run(case) == golden()["corpus"][case]
+
+
 @pytest.mark.parametrize("case", sorted(FAULT_RUNS))
 def test_fault_run_digest(case):
     run_digest, outcome = fault_run(case)
@@ -167,12 +191,16 @@ def regenerate() -> None:
         "seed": SEED, "instructions": INSTRUCTIONS, "warmup": WARMUP,
         "runs": runs, "samples": samples,
         "faults": {case: fault_run(case)[0] for case in sorted(FAULT_RUNS)},
+        "corpus": {case: corpus_run(case) for case in CORPUS_CASES},
+        "corpus_size": {"instructions": CORPUS_INSTRUCTIONS,
+                        "warmup": CORPUS_WARMUP},
     }
     with open(FIXTURE, "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=1, sort_keys=True)
         sink.write("\n")
-    print(f"wrote {len(runs)} run, {len(samples)} sample and "
-          f"{len(payload['faults'])} fault digests to {FIXTURE}")
+    print(f"wrote {len(runs)} run, {len(samples)} sample, "
+          f"{len(payload['faults'])} fault and {len(payload['corpus'])} "
+          f"corpus digests to {FIXTURE}")
 
 
 if __name__ == "__main__":

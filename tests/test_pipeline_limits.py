@@ -89,5 +89,5 @@ class TestIqReservation:
         machine, _ = instrumented_run([generate_benchmark("fpppp")],
                                       cycles=2000)
         qbox = machine.cores[0].qbox
-        assert len(qbox.halves[0]) <= qbox.half_capacity
-        assert len(qbox.halves[1]) <= qbox.half_capacity
+        assert qbox.occupancy(0) <= qbox.half_capacity
+        assert qbox.occupancy(1) <= qbox.half_capacity
