@@ -7,6 +7,12 @@ host (>= 2.5x at jobs=4 on 4 cores), while producing a byte-identical
 skipped — there is nothing to parallelise onto — but the determinism
 half of the contract is always enforced.
 
+Each timed run starts from an empty worker program cache
+(:func:`repro.campaign.worker.program_for`), so neither run is handed
+programs the other generated.  ``campaign.chunked.tasks_per_s`` times
+an in-process run at two tasks per chunk: the rate falls back if
+chunks stop sharing their process's programs and recorded paths.
+
 Scale knobs: ``REPRO_CAMPAIGN_INJECTIONS`` (default 24; the acceptance
 run uses 200) and ``REPRO_CAMPAIGN_JOBS`` (default min(4, cpu_count)).
 """
@@ -15,10 +21,12 @@ import os
 import time
 import timeit
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignSpec
+from repro.campaign.worker import program_for
 from repro.chaos import chaos_point, controller
 from repro.obs import bench
 from repro.obs import metrics as obs_metrics
@@ -31,6 +39,8 @@ def env_int(name, default):
 
 INJECTIONS = env_int("REPRO_CAMPAIGN_INJECTIONS", 24)
 JOBS = env_int("REPRO_CAMPAIGN_JOBS", min(4, os.cpu_count() or 1))
+#: Tasks per chunk of the chunked run (the campaign benchmark's size).
+CHUNK_SIZE = 2
 
 SPEC = CampaignSpec(
     kinds=("base", "srt"),
@@ -42,9 +52,14 @@ SPEC = CampaignSpec(
 )
 
 
-def run_at(tmp_path: Path, name: str, jobs: int) -> float:
+def run_at(tmp_path: Path, name: str, jobs: int,
+           chunk_size: Optional[int] = None) -> float:
+    """Wall time of one campaign, every program generated afresh: a
+    forked worker must not inherit a program an earlier run generated."""
+    program_for.cache_clear()
     start = time.perf_counter()
-    CampaignEngine(SPEC, tmp_path / name, jobs=jobs).run()
+    CampaignEngine(SPEC, tmp_path / name, jobs=jobs,
+                   chunk_size=chunk_size).run()
     return time.perf_counter() - start
 
 
@@ -84,6 +99,17 @@ def test_parallel_campaign_speedup(tmp_path, benchmark):
     floor = max(1.15, 0.5 * effective * (0.5 if INJECTIONS < 100 else 1.0))
     assert sequential / parallel >= floor, (
         f"speedup {sequential / parallel:.2f}x below floor {floor:.2f}x")
+
+
+def test_chunked_campaign_throughput(tmp_path):
+    """In-process tasks/s at two tasks per chunk: a worker that paid
+    generation and path recording per chunk would show here."""
+    seconds = run_at(tmp_path, "chunked", 1, chunk_size=CHUNK_SIZE)
+    rate = SPEC.total_tasks() / seconds
+    print(f"\ncampaign {SPEC.total_tasks()} injections in chunks of "
+          f"{CHUNK_SIZE}: {rate:.1f} tasks/s")
+    bench.record("campaign.chunked.tasks_per_s", ops_per_s=rate,
+                 meta={"injections": INJECTIONS, "chunk_size": CHUNK_SIZE})
 
 
 def test_unarmed_chaos_hook_overhead(tmp_path):

@@ -12,7 +12,7 @@ Records, through :func:`repro.obs.bench.record` (a no-op unless
 - ``sim.cycles_per_s.{base,srt,crt,lockstep}`` — simulated cycles per
   second of the run;
 - ``core.warm_ms`` — one ``Machine.warm`` that replays the program's
-  already recorded warm path (``Program.warm_path``);
+  already recorded path (``Program.recorded_path``);
 - ``core.warm_record_ms`` — the first ``Machine.warm`` of a freshly
   generated program, which records its path and then replays it;
 - ``isa.generate_ms`` — ``generate_benchmark("gcc", verify=False)``;
@@ -41,7 +41,7 @@ GENERATE_SEEDS = (1, 2, 3)
 
 def test_cycle_core_throughput():
     program = generate_benchmark("gcc")
-    program.warm_path(WARMUP)  # every timed warm-up below replays it
+    program.recorded_path(WARMUP)  # every timed warm-up below replays it
     best_rate = {kind: 0.0 for kind in KINDS}
     warm_s = []
     for _ in range(ROUNDS):

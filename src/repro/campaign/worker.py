@@ -16,6 +16,7 @@ is recorded as ``HUNG`` with ``timed_out=true`` rather than poisoning
 the pool.
 """
 
+import functools
 import signal
 import threading
 from typing import Dict, List, Optional
@@ -28,7 +29,7 @@ from repro.core.faults import (ARCH_FAULT_MODELS, fault_from_dict,
                                run_fault_experiment_detailed)
 from repro.core.machine import make_machine
 from repro.isa.generator import generate_benchmark
-from repro.isa.profiles import split_workload
+from repro.isa.profiles import SPEC95_NAMES, split_workload
 from repro.isa.program import Program
 
 
@@ -40,18 +41,23 @@ def _alarm_handler(signum, frame):
     raise TaskTimeout()
 
 
-def _program_for(workload: str, seed: int,
-                 cache: Dict[tuple, Program]) -> Program:
-    key = (workload, seed)
-    if key not in cache:
-        name, workload_seed = split_workload(workload)
-        cache[key] = generate_benchmark(name, seed=workload_seed + seed)
-    return cache[key]
+@functools.lru_cache(maxsize=len(SPEC95_NAMES))
+def program_for(workload: str, seed: int) -> Program:
+    """The program of a task's ``(workload, seed)``, generated once per
+    process and kept, least recently used first out, one per profile.
+
+    Every task of the process shares it, and with it the path it
+    records (:meth:`Program.recorded_path`): tasks only read a program.
+    Threads that miss on one key at once (in-process campaigns on
+    serve executor threads) each generate it, and the programs they
+    get are equal.
+    """
+    name, workload_seed = split_workload(workload)
+    return generate_benchmark(name, seed=workload_seed + seed)
 
 
 def execute_task(task: Dict[str, object],
                  config: Optional[Dict[str, object]] = None,
-                 _cache: Optional[Dict[tuple, Program]] = None,
                  _holder: Optional[List] = None) -> Dict[str, object]:
     """Run one injection and return its (deterministic) result record.
 
@@ -59,8 +65,7 @@ def execute_task(task: Dict[str, object],
     construction so the SIGALRM timeout path can salvage the watchdog's
     last progress fingerprint from a wedged run.
     """
-    program = _program_for(task["workload"], task["seed"],
-                           _cache if _cache is not None else {})
+    program = program_for(task["workload"], task["seed"])
     fault = fault_from_dict(task["fault"])
     if task["model"] in ARCH_FAULT_MODELS:
         # Architectural oracle: no machine, no warmup — the functional
@@ -132,9 +137,10 @@ def execute_chunk(payload: Dict[str, object]) -> List[Dict[str, object]]:
     ``payload`` = ``{"tasks": [task dicts], "config": dict|None,
     "timeout": seconds}`` plus an ``"attempt"`` count the engine bumps
     each time it resubmits the chunk after a pool break — chaos rules
-    key on it so an injected crash does not re-fire on the retry.  The
-    per-process program cache means a chunk that stays within one
-    workload pays benchmark generation once.
+    key on it so an injected crash does not re-fire on the retry.  A
+    process generates each program once (:func:`program_for`) and
+    records its path once, whatever the chunking: later tasks, in this
+    chunk or the next, replay that path to warm up and to classify.
     """
     tasks: List[Dict[str, object]] = payload["tasks"]
     config = payload.get("config")
@@ -145,7 +151,6 @@ def execute_chunk(payload: Dict[str, object]) -> List[Dict[str, object]]:
     # timeout (the scheduler's job-level timeout still applies there).
     use_alarm = (timeout > 0 and hasattr(signal, "SIGALRM")
                  and threading.current_thread() is threading.main_thread())
-    cache: Dict[tuple, Program] = {}
     records: List[Dict[str, object]] = []
     # Adopt the engine's trace carry (shipped in the pickled payload)
     # so chunk/task spans nest under the campaign.run root even in a
@@ -166,13 +171,13 @@ def execute_chunk(payload: Dict[str, object]) -> List[Dict[str, object]]:
                         attempt=attempt)
             with obs_trace.span("campaign.task", key=task["task_id"]):
                 if not use_alarm:
-                    records.append(execute_task(task, config, cache))
+                    records.append(execute_task(task, config))
                     continue
                 holder: List = []
                 previous = signal.signal(signal.SIGALRM, _alarm_handler)
                 signal.alarm(timeout)
                 try:
-                    records.append(execute_task(task, config, cache, holder))
+                    records.append(execute_task(task, config, holder))
                 except TaskTimeout:
                     records.append(_timed_out_record(
                         task, machine=holder[-1] if holder else None))

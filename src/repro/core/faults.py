@@ -309,14 +309,9 @@ class FaultInjector:
             fault.tick(self.machine, now)
 
 
-def golden_store_stream(program, instructions: int) -> List[tuple]:
-    """The (op, addr, value) store stream of a fault-free execution."""
-    executor = FunctionalExecutor(program)
-    stores = []
-    for step in executor.run(instructions):
-        if step.store is not None:
-            stores.append((step.instr.op.name, step.store[0], step.store[1]))
-    return stores
+#: The fault-free stores a drained stream is compared against come from
+#: this many steps of the program per target instruction.
+GOLDEN_STEPS_PER_INSTRUCTION = 4
 
 
 def classify_outcome(machine: Machine, program, trace: List[Uop],
@@ -329,6 +324,10 @@ def classify_outcome(machine: Machine, program, trace: List[Uop],
     The decisive stream is what *left the sphere of replication*: the
     drained stores.  A retired-path divergence with no wrong drained
     store is LATENT — detection is still possible before damage is done.
+    Both are compared against the program's fault-free path
+    (:meth:`~repro.isa.program.Program.recorded_path`): its stores in
+    the first :data:`GOLDEN_STEPS_PER_INSTRUCTION` steps per target
+    instruction, and the pc and loaded value of each retired step.
 
     ``termination`` (the run's :class:`~repro.core.metrics.Termination`)
     refines the verdict: a watchdog HUNG/LIVELOCK is HUNG even if a
@@ -345,14 +344,14 @@ def classify_outcome(machine: Machine, program, trace: List[Uop],
         return FaultOutcome.DETECTED
     if len(trace) < target_instructions:
         return FaultOutcome.HUNG
-    golden = golden_store_stream(program, 4 * target_instructions)
-    if drained != golden[:len(drained)]:
+    horizon = GOLDEN_STEPS_PER_INSTRUCTION * target_instructions
+    path = program.recorded_path(max(horizon, len(trace)))
+    if drained != path.stores(horizon)[:len(drained)]:
         return FaultOutcome.SDC
-    reference = FunctionalExecutor(program).run(len(trace))
-    for uop, ref in zip(trace, reference):
-        if uop.pc != ref.pc:
+    for uop, (pc, loaded) in zip(trace, path.retired(len(trace))):
+        if uop.pc != pc:
             return FaultOutcome.LATENT
-        if ref.load is not None and uop.result != ref.load[1]:
+        if loaded is not None and uop.result != loaded:
             return FaultOutcome.LATENT
     return FaultOutcome.MASKED
 
@@ -418,6 +417,9 @@ def run_fault_experiment_detailed(machine: Machine, program, fault: Fault,
     measured.core.retire_trace[measured.tid] = []
     measured.core.drain_log[measured.tid] = []
     FaultInjector(machine, [fault])
+    # One recording serves the warm-up and the classifier.
+    program.recorded_path(max(warmup,
+                              GOLDEN_STEPS_PER_INSTRUCTION * instructions))
     result = machine.run(max_instructions=instructions, warmup=warmup)
     trace = measured.core.retire_trace[measured.tid]
     drained = measured.core.drain_log[measured.tid]

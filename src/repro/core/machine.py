@@ -76,43 +76,46 @@ class Machine:
 
         Mirrors the paper's methodology (Section 6.2: structures are
         warmed before statistics are collected).  Each program's future
-        architectural path (:meth:`Program.warm_path`, executed once per
-        program and then replayed) is walked step by step: the blocks it
-        touches are installed in every hierarchy, and its branch
-        outcomes train the conditional predictors of the cores that will
-        run the thread.
+        architectural path (:meth:`Program.recorded_path`, executed once
+        per program and then replayed) installs the blocks it touches in
+        every hierarchy, and its branch outcomes train the conditional
+        predictors of the cores that will run the thread.
+
+        A cache's warmed state depends only on its own sequence of
+        installs and a predictor's only on its own training, so each
+        structure takes its whole stream in one call: every L1I the code
+        addresses, every L1D the data addresses, every L2 both in step
+        order.
         """
+        code: List[int] = []
+        data: List[int] = []
+        unified: List[int] = []
         for hw in self._measured.values():
             program = hw.program
-            path = program.warm_path(instructions)
-            code_addr, phys_addr = hw.code_addr, hw.phys_addr
-            # One step's cache warms, in order: per hierarchy, each
-            # core's L1I (code) and L1D (data), then the L2 (code, data).
-            levels = []
-            for hierarchy in self.hierarchies:
-                for index in range(hierarchy.num_cores):
-                    levels += [(hierarchy.l1i[index].warm, False),
-                               (hierarchy.l1d[index].warm, True)]
-                levels += [(hierarchy.l2.warm, False),
-                           (hierarchy.l2.warm, True)]
-            trainers = [(core.branch_predictor, thread.tid)
-                        for core in self.cores for thread in core.threads
-                        if thread.program is program
-                        and not thread.is_trailing]
-            for pc, data, taken in path.steps(instructions):
-                code = code_addr(pc)
-                if data is not None:
-                    data = phys_addr(data)
-                for warm, is_data in levels:
-                    if not is_data:
-                        warm(code)
-                    elif data is not None:
-                        warm(data)
-                if taken is not None:
-                    for predictor, tid in trainers:
-                        predicted = predictor.predict_conditional(tid, pc)
-                        predictor.update_conditional(tid, pc, taken,
-                                                     predicted)
+            path = program.recorded_path(instructions)
+            thread_code = hw.code_addrs(path.pcs[:instructions])
+            for block, addr in zip(thread_code, path.data(instructions)):
+                unified.append(block)
+                if addr is not None:
+                    block = hw.phys_addr(addr)
+                    data.append(block)
+                    unified.append(block)
+            code += thread_code
+            trainers: Dict[object, List[int]] = {}
+            for core in self.cores:
+                for thread in core.threads:
+                    if thread.program is program and not thread.is_trailing:
+                        trainers.setdefault(core.branch_predictor,
+                                            []).append(thread.tid)
+            branches = path.branches(instructions)
+            for predictor, tids in trainers.items():
+                predictor.train(tids, branches)
+        for hierarchy in self.hierarchies:
+            for cache in hierarchy.l1i:
+                cache.warm(code)
+            for cache in hierarchy.l1d:
+                cache.warm(data)
+            hierarchy.l2.warm(unified)
 
     # -- run loop ---------------------------------------------------------------
     def run(self, max_instructions: int = 10_000,

@@ -8,7 +8,6 @@ machine must produce outputs identical to it in the absence of faults.
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Instruction, Op
@@ -207,50 +206,86 @@ class FunctionalExecutor:
         return results
 
 
-#: Encoding of ``WarmPath.data`` for a step that touched no memory (data
-#: addresses are word-aligned, so never odd) and of ``WarmPath.branches``.
-_NO_DATA = 1
-_NOT_CONDITIONAL, _FELL_THROUGH, _TAKEN = 0, 1, 2
+#: What one step of a :class:`RecordedPath` did, one byte per step (a
+#: step is at most one of a conditional branch, a load and a store).
+_OTHER, _FELL_THROUGH, _TAKEN, _LOAD, _ST, _STH = range(6)
+#: Step kind of a store -> the opcode name a drained-store log records.
+_STORE_OPS = {_ST: Op.ST.name, _STH: Op.STH.name}
 
 
 @dataclass(frozen=True)
-class WarmPath:
-    """The first steps of a program's architectural path, stored as
-    compact arrays: what a machine's warm-up replays (``Machine.warm``).
+class RecordedPath:
+    """The first steps of a program's fault-free architectural path,
+    stored as compact arrays.  A machine's warm-up replays it
+    (``Machine.warm``) and the fault classifier compares a run against
+    it (``classify_outcome``).
     """
 
     pcs: array
-    data: array
-    branches: bytes
+    #: One step kind per step: other, conditional fell through or
+    #: taken, load, ST, STH.
+    kinds: bytes
+    #: The word address a load or store accessed (0 for other steps).
+    addrs: array
+    #: The word a load read or a store left in memory (0 otherwise).
+    values: array
     #: The path ends at a HALT: no longer run records more steps.
     halted: bool
 
     def __len__(self) -> int:
         return len(self.pcs)
 
-    def steps(self, count: int
-              ) -> Iterator[Tuple[int, Optional[int], Optional[bool]]]:
-        """The first ``count`` steps as (pc, word address loaded or
-        stored or ``None``, taken for a conditional branch or ``None``)."""
-        for pc, data, branch in islice(
-                zip(self.pcs, self.data, self.branches), count):
-            yield (pc, None if data == _NO_DATA else data,
-                   None if branch == _NOT_CONDITIONAL else branch == _TAKEN)
+    def data(self, count: int) -> Iterator[Optional[int]]:
+        """The word address each of the first ``count`` steps loaded or
+        stored, or ``None``."""
+        for kind, addr in zip(self.kinds[:count], self.addrs):
+            yield addr if kind >= _LOAD else None
+
+    def branches(self, count: int) -> List[Tuple[int, bool]]:
+        """(pc, taken) of each conditional branch in the first ``count``
+        steps."""
+        return [(pc, kind == _TAKEN)
+                for pc, kind in zip(self.pcs, self.kinds[:count])
+                if kind == _FELL_THROUGH or kind == _TAKEN]
+
+    def stores(self, count: int) -> List[Tuple[str, int, int]]:
+        """(opcode name, word address, word stored) of each store in the
+        first ``count`` steps: the stream a fault-free run drains."""
+        return [(_STORE_OPS[kind], addr, value) for kind, addr, value
+                in zip(self.kinds[:count], self.addrs, self.values)
+                if kind >= _ST]
+
+    def retired(self, count: int) -> Iterator[Tuple[int, Optional[int]]]:
+        """The first ``count`` steps as (pc, value loaded, or ``None``)."""
+        for pc, kind, value in zip(self.pcs, self.kinds[:count],
+                                   self.values):
+            yield pc, value if kind == _LOAD else None
 
 
-def record_warm_path(program: Program, steps: int) -> WarmPath:
+def record_path(program: Program, steps: int) -> RecordedPath:
     """Execute up to ``steps`` instructions of ``program`` (stopping on
-    HALT) and keep what a warm-up replays of each."""
+    HALT) and keep what a warm-up replays and a classifier compares."""
     executor = FunctionalExecutor(program)
     pcs = array("I")
-    data = array("Q")
-    branches = bytearray()
-    for step in executor.run(steps):
-        pcs.append(step.pc)
-        access = step.load or step.store
-        data.append(_NO_DATA if access is None else access[0])
-        if step.instr.is_conditional:
-            branches.append(_TAKEN if step.taken else _FELL_THROUGH)
+    kinds = bytearray()
+    addrs = array("Q")
+    values = array("Q")
+    for _ in range(steps):
+        if executor.state.halted:
+            break
+        step = executor.step()
+        if step.load is not None:
+            kind, (addr, value) = _LOAD, step.load
+        elif step.store is not None:
+            kind = _STH if step.instr.op is Op.STH else _ST
+            addr, value = step.store
         else:
-            branches.append(_NOT_CONDITIONAL)
-    return WarmPath(pcs, data, bytes(branches), executor.state.halted)
+            kind = ((_TAKEN if step.taken else _FELL_THROUGH)
+                    if step.instr.is_conditional else _OTHER)
+            addr = value = 0
+        pcs.append(step.pc)
+        kinds.append(kind)
+        addrs.append(addr)
+        values.append(value)
+    return RecordedPath(pcs, bytes(kinds), addrs, values,
+                        executor.state.halted)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.isa.executor import WarmPath
+    from repro.isa.executor import RecordedPath
 
 
 @dataclass
@@ -29,8 +29,8 @@ class Program:
     entry: int = 0
     code_base: int = 0x1000_0000
     metadata: Dict[str, object] = field(default_factory=dict)
-    _warm_path: Optional["WarmPath"] = field(default=None, init=False,
-                                             repr=False, compare=False)
+    _path: Optional["RecordedPath"] = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.instructions:
@@ -60,20 +60,22 @@ class Program:
         """Byte address of instruction ``pc`` (for the instruction cache)."""
         return self.code_base + pc * INSTRUCTION_BYTES
 
-    def warm_path(self, steps: int) -> "WarmPath":
-        """The program's architectural path, at least ``steps`` steps long
-        unless it halts first (it may be longer: replay a prefix).
+    def recorded_path(self, steps: int) -> "RecordedPath":
+        """The program's fault-free architectural path, at least
+        ``steps`` steps long unless it halts first (it may be longer: use
+        a prefix).  Warm-ups replay it and the fault classifier compares
+        runs against it.
 
         Recorded once and kept, which is sound because a program never
         changes after construction; a longer request records again.
-        Only later warm-ups of this same object replay: the first one
-        pays for recording as well.
+        Threads that record at once each return a path that serves their
+        own request, and every recording of a prefix is the same.
         """
-        path = self._warm_path
+        path = self._path
         if path is None or (len(path) < steps and not path.halted):
-            from repro.isa.executor import record_warm_path
+            from repro.isa.executor import record_path
 
-            path = self._warm_path = record_warm_path(self, steps)
+            path = self._path = record_path(self, steps)
         return path
 
     @property

@@ -9,7 +9,7 @@ rely on: a sufficiently delayed fetch finds the block already present).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 
 @dataclass
@@ -137,8 +137,13 @@ class SetAssociativeCache(NextLevel):
             self.stats.writebacks += 1
         ways[ways_tag] = self._use_stamp
 
-    def warm(self, addr: int) -> None:
-        """Install a block without timing (used for warm-start runs)."""
-        index, tag = self._index_tag(addr)
-        self._use_stamp += 1
-        self._fill(index, tag)
+    def warm(self, addrs: Iterable[int]) -> None:
+        """Install the block of each address in turn, without timing
+        (used for warm-start runs)."""
+        # _index_tag inlined: a warm-up installs thousands of blocks.
+        block_bytes, num_sets = self.block_bytes, self.num_sets
+        fill = self._fill
+        for addr in addrs:
+            block = addr // block_bytes
+            self._use_stamp += 1
+            fill(block % num_sets, block // num_sets)

@@ -9,9 +9,9 @@ in-order completion (ROB) state.
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, Iterable, List, Optional
 
-from repro.isa.instructions import NUM_ARCH_REGS
+from repro.isa.instructions import INSTRUCTION_BYTES, NUM_ARCH_REGS
 from repro.isa.program import Program
 from repro.pipeline.regfile import PhysicalRegisterFile, RenameMap
 from repro.pipeline.uop import FetchChunk, Uop
@@ -121,6 +121,12 @@ class HwThread:
 
     def code_addr(self, pc: int) -> int:
         return self.phys_addr(self.program.pc_to_addr(pc))
+
+    def code_addrs(self, pcs: Iterable[int]) -> List[int]:
+        """:meth:`code_addr` of each of ``pcs``, in order: instructions
+        lie ``INSTRUCTION_BYTES`` apart from ``code_addr(0)`` on."""
+        base = self.code_addr(0)
+        return [base + pc * INSTRUCTION_BYTES for pc in pcs]
 
     # -- helpers -----------------------------------------------------------
     @property

@@ -9,7 +9,7 @@ across threads, as on the real machine).
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -83,6 +83,17 @@ class GshareBranchPredictor:
             (self._history[thread] << 1) | int(taken)) & self.history_mask
         if predicted is not None and predicted != taken:
             self.stats.conditional_mispredictions += 1
+
+    def train(self, threads: Sequence[int],
+              branches: Iterable[Tuple[int, bool]]) -> None:
+        """Predict, then update with its outcome, each conditional
+        branch (pc, taken) in turn, once for each of ``threads`` in order:
+        a warm-up's training in one call.  Threads that share these
+        tables stay interleaved branch by branch, as when they run."""
+        predict, update = self.predict_conditional, self.update_conditional
+        for pc, taken in branches:
+            for thread in threads:
+                update(thread, pc, taken, predict(thread, pc))
 
     def snapshot_history(self, thread: int) -> int:
         return self._history[thread]

@@ -44,14 +44,13 @@ def _spec(profile: str, seed: int) -> CampaignSpec:
 @pytest.mark.parametrize("profile", SPEC95_NAMES)
 def test_no_predicted_masked_site_is_detected(profile):
     clear_universe_cache()
-    cache = {}
     masked_checked = 0
     for seed in range(SEEDS_PER_PROFILE):
         tasks = enumerate_tasks(_spec(profile, seed))
         for task in tasks:
             if task.predicted not in MASKED_CLASSES:
                 continue
-            record = execute_task(task.to_dict(), _cache=cache)
+            record = execute_task(task.to_dict())
             masked_checked += 1
             assert record["outcome"] not in FALSE_MASKED_OUTCOMES, (
                 f"SOUNDNESS VIOLATION: {profile}@{seed} "

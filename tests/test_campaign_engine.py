@@ -1,12 +1,21 @@
-"""Engine integration: execution, cross-process determinism, resume."""
+"""Engine integration: execution, cross-process determinism, resume,
+and the program a worker process shares between its tasks."""
 
+import sys
+import threading
 from pathlib import Path
 
+import pytest
+
+from repro.campaign import worker
 from repro.campaign.engine import CampaignEngine, auto_chunk_size
+from repro.campaign.sampler import enumerate_tasks
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.campaign.worker import execute_chunk, execute_task
 from repro.core.faults import FaultOutcome
+from repro.isa.executor import record_path
+from repro.isa.generator import generate_benchmark
 
 SPEC = CampaignSpec(kinds=("base", "srt"), workloads=("m88ksim",),
                     models=("transient-result",), injections=3,
@@ -189,3 +198,117 @@ class TestCancellation:
         assert final["state"] == "complete"
         assert final["already_complete"] + final["executed"] \
             == SPEC.total_tasks()
+
+
+@pytest.fixture
+def fresh_programs():
+    """An empty worker program cache, emptied again afterwards so no
+    test leaves its programs (or stand-ins) to the next."""
+    worker.program_for.cache_clear()
+    yield
+    worker.program_for.cache_clear()
+
+
+def count_generations(monkeypatch, make=None):
+    """Record every program generation the worker asks for."""
+    calls = []
+
+    def generate(name, seed=0):
+        calls.append((name, seed))
+        return (make or generate_benchmark)(name, seed=seed)
+
+    monkeypatch.setattr(worker, "generate_benchmark", generate)
+    return calls
+
+
+@pytest.mark.usefixtures("fresh_programs")
+class TestProgramSharing:
+    SPEC = CampaignSpec(kinds=("srt",), workloads=("m88ksim", "compress"),
+                        models=("transient-result", "transient-register"),
+                        injections=2, instructions=150, warmup=400)
+
+    def test_generated_once_per_process_and_chunking_is_invisible(
+            self, tmp_path, monkeypatch):
+        calls = count_generations(monkeypatch)
+        single, _ = run_into(tmp_path, "c1", jobs=1, spec=self.SPEC,
+                             chunk_size=1)
+        assert sorted(calls) == [("compress", 0), ("m88ksim", 0)]
+        whole, _ = run_into(tmp_path, "c16", jobs=1, spec=self.SPEC,
+                            chunk_size=16)
+        assert len(calls) == 2
+        assert (single / "results.jsonl").read_bytes() \
+            == (whole / "results.jsonl").read_bytes()
+
+    def test_tasks_leave_the_shared_program_unchanged(self):
+        arch = CampaignSpec(kinds=("arch",), workloads=("m88ksim",),
+                            models=("arch-destfield", "arch-memory",
+                                    "arch-register"),
+                            injections=3, instructions=200, warmup=0)
+        transient = CampaignSpec(kinds=("srt",), workloads=("m88ksim",),
+                                 models=("transient-result",),
+                                 injections=2, instructions=150,
+                                 warmup=400)
+        tasks = [task.to_dict() for task in enumerate_tasks(arch)]
+        tasks[1:1] = [task.to_dict() for task in enumerate_tasks(transient)]
+        records = execute_chunk({"tasks": tasks, "config": None})
+        assert {r["model"] for r in records} == {
+            "arch-destfield", "arch-memory", "arch-register",
+            "transient-result"}
+        shared = worker.program_for("m88ksim", 0)
+        pristine = generate_benchmark("m88ksim", seed=0)
+        assert shared.instructions == pristine.instructions
+        assert shared.initial_memory == pristine.initial_memory
+        recorded = shared.recorded_path(1)
+        assert recorded == record_path(pristine, len(recorded))
+
+    def test_lru_evicts_the_oldest_entry_past_its_bound(self, monkeypatch):
+        calls = count_generations(monkeypatch,
+                                  make=lambda name, seed: (name, seed))
+        bound = worker.program_for.cache_info().maxsize
+        assert bound == 18
+        for seed in range(bound + 1):
+            worker.program_for("m88ksim", seed)
+        assert len(calls) == bound + 1
+        assert worker.program_for.cache_info().currsize == bound
+        worker.program_for("m88ksim", bound)      # newest: kept
+        worker.program_for("m88ksim", 1)          # kept, now newest
+        assert len(calls) == bound + 1
+        worker.program_for("m88ksim", 0)          # oldest: evicted
+        assert calls[-1] == ("m88ksim", 0)
+        worker.program_for("m88ksim", 2)          # pushed out by seed 0
+        assert len(calls) == bound + 3
+
+    def test_concurrent_in_process_campaigns_agree(self):
+        """Serve executor threads may generate and record one program at
+        once: every thread still gets the serial records."""
+        tasks = [task.to_dict() for task in enumerate_tasks(self.SPEC)]
+        reference = execute_chunk({"tasks": tasks, "config": None})
+        worker.program_for.cache_clear()
+        results, errors = {}, []
+
+        def run(index):
+            try:
+                results[index] = execute_chunk(
+                    {"tasks": tasks[index % 2::2] + tasks[1 - index % 2::2],
+                     "config": None})
+            except Exception as error:  # asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        by_id = {record["task_id"]: record for record in reference}
+        for records in results.values():
+            assert len(records) == len(reference)
+            for record in records:
+                assert record == by_id[record["task_id"]]

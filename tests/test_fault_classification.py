@@ -4,6 +4,11 @@ The classifier boundaries matter for campaign statistics: LATENT vs SDC
 decides whether corruption *left the sphere of replication*, and HUNG
 vs MASKED decides whether a short trace means a wedged machine or just
 a fault that never fired.
+
+The classifier reads its fault-free references off the program's
+recorded path; :func:`golden_store_stream` and :func:`reference_steps`
+re-execute the program the way it once did, and are the oracle that
+recorded path is checked against.
 """
 
 import pytest
@@ -13,14 +18,31 @@ from repro.core.faults import (FAULT_MODELS, FaultOutcome, FaultReport,
                                StuckFunctionalUnit, TransientRegisterFault,
                                TransientResultFault, classify_outcome,
                                fault_from_dict, fault_model_name,
-                               fault_to_dict, golden_store_stream,
-                               run_fault_experiment_detailed)
+                               fault_to_dict, run_fault_experiment_detailed)
 from repro.core.machine import make_machine
+from repro.isa.assembler import assemble
 from repro.isa.executor import FunctionalExecutor
 from repro.isa.generator import generate_benchmark
 from repro.isa.instructions import FuClass
+from repro.isa.profiles import SPEC95_NAMES
 
 PROGRAM = generate_benchmark("m88ksim")
+
+
+def golden_store_stream(program, instructions):
+    """The (op, addr, value) store stream of a fault-free execution."""
+    executor = FunctionalExecutor(program)
+    stores = []
+    for step in executor.run(instructions):
+        if step.store is not None:
+            stores.append((step.instr.op.name, step.store[0], step.store[1]))
+    return stores
+
+
+def reference_steps(program, instructions):
+    """(pc, value loaded or None) of each fault-free step."""
+    return [(step.pc, None if step.load is None else step.load[1])
+            for step in FunctionalExecutor(program).run(instructions)]
 
 
 class StubMachine:
@@ -30,18 +52,20 @@ class StubMachine:
         self.fault_events = list(fault_events)
 
 
-def faithful_trace(length):
-    """A retired-stream stand-in that matches the functional executor."""
-    class TraceEntry:
-        def __init__(self, pc, result):
-            self.pc = pc
-            self.result = result
+class TraceEntry:
+    def __init__(self, pc, result):
+        self.pc = pc
+        self.result = result
 
-    trace = []
-    for step in FunctionalExecutor(PROGRAM).run(length):
-        result = step.load[1] if step.load is not None else None
-        trace.append(TraceEntry(step.pc, result))
-    return trace
+
+def faithful_trace_of(program, length):
+    """A retired-stream stand-in that matches the functional executor."""
+    return [TraceEntry(pc, result)
+            for pc, result in reference_steps(program, length)]
+
+
+def faithful_trace(length):
+    return faithful_trace_of(PROGRAM, length)
 
 
 def golden_drain(instructions):
@@ -118,6 +142,71 @@ class TestClassificationBoundaries:
         """target=0: nothing ran, nothing diverged — not HUNG."""
         assert classify_outcome(StubMachine(), PROGRAM, [], [],
                                 0) is FaultOutcome.MASKED
+
+
+class TestRecordedReference:
+    """The recorded path yields the oracle's store stream and per-step
+    (pc, loaded value), whatever was recorded before."""
+
+    HORIZONS = (1, 200, 1600, 5000)
+
+    @staticmethod
+    def check(program, horizon):
+        path = program.recorded_path(horizon)
+        assert path.stores(horizon) == golden_store_stream(program, horizon)
+        assert (list(path.retired(horizon))
+                == reference_steps(program, horizon))
+
+    @pytest.mark.parametrize("profile", SPEC95_NAMES)
+    def test_every_profile_at_every_horizon(self, profile):
+        program = generate_benchmark(profile, verify=False)
+        # Rising horizons make each request longer than the path
+        # recorded so far; the falling pass reads prefixes of the longest.
+        for horizon in self.HORIZONS + self.HORIZONS[::-1]:
+            self.check(program, horizon)
+        assert len(program.recorded_path(1)) == self.HORIZONS[-1]
+
+    def test_program_that_halts_before_the_horizon(self):
+        program = assemble("""
+            .data 48 5
+                ldi   r1, 40
+                ldi   r2, 7
+                st    r1, 0, r2
+                ld    r3, r1, 0
+                sth   r1, 12, r3
+                beqz  r0, done
+                addi  r2, r2, 1
+            done:
+                ld    r4, r1, 8
+                halt
+        """)
+        for horizon in (3, 100, 10_000):
+            self.check(program, horizon)
+        path = program.recorded_path(10_000)
+        assert path.halted and len(path) == 8  # the branch skips addi
+        assert [op for op, _, _ in path.stores(100)] == ["ST", "STH"]
+
+    def test_longer_request_than_recorded_records_again(self):
+        program = generate_benchmark("gcc", seed=3, verify=False)
+        short = program.recorded_path(150)
+        longer = program.recorded_path(900)
+        assert len(short) == 150 and len(longer) == 900
+        assert longer.stores(150) == short.stores(150)
+        self.check(program, 900)
+
+    def test_classifier_reads_a_warmup_recording_longer_than_horizon(self):
+        program = generate_benchmark("m88ksim", seed=2, verify=False)
+        program.recorded_path(3000)
+        target = 200
+        trace = faithful_trace_of(program, target)
+        drained = golden_store_stream(program, 4 * target)
+        assert classify_outcome(StubMachine(), program, trace, drained,
+                                target) is FaultOutcome.MASKED
+        # A store beyond the horizon did not leave a fault-free run.
+        beyond = golden_store_stream(program, 3000)[len(drained)]
+        assert classify_outcome(StubMachine(), program, trace,
+                                drained + [beyond],
+                                target) is FaultOutcome.SDC
 
 
 class TestLateFault:

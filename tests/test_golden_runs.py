@@ -8,6 +8,9 @@ three drivers of the cycle loop — ``Machine.run``,
 :class:`~repro.obs.profile.StageProfiler` and
 :class:`~repro.harness.tracing.OccupancySampler` — and each must land
 on the one recorded digest; the sampler's sample series has its own.
+Small fault-injection campaigns pin the SHA-256 of their
+``results.jsonl``, written in-process one task per chunk and by a
+two-worker pool at the default chunk size.
 
 The test only reads the fixture.  After a deliberate behaviour change,
 rewrite it with::
@@ -18,13 +21,17 @@ and justify the digest diff in the change that carries it.
 """
 
 import functools
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.campaign.engine import run_campaign
+from repro.campaign.spec import CampaignSpec
 from repro.core.config import MachineConfig
 from repro.core.faults import (TransientResultFault,
                                run_fault_experiment_detailed)
@@ -81,6 +88,25 @@ CORPUS_INSTRUCTIONS = 200
 CORPUS_WARMUP = 500
 CORPUS_CASES = [f"{kind}/{name}#{seed}" for kind in CORPUS_KINDS
                 for name in SPEC95_NAMES for seed in CORPUS_SEEDS]
+
+#: Campaigns: name -> CampaignSpec fields.  ``transient`` is the
+#: benchmark's campaign shape at a smaller size, ``recovery`` runs on
+#: recovery-enabled machines, ``arch`` is the architectural oracle.
+#: Seeds are picked so the records hold more than one outcome.
+CAMPAIGNS: Dict[str, Dict[str, object]] = {
+    "transient": dict(kinds=("srt", "crt"), workloads=("m88ksim", "gcc"),
+                      models=("transient-result", "transient-register"),
+                      injections=2, instructions=200, warmup=500, seed=5),
+    "recovery": dict(kinds=("srt", "crt"), workloads=("m88ksim",),
+                     models=("transient-result",), injections=3,
+                     instructions=200, warmup=500, seed=1,
+                     config={"recovery_enabled": True}),
+    "arch": dict(kinds=("arch",), workloads=("m88ksim", "gcc"),
+                 models=("arch-register", "arch-memory", "arch-destfield"),
+                 injections=2, instructions=300, seed=2),
+}
+#: How a campaign runs: mode -> (jobs, chunk size; ``None`` = default).
+CAMPAIGN_MODES = {"jobs1-chunk1": (1, 1), "jobs2": (2, None)}
 
 
 def rounded(data: object) -> object:
@@ -154,6 +180,16 @@ def fault_run(case: str) -> Tuple[str, str]:
     return run_digest, report.outcome.value
 
 
+def campaign_run(case: str, mode: str, out_dir: Path) -> str:
+    """SHA-256 of one campaign's ``results.jsonl``."""
+    jobs, chunk_size = CAMPAIGN_MODES[mode]
+    spec = CampaignSpec(**CAMPAIGNS[case])
+    summary = run_campaign(spec, out_dir, jobs=jobs, chunk_size=chunk_size)
+    assert summary["state"] == "complete"
+    return hashlib.sha256(
+        (out_dir / "results.jsonl").read_bytes()).hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
 def golden() -> Dict[str, Dict[str, str]]:
     with open(FIXTURE, "r", encoding="utf-8") as source:
@@ -181,12 +217,27 @@ def test_fault_run_digest(case):
     assert run_digest == golden()["faults"][case]
 
 
+@pytest.mark.parametrize("mode", sorted(CAMPAIGN_MODES))
+@pytest.mark.parametrize("case", sorted(CAMPAIGNS))
+def test_campaign_digest(case, mode, tmp_path):
+    assert campaign_run(case, mode, tmp_path) == golden()["campaigns"][case]
+
+
 def regenerate() -> None:
-    """Rewrite the fixture from ``Machine.run`` (the reference driver)."""
+    """Rewrite the fixture from ``Machine.run`` (the reference driver)
+    and from in-process campaigns; the pooled runs must agree."""
     runs, samples = {}, {}
     for case in RUN_CASES:
         runs[case] = drive(case, "run")[0]
         samples[case] = digest(drive(case, "sample")[1])
+    campaigns = {}
+    with tempfile.TemporaryDirectory() as work:
+        for case in sorted(CAMPAIGNS):
+            digests = {campaign_run(case, mode, Path(work) / case / mode)
+                       for mode in CAMPAIGN_MODES}
+            if len(digests) != 1:
+                sys.exit(f"campaign {case}: modes disagree")
+            campaigns[case] = digests.pop()
     payload = {
         "seed": SEED, "instructions": INSTRUCTIONS, "warmup": WARMUP,
         "runs": runs, "samples": samples,
@@ -194,13 +245,14 @@ def regenerate() -> None:
         "corpus": {case: corpus_run(case) for case in CORPUS_CASES},
         "corpus_size": {"instructions": CORPUS_INSTRUCTIONS,
                         "warmup": CORPUS_WARMUP},
+        "campaigns": campaigns,
     }
     with open(FIXTURE, "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=1, sort_keys=True)
         sink.write("\n")
     print(f"wrote {len(runs)} run, {len(samples)} sample, "
-          f"{len(payload['faults'])} fault and {len(payload['corpus'])} "
-          f"corpus digests to {FIXTURE}")
+          f"{len(payload['faults'])} fault, {len(payload['corpus'])} "
+          f"corpus and {len(campaigns)} campaign digests to {FIXTURE}")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ class TestBasicBehaviour:
 
     def test_warm_installs_without_stats(self):
         cache = make_cache()
-        cache.warm(0x100)
+        cache.warm([0x100])
         assert cache.contains(0x100)
         assert cache.stats.accesses == 0
         assert cache.access(0x100, now=5) == 6  # hit

@@ -1,12 +1,14 @@
 """Warm-up replay leaves every cache and predictor as re-execution did.
 
-``Machine.warm`` replays the path :meth:`Program.warm_path` recorded
-once per program.  The reference below is the warm-up as it ran before
-replay: a fresh :class:`FunctionalExecutor` per measured thread, every
-cache level warmed once per step in hierarchy order.  The two must leave
-identical state — cache sets with their LRU stamps and statistics,
-every predictor table — because re-warming a resident block in a full
-set evicts another way, so even the call count matters.
+``Machine.warm`` replays the path :meth:`Program.recorded_path`
+recorded once per program, handing each cache and each predictor its
+whole stream in one call.  The reference below is the warm-up as it ran
+before replay: a fresh :class:`FunctionalExecutor` per measured thread,
+every cache level warmed one block at a time per step in hierarchy
+order, every predictor trained per step.  The two must leave identical
+state — cache sets with their LRU stamps and statistics, every
+predictor table — because re-warming a resident block in a full set
+evicts another way, so even the call count matters.
 """
 
 import pytest
@@ -34,12 +36,12 @@ def reference_warm(machine: Machine, instructions: int) -> None:
                 data_addr = hw.phys_addr(step.store[0])
             for hierarchy in machine.hierarchies:
                 for index in range(hierarchy.num_cores):
-                    hierarchy.l1i[index].warm(code_addr)
+                    hierarchy.l1i[index].warm([code_addr])
                     if data_addr is not None:
-                        hierarchy.l1d[index].warm(data_addr)
-                hierarchy.l2.warm(code_addr)
+                        hierarchy.l1d[index].warm([data_addr])
+                hierarchy.l2.warm([code_addr])
                 if data_addr is not None:
-                    hierarchy.l2.warm(data_addr)
+                    hierarchy.l2.warm([data_addr])
             if step.instr.is_conditional:
                 for core in cores:
                     for thread in core.threads:
@@ -82,22 +84,23 @@ def test_replay_matches_reexecution(kind):
 
 def test_path_recorded_once_and_extended_on_demand():
     program = generate_benchmark("compress", seed=4)
-    first = program.warm_path(300)
+    first = program.recorded_path(300)
     assert len(first) == 300
-    assert program.warm_path(200) is first
-    assert program.warm_path(300) is first
-    longer = program.warm_path(600)
+    assert program.recorded_path(200) is first
+    assert program.recorded_path(300) is first
+    longer = program.recorded_path(600)
     assert len(longer) == 600
     assert list(longer.pcs[:300]) == list(first.pcs)
-    assert list(longer.data[:300]) == list(first.data)
-    assert longer.branches[:300] == first.branches
+    assert longer.kinds[:300] == first.kinds
+    assert list(longer.addrs[:300]) == list(first.addrs)
+    assert list(longer.values[:300]) == list(first.values)
 
 
 def test_halted_path_is_not_recorded_again():
     program = assemble("ldi r1, 7\naddi r1, r1, 1\nhalt")
-    path = program.warm_path(100)
+    path = program.recorded_path(100)
     assert path.halted and len(path) == 3
-    assert program.warm_path(10_000) is path
+    assert program.recorded_path(10_000) is path
     machine = make_machine("base", MachineConfig(), [program])
     reference = make_machine("base", MachineConfig(), [program])
     machine.warm(100)
