@@ -2,7 +2,8 @@
 
 One fixed gcc run per machine kind measures the cycle loop
 (``Machine.run`` after an explicit ``Machine.warm``); the warm-ups,
-program generation and the static analysis gate are timed on the side.
+program generation, the static analysis gate and the AVF analyzer are
+timed on the side.
 Each figure is the best (rates) or the median (wall times) of a few
 rounds, so one noisy window on a shared CI runner does not move it.
 
@@ -16,7 +17,10 @@ Records, through :func:`repro.obs.bench.record` (a no-op unless
 - ``core.warm_record_ms`` — the first ``Machine.warm`` of a freshly
   generated program, which records its path and then replays it;
 - ``isa.generate_ms`` — ``generate_benchmark("gcc", verify=False)``;
-- ``analysis.gate_ms`` — ``gate_program`` on the generated program.
+- ``analysis.gate_ms`` — ``gate_program`` on the generated program;
+- ``avf.analyze_ms`` — ``analyze_program(program, steps=1000).summary()``
+  on the generated program: the static AVF analyzer (both valueflow
+  fixpoints, the golden trace and the class rollup).
 
 Wall metrics are recorded in the unit their name ends with.
 """
@@ -25,6 +29,7 @@ import statistics
 import time
 
 from repro.analysis.checks import gate_program
+from repro.avf.analyzer import analyze_program
 from repro.core.config import MachineConfig
 from repro.core.machine import make_machine
 from repro.core.metrics import Termination
@@ -35,8 +40,11 @@ ROUNDS = 3
 KINDS = ("base", "srt", "crt", "lockstep")
 INSTRUCTIONS = 1000
 WARMUP = 3000
-#: Seeds of the programs timed for generation, the gate and a first warm.
+#: Seeds of the programs timed for generation, the gate, a first warm
+#: and the AVF analyzer.
 GENERATE_SEEDS = (1, 2, 3)
+#: Golden-trace horizon of the timed AVF analysis.
+AVF_STEPS = 1000
 
 
 def test_cycle_core_throughput():
@@ -57,7 +65,7 @@ def test_cycle_core_throughput():
             warm_s.append(warmed - start)
             best_rate[kind] = max(best_rate[kind], result.cycles / elapsed)
 
-    generate_s, gate_s, warm_record_s = [], [], []
+    generate_s, gate_s, warm_record_s, programs = [], [], [], []
     for seed in GENERATE_SEEDS:
         start = time.perf_counter()
         generated = generate_benchmark("gcc", seed=seed, verify=False)
@@ -70,6 +78,15 @@ def test_cycle_core_throughput():
         warm_record_s.append(time.perf_counter() - start_warm)
         generate_s.append(generated_at - start)
         gate_s.append(gated_at - generated_at)
+        programs.append(generated)
+
+    # After the loop above, so the analyses' garbage cannot land in the
+    # timings of generation, the gate or a warm-up.
+    analyze_s = []
+    for generated in programs:
+        start = time.perf_counter()
+        analyze_program(generated, steps=AVF_STEPS).summary()
+        analyze_s.append(time.perf_counter() - start)
 
     print()
     for kind in KINDS:
@@ -78,7 +95,8 @@ def test_cycle_core_throughput():
                      meta={"benchmark": "gcc", "instructions": INSTRUCTIONS,
                            "warmup": WARMUP})
     walls = {"core.warm_ms": warm_s, "core.warm_record_ms": warm_record_s,
-             "isa.generate_ms": generate_s, "analysis.gate_ms": gate_s}
+             "isa.generate_ms": generate_s, "analysis.gate_ms": gate_s,
+             "avf.analyze_ms": analyze_s}
     for name, samples in walls.items():
         value = statistics.median(samples) * 1e3
         print(f"{name}: {value:.1f} ms")

@@ -29,74 +29,124 @@ known-bits facts are only consulted about operand bits that the same
 rule *demands* (hence that carry golden values in any masked scenario)
 — see the asymmetric AND/OR rules and the one-known-one-bit branch
 rule.
+
+Packed states.  Each block-boundary state holds all 64 registers as
+64-bit lanes of one Python int, register *r* in bits ``[64r, 64r +
+64)``: a known-bits state is a ``(mask, value)`` pair of such vectors,
+a demand state is one vector.  A CFG merge is then a few whole-vector
+integer operations however many predecessors or successors meet there
+(:func:`kb_join` is bitwise, so it joins one register or 64 alike; a
+demand merge is an OR).  Inside a block a vector is unpacked into an
+``array('Q')`` row (:func:`unpack`), the transfers rewrite the lanes
+they touch as plain ``(mask, value)`` ints, and the row is packed back
+(:func:`pack`).  Lane 0 (``r0``, hardwired to zero) is the known
+constant 0 in every known-bits state and is never demanded.
+
+Both solvers skip a block whose input is unchanged since its last
+visit: its transfer depends on that input alone, so its output cannot
+change.  The forward solver pops a FIFO worklist and raises
+``RuntimeError`` when it has not converged within ``130 * n + 256``
+block visits (``n`` blocks) instead of returning states that are not a
+fixpoint.  The backward solver sweeps the reachable blocks in reverse
+discovery order until a sweep changes nothing.
 """
 
+import sys
+from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import solve_liveness, written_reg
 from repro.isa.executor import alu_result
-from repro.isa.instructions import (NUM_ARCH_REGS, ZERO_REG, Instruction, Op)
+from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Instruction, Op
 from repro.util.bits import MASK64, to_unsigned
 
 ALL_BITS = MASK64
 
-#: Registers per thread; demand states are lists of this length.
-_REGS = NUM_ARCH_REGS
+#: Bytes of a 64-lane row: one 64-bit lane per architectural register.
+_ROW_BYTES = 8 * NUM_ARCH_REGS
+
+#: Packed vectors are little-endian lane order on every host; rows hold
+#: native-order words.
+_SWAP_ROWS = sys.byteorder != "little"
+
+
+def unpack(vector: int) -> array:
+    """The 64 lanes of a packed vector as a fresh ``array('Q')`` row."""
+    row = array("Q", vector.to_bytes(_ROW_BYTES, "little"))
+    if _SWAP_ROWS:
+        row.byteswap()
+    return row
+
+
+def pack(row: array) -> int:
+    """The packed vector of a 64-lane ``array('Q')`` row."""
+    if _SWAP_ROWS:
+        row = array("Q", row)
+        row.byteswap()
+    return int.from_bytes(row, "little")
+
+
+#: Byte -> 0/1 flag, and 0/1 flag -> ASCII binary digit.
+_NONZERO_BYTE = bytes([0] + [1] * 255)
+_BINARY_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def nonzero_lanes(row: array) -> int:
+    """Register mask of the non-zero lanes of ``row``.
+
+    Loop-free: every byte becomes a 0/1 flag, each lane's eight flags
+    fold onto its lowest byte, and the 64 lane flags are read back as
+    binary digits, lane 63 first.
+    """
+    flags = int.from_bytes(row.tobytes().translate(_NONZERO_BYTE), "little")
+    flags |= flags >> 32
+    flags |= flags >> 16
+    flags |= flags >> 8
+    lanes = flags.to_bytes(_ROW_BYTES, "little")[-8::-8]
+    return int(lanes.translate(_BINARY_DIGIT), 2)
 
 
 # ---------------------------------------------------------------------------
 # Known bits (forward)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KnownBits:
-    """Partial knowledge of a 64-bit value.
+#: Partial knowledge of a value, ``(mask, value)``: ``mask`` selects the
+#: known bit positions and ``value`` holds their values (``value & ~mask
+#: == 0``).  ``mask == 0`` is the lattice top (nothing known);
+#: ``mask == MASK64`` is a constant.  The transfers below take and
+#: return the two ints of each operand.
+KnownBits = Tuple[int, int]
 
-    ``mask`` selects the known bit positions; ``value`` holds their
-    values (``value & ~mask == 0`` invariant).  ``mask == 0`` is the
-    lattice top (nothing known); ``mask == MASK64`` is a constant.
-    """
+KB_TOP: KnownBits = (0, 0)
+KB_ZERO: KnownBits = (MASK64, 0)
 
-    mask: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value & ~self.mask & MASK64:
-            raise ValueError("KnownBits value outside mask")
-
-    @property
-    def known_zero(self) -> int:
-        return self.mask & ~self.value & MASK64
-
-    @property
-    def known_one(self) -> int:
-        return self.value
-
-    @property
-    def is_constant(self) -> bool:
-        return self.mask == MASK64
-
-    def join(self, other: "KnownBits") -> "KnownBits":
-        """Lattice meet at a CFG merge: keep agreeing known bits."""
-        mask = self.mask & other.mask & ~(self.value ^ other.value) & MASK64
-        return KnownBits(mask, self.value & mask)
-
-
-KB_TOP = KnownBits(0, 0)
-KB_ZERO = KnownBits(MASK64, 0)
+#: The packed known-bits state at program entry: nothing is known but
+#: lane 0, the hardwired zero.
+ENTRY_STATE: KnownBits = KB_ZERO
 
 
 def kb_const(value: int) -> KnownBits:
-    return KnownBits(MASK64, to_unsigned(value))
+    return MASK64, to_unsigned(value)
 
 
-def kb_not(a: KnownBits) -> KnownBits:
-    return KnownBits(a.mask, a.known_zero)
+def kb_join(am: int, av: int, bm: int, bv: int) -> KnownBits:
+    """Lattice meet at a CFG merge: keep agreeing known bits.
+
+    Bitwise, so it joins two registers or two packed vectors alike.
+    """
+    mask = am & bm & ~(av ^ bv)
+    return mask, av & mask
 
 
-def kb_add(a: KnownBits, b: KnownBits, carry_in: int = 0) -> KnownBits:
+def kb_not(am: int, av: int) -> KnownBits:
+    return am, am & ~av & MASK64
+
+
+def kb_add(am: int, av: int, bm: int, bv: int,
+           carry_in: int = 0) -> KnownBits:
     """Known bits of ``a + b + carry_in`` (the LLVM carry-extremes rule).
 
     ``possible_sum_one``/``possible_sum_zero`` are the sums with every
@@ -104,37 +154,35 @@ def kb_add(a: KnownBits, b: KnownBits, carry_in: int = 0) -> KnownBits:
     where both operand bits and the incoming carry are known, which is
     exactly where the two extreme sums agree.
     """
-    a_zero, a_one = a.known_zero, a.known_one
-    b_zero, b_one = b.known_zero, b.known_one
-    a_max = (a.value | ~a.mask) & MASK64
-    b_max = (b.value | ~b.mask) & MASK64
+    a_zero = am & ~av & MASK64
+    b_zero = bm & ~bv & MASK64
+    a_max = (av | ~am) & MASK64
+    b_max = (bv | ~bm) & MASK64
     possible_sum_zero = (a_max + b_max + carry_in) & MASK64
-    possible_sum_one = (a.value + b.value + carry_in) & MASK64
+    possible_sum_one = (av + bv + carry_in) & MASK64
     carry_known_zero = ~(possible_sum_zero ^ a_zero ^ b_zero) & MASK64
-    carry_known_one = (possible_sum_one ^ a_one ^ b_one) & MASK64
-    known = a.mask & b.mask & (carry_known_zero | carry_known_one)
+    carry_known_one = (possible_sum_one ^ av ^ bv) & MASK64
+    known = am & bm & (carry_known_zero | carry_known_one)
     # Belt and braces: only keep bits where both extreme sums agree.
     known &= ~(possible_sum_zero ^ possible_sum_one) & MASK64
-    return KnownBits(known, possible_sum_one & known)
+    return known, possible_sum_one & known
 
 
-def kb_sub(a: KnownBits, b: KnownBits) -> KnownBits:
-    return kb_add(a, kb_not(b), carry_in=1)
+def kb_sub(am: int, av: int, bm: int, bv: int) -> KnownBits:
+    return kb_add(am, av, *kb_not(bm, bv), carry_in=1)
 
 
-def kb_mul(a: KnownBits, b: KnownBits) -> KnownBits:
+def kb_mul(am: int, av: int, bm: int, bv: int) -> KnownBits:
     """Low bits of a product: ``a*b mod 2**k`` depends only on the low
     ``k`` bits of each operand, so the longest fully-known low runs of
     the operands pin the same run of the product."""
-    if a.is_constant and b.is_constant:
-        return kb_const(a.value * b.value)
-    ka = _trailing_known(a.mask)
-    kb = _trailing_known(b.mask)
-    k = min(ka, kb)
+    if am == MASK64 and bm == MASK64:
+        return kb_const(av * bv)
+    k = min(_trailing_known(am), _trailing_known(bm))
     if k == 0:
         return KB_TOP
     low = (1 << k) - 1
-    return KnownBits(low, (a.value * b.value) & low)
+    return low, (av * bv) & low
 
 
 def _trailing_known(mask: int) -> int:
@@ -145,151 +193,181 @@ def _trailing_known(mask: int) -> int:
     return (inverted & -inverted).bit_length() - 1
 
 
-def kb_and(a: KnownBits, b: KnownBits) -> KnownBits:
-    one = a.known_one & b.known_one
-    zero = (a.known_zero | b.known_zero) & MASK64
-    return KnownBits(one | zero, one)
+def kb_and(am: int, av: int, bm: int, bv: int) -> KnownBits:
+    one = av & bv
+    zero = (am & ~av | bm & ~bv) & MASK64
+    return one | zero, one
 
 
-def kb_or(a: KnownBits, b: KnownBits) -> KnownBits:
-    one = (a.known_one | b.known_one) & MASK64
-    zero = a.known_zero & b.known_zero
-    return KnownBits(one | zero, one)
+def kb_or(am: int, av: int, bm: int, bv: int) -> KnownBits:
+    one = (av | bv) & MASK64
+    zero = am & ~av & bm & ~bv & MASK64
+    return one | zero, one
 
 
-def kb_xor(a: KnownBits, b: KnownBits) -> KnownBits:
-    mask = a.mask & b.mask
-    return KnownBits(mask, (a.value ^ b.value) & mask)
+def kb_xor(am: int, av: int, bm: int, bv: int) -> KnownBits:
+    mask = am & bm
+    return mask, (av ^ bv) & mask
 
 
-def _known_shift(b: KnownBits) -> Optional[int]:
+def _known_shift(bm: int, bv: int) -> Optional[int]:
     """The shift amount ``b & 63`` when its low six bits are known."""
-    if b.mask & 63 == 63:
-        return b.value & 63
+    if bm & 63 == 63:
+        return bv & 63
     return None
 
 
-def kb_shl(a: KnownBits, b: KnownBits) -> KnownBits:
-    shift = _known_shift(b)
+def kb_shl(am: int, av: int, bm: int, bv: int) -> KnownBits:
+    shift = _known_shift(bm, bv)
     if shift is None:
         return KB_TOP
-    mask = ((a.mask << shift) | ((1 << shift) - 1)) & MASK64
-    return KnownBits(mask, (a.value << shift) & mask)
+    mask = ((am << shift) | ((1 << shift) - 1)) & MASK64
+    return mask, (av << shift) & mask
 
 
-def kb_shr(a: KnownBits, b: KnownBits) -> KnownBits:
-    shift = _known_shift(b)
+def kb_shr(am: int, av: int, bm: int, bv: int) -> KnownBits:
+    shift = _known_shift(bm, bv)
     if shift is None:
         return KB_TOP
     high = ~(MASK64 >> shift) & MASK64
-    mask = (a.mask >> shift) | high
-    return KnownBits(mask, a.value >> shift)
+    return (am >> shift) | high, av >> shift
 
 
-#: ALU result lattice transfers, keyed by opcode.  ``imm`` operands are
-#: folded into a constant second argument by :func:`transfer_known_bits`.
-_KB_BINOPS = {
-    Op.ADD: kb_add, Op.FADD: kb_add,
-    Op.SUB: kb_sub,
-    Op.MUL: kb_mul, Op.FMUL: kb_mul,
-    Op.AND: kb_and, Op.ANDI: kb_and,
-    Op.OR: kb_or,
-    Op.XOR: kb_xor, Op.XORI: kb_xor,
-    Op.SHL: kb_shl,
-    Op.SHR: kb_shr,
+# One transfer per register-writing opcode: each sets the lane of rd.
+
+def _kb_constant(masks: array, values: array, instr: Instruction) -> None:
+    masks[instr.rd], values[instr.rd] = kb_const(instr.imm)
+
+
+def _kb_opaque(masks: array, values: array, instr: Instruction) -> None:
+    # Loaded and divided values are unknown; link values are treated
+    # opaque, mirroring the constant solver.
+    masks[instr.rd] = values[instr.rd] = 0
+
+
+def _kb_registers(kb_op):
+    """The transfer of ``rd <- ra op rb``."""
+    def transfer(masks: array, values: array, instr: Instruction) -> None:
+        ra, rb = instr.ra, instr.rb
+        masks[instr.rd], values[instr.rd] = kb_op(
+            masks[ra], values[ra], masks[rb], values[rb])
+    return transfer
+
+
+def _kb_immediate(kb_op):
+    """The transfer of ``rd <- ra op imm``."""
+    def transfer(masks: array, values: array, instr: Instruction) -> None:
+        ra = instr.ra
+        masks[instr.rd], values[instr.rd] = kb_op(
+            masks[ra], values[ra], *kb_const(instr.imm))
+    return transfer
+
+
+def _kb_compare(masks: array, values: array, instr: Instruction) -> None:
+    ra, rb = instr.ra, instr.rb
+    if masks[ra] == MASK64 and masks[rb] == MASK64:
+        result = kb_const(alu_result(instr, values[ra], values[rb]))
+    else:
+        result = (MASK64 & ~1, 0)  # result is 0 or 1
+    masks[instr.rd], values[instr.rd] = result
+
+
+def _kb_fma(masks: array, values: array, instr: Instruction) -> None:
+    ra, rb, rd = instr.ra, instr.rb, instr.rd
+    product = kb_mul(masks[ra], values[ra], masks[rb], values[rb])
+    masks[rd], values[rd] = kb_add(*product, masks[rd], values[rd])
+
+
+#: Known-bits transfer of every register-writing opcode.
+_KB_TRANSFERS = {
+    Op.LDI: _kb_constant,
+    Op.LD: _kb_opaque, Op.FDIV: _kb_opaque, Op.CALL: _kb_opaque,
+    Op.ADD: _kb_registers(kb_add), Op.FADD: _kb_registers(kb_add),
+    Op.SUB: _kb_registers(kb_sub),
+    Op.MUL: _kb_registers(kb_mul), Op.FMUL: _kb_registers(kb_mul),
+    Op.AND: _kb_registers(kb_and),
+    Op.OR: _kb_registers(kb_or),
+    Op.XOR: _kb_registers(kb_xor),
+    Op.SHL: _kb_registers(kb_shl),
+    Op.SHR: _kb_registers(kb_shr),
+    Op.ADDI: _kb_immediate(kb_add),
+    Op.ANDI: _kb_immediate(kb_and),
+    Op.XORI: _kb_immediate(kb_xor),
+    Op.CMPLT: _kb_compare, Op.CMPEQ: _kb_compare,
+    Op.FMA: _kb_fma,
 }
 
-KnownState = Dict[int, KnownBits]  # reg -> KnownBits (absent = TOP)
+
+def transfer_known_bits(masks: array, values: array,
+                        instr: Instruction) -> None:
+    """Apply one instruction to a known-bits row pair, in place."""
+    if instr.writes_reg:
+        _KB_TRANSFERS[instr.op](masks, values, instr)
 
 
-def _kb_read(state: KnownState, reg: int) -> KnownBits:
-    if reg == ZERO_REG:
-        return KB_ZERO
-    return state.get(reg, KB_TOP)
+#: A block's register writes, each with its transfer.
+_BlockCode = List[Tuple[Callable[[array, array, Instruction], None],
+                        Instruction]]
 
 
-def transfer_known_bits(state: KnownState, instr: Instruction) -> KnownState:
-    """Apply one instruction to a known-bits state (mutates ``state``)."""
-    reg = written_reg(instr)
-    if instr.is_call and instr.rd != ZERO_REG:
-        # Mirrors the constant solver: link values are treated opaque.
-        state.pop(instr.rd, None)
+def _block_code(instructions: Iterable[Instruction]) -> _BlockCode:
+    return [(_KB_TRANSFERS[instr.op], instr) for instr in instructions
+            if instr.writes_reg]
+
+
+def _transfer_block(state: KnownBits, code: _BlockCode) -> KnownBits:
+    if not code:
         return state
-    if reg is None:
-        return state
-    op = instr.op
-    if op is Op.LD or op is Op.FDIV:
-        state.pop(reg, None)
-        return state
-    a = _kb_read(state, instr.ra)
-    if op is Op.LDI:
-        result = kb_const(instr.imm)
-    elif op in (Op.ADDI, Op.ANDI, Op.XORI):
-        fn = kb_add if op is Op.ADDI else _KB_BINOPS[op]
-        result = fn(a, kb_const(instr.imm))
-    elif op in (Op.CMPLT, Op.CMPEQ):
-        b = _kb_read(state, instr.rb)
-        if a.is_constant and b.is_constant:
-            result = kb_const(alu_result(instr, a.value, b.value))
-        else:
-            result = KnownBits(MASK64 & ~1, 0)  # result is 0 or 1
-    elif op is Op.FMA:
-        b = _kb_read(state, instr.rb)
-        c = _kb_read(state, instr.rd)
-        result = kb_add(kb_mul(a, b), c)
-    elif op in _KB_BINOPS:
-        result = _KB_BINOPS[op](a, _kb_read(state, instr.rb))
-    else:  # pragma: no cover - every reg-writing op is handled above
-        result = KB_TOP
-    if result.mask:
-        state[reg] = result
-    else:
-        state.pop(reg, None)
-    return state
+    masks, values = unpack(state[0]), unpack(state[1])
+    for transfer, instr in code:
+        transfer(masks, values, instr)
+    return pack(masks), pack(values)
 
 
-def _join_known(states: List[Optional[KnownState]]) -> KnownState:
-    live = [s for s in states if s is not None]
-    if not live:
-        return {}
-    result = dict(live[0])
-    for other in live[1:]:
-        for reg in list(result):
-            merged = result[reg].join(other.get(reg, KB_TOP))
-            if merged.mask:
-                result[reg] = merged
-            else:
-                del result[reg]
-    return result
+def solve_known_bits(cfg: CFG) -> List[Optional[KnownBits]]:
+    """Per-block IN known-bits states, each a packed ``(mask, value)``
+    vector pair (``None`` for unreached blocks).
 
-
-def solve_known_bits(cfg: CFG) -> List[Optional[KnownState]]:
-    """Per-block IN known-bits states (``None`` for unreached blocks)."""
-    n = len(cfg.blocks)
-    in_states: List[Optional[KnownState]] = [None] * n
-    out_states: List[Optional[KnownState]] = [None] * n
-    in_states[cfg.entry] = {}
-    worklist = [cfg.entry]
+    Raises ``RuntimeError`` when the iteration cap is hit before the
+    fixpoint.
+    """
+    blocks = cfg.blocks
+    n = len(blocks)
+    entry = cfg.entry
+    in_states: List[Optional[KnownBits]] = [None] * n
+    out_states: List[Optional[KnownBits]] = [None] * n
+    code = [_block_code(block.instructions) for block in blocks]
+    worklist = deque([entry])
     on_list = [False] * n
-    on_list[cfg.entry] = True
-    iterations = 0
-    limit = 130 * n + 256  # chain height is 64 bits/reg; ample safety net
-    while worklist and iterations < limit:
-        iterations += 1
-        index = worklist.pop(0)
+    on_list[entry] = True
+    visits = 0
+    # A safety net, not the lattice height: a loop whose facts drain one
+    # bit per trip through a chain of registers can need more.
+    limit = 130 * n + 256
+    while worklist:
+        if visits == limit:
+            raise RuntimeError(f"known bits: no fixpoint after {limit} "
+                               f"block visits ({n} blocks)")
+        visits += 1
+        index = worklist.popleft()
         on_list[index] = False
-        block = cfg.blocks[index]
-        if index != cfg.entry or block.predecessors:
-            preds = [out_states[p] for p in block.predecessors]
-            merged = _join_known(preds)
-            if index == cfg.entry:
-                merged = _join_known([merged, in_states[index] or {}])
-            in_states[index] = merged
-        state = dict(in_states[index] or {})
-        for instr in block.instructions:
-            transfer_known_bits(state, instr)
-        if out_states[index] != state:
-            out_states[index] = state
+        block = blocks[index]
+        state: Optional[KnownBits] = None
+        if index == entry:
+            # Whatever flows back into the entry is joined with the
+            # nothing-known entry state, which absorbs it.
+            state = ENTRY_STATE
+        else:
+            for pred in block.predecessors:
+                out = out_states[pred]
+                if out is not None:
+                    state = out if state is None else kb_join(*state, *out)
+        if state == in_states[index] and out_states[index] is not None:
+            continue  # same input as the last visit: same output
+        in_states[index] = state
+        out = _transfer_block(state, code[index])
+        if out != out_states[index]:
+            out_states[index] = out
             for succ in block.successors:
                 if not on_list[succ]:
                     worklist.append(succ)
@@ -322,143 +400,155 @@ STH_VALUE_DEMAND = 0xFFFF_FFFF
 _SHIFT_AMOUNT_BITS = 0x3F
 
 
-class _PcContext:
-    """Forward facts the backward transfer needs at one pc.
+#: The opcodes whose demand rule consults forward facts.  Their facts
+#: are the known bits of ra and rb just before the instruction,
+#: ``(ra mask, ra value, rb mask, rb value)``.  Only facts about
+#: *demanded* operand bits are consulted (see module docstring).
+_FACT_OPS = frozenset({Op.AND, Op.OR, Op.SHL, Op.SHR, Op.BEQZ, Op.BNEZ})
 
-    Only facts about *demanded* operand bits are consulted (see module
-    docstring), so storing a handful of masks per pc is enough.
-    """
+Facts = Tuple[int, int, int, int]
 
-    __slots__ = ("kz_a", "kz_b", "ko_a", "ko_b", "shift")
-
-    def __init__(self, kz_a: int = 0, kz_b: int = 0, ko_a: int = 0,
-                 ko_b: int = 0, shift: Optional[int] = None) -> None:
-        self.kz_a = kz_a
-        self.kz_b = kz_b
-        self.ko_a = ko_a
-        self.ko_b = ko_b
-        self.shift = shift
+#: The facts of an instruction whose operands are not known at all.
+_NO_FACTS: Facts = KB_TOP + KB_TOP
 
 
-_EMPTY_CTX = _PcContext()
+# Demand rules.  A use rule adds the demand of an instruction that
+# writes no register; a source rule turns the demand ``d`` that a
+# register write kills on rd into demand on the write's sources.
+
+def _every_source_bit(dem: array, instr: Instruction, facts: Facts,
+                      d: int = ALL_BITS) -> None:
+    # A use rule (store address and value; indirect targets, where
+    # ra % len mixes every bit) and a source rule (a load address, where
+    # any bit redirects the load; FDIV operands) whatever ``d`` is.
+    for reg in instr.source_regs:
+        dem[reg] |= ALL_BITS
 
 
-def _context_for(instr: Instruction, state: KnownState) -> _PcContext:
-    op = instr.op
-    if op is Op.AND:
-        a, b = _kb_read(state, instr.ra), _kb_read(state, instr.rb)
-        return _PcContext(kz_a=a.known_zero, kz_b=b.known_zero)
-    if op is Op.ANDI:
-        a = _kb_read(state, instr.ra)
-        return _PcContext(kz_a=a.known_zero)
-    if op is Op.OR:
-        a, b = _kb_read(state, instr.ra), _kb_read(state, instr.rb)
-        return _PcContext(ko_a=a.known_one, ko_b=b.known_one)
-    if op in (Op.SHL, Op.SHR):
-        return _PcContext(shift=_known_shift(_kb_read(state, instr.rb)))
-    if op in (Op.BEQZ, Op.BNEZ):
-        a = _kb_read(state, instr.ra)
-        return _PcContext(ko_a=a.known_one)
-    return _EMPTY_CTX
+def _half_store_uses(dem: array, instr: Instruction, facts: Facts) -> None:
+    dem[instr.ra] |= ALL_BITS  # address: carries cross word boundaries
+    dem[instr.rb] |= STH_VALUE_DEMAND  # only the low half is stored
 
 
-def demand_transfer(dem: List[int], instr: Instruction,
-                    ctx: _PcContext = _EMPTY_CTX) -> None:
+def _branch_uses(dem: array, instr: Instruction, facts: Facts) -> None:
+    ko = facts[1]  # known-one bits of ra
+    if ko:
+        # The outcome is pinned by known-one bits.  Demanding one of
+        # them keeps it golden, so every other bit of ra is free: no
+        # single remaining deviation can zero the register.
+        dem[instr.ra] |= ko & -ko
+    else:
+        dem[instr.ra] |= ALL_BITS
+
+
+_USE_RULES = {
+    Op.ST: _every_source_bit, Op.STH: _half_store_uses,
+    Op.BEQZ: _branch_uses, Op.BNEZ: _branch_uses,
+    Op.JMP: _every_source_bit, Op.RET: _every_source_bit,
+}
+
+
+def _no_sources(dem: array, instr: Instruction, facts: Facts,
+                d: int) -> None:
+    pass  # an immediate, or a call's link value pc+1: no data sources
+
+
+def _carry_sources(dem: array, instr: Instruction, facts: Facts,
+                   d: int) -> None:
+    # Add, subtract, multiply: a source bit reaches result bits at and
+    # above it (FMA's old rd is the addend).
+    up = _up_to_msb(d)
+    for reg in instr.source_regs:
+        dem[reg] |= up
+
+
+def _xor_sources(dem: array, instr: Instruction, facts: Facts,
+                 d: int) -> None:
+    for reg in instr.source_regs:
+        dem[reg] |= d
+
+
+def _and_sources(dem: array, instr: Instruction, facts: Facts,
+                 d: int) -> None:
+    # Asymmetric masking: a bit of one operand may ride free on the
+    # *other* operand's known zero, but when both are known zero one
+    # side stays demanded to anchor the golden 0.
+    am, av, bm, bv = facts
+    kz_a = am & ~av & MASK64
+    kz_b = bm & ~bv & MASK64
+    dem[instr.ra] |= d & ((~kz_b | kz_a) & MASK64)
+    dem[instr.rb] |= d & (~kz_a & MASK64)
+
+
+def _andi_sources(dem: array, instr: Instruction, facts: Facts,
+                  d: int) -> None:
+    dem[instr.ra] |= d & to_unsigned(instr.imm)
+
+
+def _or_sources(dem: array, instr: Instruction, facts: Facts,
+                d: int) -> None:
+    ko_a, ko_b = facts[1], facts[3]  # known-one bits
+    dem[instr.ra] |= d & ((~ko_b | ko_a) & MASK64)
+    dem[instr.rb] |= d & (~ko_a & MASK64)
+
+
+def _compare_sources(dem: array, instr: Instruction, facts: Facts,
+                     d: int) -> None:
+    if d & 1:  # result is 0/1; higher demanded bits never change
+        _every_source_bit(dem, instr, facts)
+
+
+def _shl_sources(dem: array, instr: Instruction, facts: Facts,
+                 d: int) -> None:
+    dem[instr.rb] |= _SHIFT_AMOUNT_BITS
+    shift = _known_shift(facts[2], facts[3])
+    if shift is not None:
+        dem[instr.ra] |= d >> shift
+    else:
+        dem[instr.ra] |= _up_to_msb(d)
+
+
+def _shr_sources(dem: array, instr: Instruction, facts: Facts,
+                 d: int) -> None:
+    dem[instr.rb] |= _SHIFT_AMOUNT_BITS
+    shift = _known_shift(facts[2], facts[3])
+    if shift is not None:
+        dem[instr.ra] |= (d << shift) & MASK64
+    else:
+        dem[instr.ra] |= _above_lsb(d)
+
+
+_SOURCE_RULES = {
+    Op.LDI: _no_sources, Op.CALL: _no_sources,
+    Op.LD: _every_source_bit, Op.FDIV: _every_source_bit,
+    Op.ADD: _carry_sources, Op.SUB: _carry_sources, Op.FADD: _carry_sources,
+    Op.MUL: _carry_sources, Op.FMUL: _carry_sources,
+    Op.ADDI: _carry_sources, Op.FMA: _carry_sources,
+    Op.XOR: _xor_sources, Op.XORI: _xor_sources,
+    Op.AND: _and_sources, Op.ANDI: _andi_sources, Op.OR: _or_sources,
+    Op.CMPLT: _compare_sources, Op.CMPEQ: _compare_sources,
+    Op.SHL: _shl_sources, Op.SHR: _shr_sources,
+}
+
+
+def demand_transfer(dem: array, instr: Instruction,
+                    facts: Facts = _NO_FACTS) -> None:
     """Backward per-bit demand transfer for one instruction.
 
     ``dem`` (mutated in place) holds the demand masks *after* the
-    instruction on entry and *before* it on exit.
+    instruction on entry and *before* it on exit.  A write to ``r0`` is
+    discarded, so its sources are never observed through it.
     """
-    op = instr.op
-    if op in (Op.NOP, Op.MEMBAR, Op.HALT, Op.BR):
-        return
-    if op is Op.ST:
-        dem[instr.ra] |= ALL_BITS  # address: carries cross word boundaries
-        dem[instr.rb] |= ALL_BITS  # value crosses the sphere as-is
-    elif op is Op.STH:
-        dem[instr.ra] |= ALL_BITS
-        dem[instr.rb] |= STH_VALUE_DEMAND  # only the low half is stored
-    elif op in (Op.BEQZ, Op.BNEZ):
-        ko = ctx.ko_a
-        if ko:
-            # The outcome is pinned by known-one bits.  Demanding one of
-            # them keeps it golden, so every other bit of ra is free: no
-            # single remaining deviation can zero the register.
-            dem[instr.ra] |= ko & -ko
-        else:
-            dem[instr.ra] |= ALL_BITS
-    elif op in (Op.JMP, Op.RET):
-        dem[instr.ra] |= ALL_BITS  # target = ra % len mixes every bit
-    elif op is Op.CALL:
-        if instr.rd != ZERO_REG:
-            dem[instr.rd] = 0  # link value is pc+1: no data sources
-    else:
-        # Register-writing ALU/load ops: kill the dest, then add source
-        # demands derived from the killed demand.
+    if instr.writes_reg:
         rd = instr.rd
-        if rd == ZERO_REG:
-            return  # write discarded; sources never observed through it
         d = dem[rd]
-        dem[rd] = 0
-        if d == 0:
-            return
-        if op is Op.LD:
-            dem[instr.ra] |= ALL_BITS  # any address bit redirects the load
-        elif op in (Op.ADD, Op.SUB, Op.FADD):
-            up = _up_to_msb(d)
-            dem[instr.ra] |= up
-            dem[instr.rb] |= up
-        elif op is Op.ADDI:
-            dem[instr.ra] |= _up_to_msb(d)
-        elif op in (Op.MUL, Op.FMUL):
-            up = _up_to_msb(d)
-            dem[instr.ra] |= up
-            dem[instr.rb] |= up
-        elif op is Op.FMA:
-            up = _up_to_msb(d)
-            dem[instr.ra] |= up
-            dem[instr.rb] |= up
-            dem[rd] |= up  # old rd is the addend
-        elif op is Op.FDIV:
-            dem[instr.ra] |= ALL_BITS
-            dem[instr.rb] |= ALL_BITS
-        elif op is Op.AND:
-            # Asymmetric masking: a bit of one operand may ride free on
-            # the *other* operand's known zero, but when both are known
-            # zero one side stays demanded to anchor the golden 0.
-            dem[instr.ra] |= d & ((~ctx.kz_b | ctx.kz_a) & MASK64)
-            dem[instr.rb] |= d & (~ctx.kz_a & MASK64)
-        elif op is Op.ANDI:
-            dem[instr.ra] |= d & to_unsigned(instr.imm)
-        elif op is Op.OR:
-            dem[instr.ra] |= d & ((~ctx.ko_b | ctx.ko_a) & MASK64)
-            dem[instr.rb] |= d & (~ctx.ko_a & MASK64)
-        elif op is Op.XOR:
-            dem[instr.ra] |= d
-            dem[instr.rb] |= d
-        elif op is Op.XORI:
-            dem[instr.ra] |= d
-        elif op in (Op.CMPLT, Op.CMPEQ):
-            if d & 1:  # result is 0/1; higher demanded bits never change
-                dem[instr.ra] |= ALL_BITS
-                dem[instr.rb] |= ALL_BITS
-        elif op is Op.SHL:
-            dem[instr.rb] |= _SHIFT_AMOUNT_BITS
-            if ctx.shift is not None:
-                dem[instr.ra] |= d >> ctx.shift
-            else:
-                dem[instr.ra] |= _up_to_msb(d)
-        elif op is Op.SHR:
-            dem[instr.rb] |= _SHIFT_AMOUNT_BITS
-            if ctx.shift is not None:
-                dem[instr.ra] |= (d << ctx.shift) & MASK64
-            else:
-                dem[instr.ra] |= _above_lsb(d)
-        elif op is Op.LDI:
-            pass  # immediate: no data sources
-        else:  # pragma: no cover - exhaustive over reg-writing ops
-            dem[instr.ra] |= ALL_BITS
-            dem[instr.rb] |= ALL_BITS
+        dem[rd] = 0  # the write kills rd's demand...
+        if d:  # ...and passes it on to the sources
+            _SOURCE_RULES[instr.op](dem, instr, facts, d)
+    else:
+        uses = _USE_RULES.get(instr.op)
+        if uses is not None:
+            uses(dem, instr, facts)
     dem[ZERO_REG] = 0  # r0 is hardwired; demands on it are vacuous
 
 
@@ -466,78 +556,89 @@ def demand_transfer(dem: List[int], instr: Instruction,
 class BitLiveness:
     """Per-pc bit-demand and liveness facts for one program.
 
-    ``before[pc]`` / ``after[pc]`` are 64-entry lists: the demand mask
-    of each architectural register immediately before / after the
-    instruction at ``pc``.  ``live_before[pc]`` and
-    ``defined_later[pc]`` are set-level register masks used to name the
-    masking class (dead vs overwritten vs no-output).
+    ``before[pc]`` / ``after[pc]`` are 64-lane ``array('Q')`` rows: the
+    demand mask of each architectural register immediately before /
+    after the instruction at ``pc``.  Inside a block ``after[pc]`` is
+    the same row object as ``before[pc + 1]``; treat rows as read-only.
+    ``live_before[pc]`` and ``defined_later[pc]`` are set-level register
+    masks used to name the masking class (dead vs overwritten vs
+    no-output).
     """
 
     cfg: CFG
-    before: List[List[int]]
-    after: List[List[int]]
+    before: List[array]
+    after: List[array]
     live_before: List[int]
     defined_later: List[int]
 
 
-def _or_lists(target: List[int], source: List[int]) -> bool:
-    changed = False
-    for index, value in enumerate(source):
-        merged = target[index] | value
-        if merged != target[index]:
-            target[index] = merged
-            changed = True
-    return changed
+def _facts(cfg: CFG, known_in: List[Optional[KnownBits]]) -> List[Facts]:
+    """Per-pc forward facts, fixed once the forward solution is known
+    (an unreached block starts from the entry state)."""
+    facts: List[Facts] = [_NO_FACTS] * len(cfg.program)
+    for block in cfg.blocks:
+        state = known_in[block.index] or ENTRY_STATE
+        masks, values = unpack(state[0]), unpack(state[1])
+        for pc, instr in zip(block.pcs(), block.instructions):
+            if instr.op in _FACT_OPS:
+                ra, rb = instr.ra, instr.rb
+                facts[pc] = (masks[ra], values[ra], masks[rb], values[rb])
+            transfer_known_bits(masks, values, instr)
+    return facts
 
 
 def solve_bit_liveness(cfg: CFG,
-                       known_in: Optional[List[Optional[KnownState]]] = None
+                       known_in: Optional[List[Optional[KnownBits]]] = None
                        ) -> BitLiveness:
     """Solve the backward per-bit demand fixpoint for ``cfg``."""
     if known_in is None:
         known_in = solve_known_bits(cfg)
-    n = len(cfg.blocks)
-    program_len = len(cfg.program)
+    instructions = cfg.program.instructions
+    facts = _facts(cfg, known_in)
+    blocks = cfg.blocks
+    n = len(blocks)
 
-    # Per-pc forward contexts (fixed once the forward solution is known).
-    contexts: List[_PcContext] = [_EMPTY_CTX] * program_len
-    for block in cfg.blocks:
-        state = dict(known_in[block.index] or {})
-        for pc, instr in zip(block.pcs(), block.instructions):
-            contexts[pc] = _context_for(instr, state)
-            transfer_known_bits(state, instr)
-
-    # Block-level backward fixpoint on 64-entry demand vectors.
-    demand_in: List[List[int]] = [[0] * _REGS for _ in range(n)]
-    demand_out: List[List[int]] = [[0] * _REGS for _ in range(n)]
+    # Block-level backward fixpoint on packed demand vectors.
+    demand_in = [0] * n
+    demand_out = [0] * n
     order = list(reversed(cfg.reachable()))
+    first_sweep = True
     changed = True
     while changed:
         changed = False
         for index in order:
-            block = cfg.blocks[index]
-            out = demand_out[index]
+            block = blocks[index]
+            out = 0
             for succ in block.successors:
-                if _or_lists(out, demand_in[succ]):
-                    changed = True
-            dem = list(out)
-            for pc in range(block.end - 1, block.start - 1, -1):
-                demand_transfer(dem, cfg.program.instructions[pc],
-                                contexts[pc])
-            if _or_lists(demand_in[index], dem):
+                out |= demand_in[succ]
+            if out != demand_out[index]:
+                demand_out[index] = out
                 changed = True
+            elif not first_sweep:
+                continue  # same output as the last visit: same input
+            dem = unpack(out)
+            for pc in range(block.end - 1, block.start - 1, -1):
+                demand_transfer(dem, instructions[pc], facts[pc])
+            merged = demand_in[index] | pack(dem)
+            if merged != demand_in[index]:
+                demand_in[index] = merged
+                changed = True
+        first_sweep = False
 
-    # Materialize per-pc demand vectors (one backward sweep per block).
-    before: List[List[int]] = [[0] * _REGS for _ in range(program_len)]
-    after: List[List[int]] = [[0] * _REGS for _ in range(program_len)]
-    for block in cfg.blocks:
-        dem = [0] * _REGS
+    # Materialize per-pc demand rows, one backward sweep per block (every
+    # pc lies in exactly one block, so every slot gets a row).
+    before = [None] * len(instructions)
+    after = [None] * len(instructions)
+    for block in blocks:
+        out = 0
         for succ in block.successors:
-            _or_lists(dem, demand_in[succ])
+            out |= demand_in[succ]
+        dem = unpack(out)
         for pc in range(block.end - 1, block.start - 1, -1):
-            after[pc] = list(dem)
-            demand_transfer(dem, cfg.program.instructions[pc], contexts[pc])
-            before[pc] = list(dem)
+            after[pc] = dem
+            dem = dem[:]
+            demand_transfer(dem, instructions[pc], facts[pc])
+            before[pc] = dem
 
     live_before, defined_later = _per_pc_liveness(cfg)
     return BitLiveness(cfg=cfg, before=before, after=after,

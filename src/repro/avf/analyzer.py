@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.valueflow import BitLiveness, solve_bit_liveness
+from repro.analysis.valueflow import (BitLiveness, nonzero_lanes, pack,
+                                      solve_bit_liveness)
 from repro.isa.executor import FunctionalExecutor, align_word
 from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Op
 from repro.isa.program import Program
@@ -67,6 +68,10 @@ DEFAULT_STEPS = 800
 
 #: Bits in the rd instruction field (64 architectural registers).
 DEST_FIELD_BITS = 6
+
+#: Bits in a register, and the register mask of r1..r63.
+_REG_BITS = 64
+_REGS_1_63 = ((1 << NUM_ARCH_REGS) - 1) & ~(1 << ZERO_REG)
 
 #: Ops whose rd field is architecturally ignored: flipping it is a no-op.
 _RD_IRRELEVANT_OPS = frozenset({
@@ -240,26 +245,29 @@ class ProgramAVF:
         return self.classify_register(self.trace.pcs[step], reg, bit)
 
     def register_class_counts(self, pc: int) -> Dict[str, int]:
-        """Bit counts per class over registers 1..63 at one pc (cached)."""
+        """Bit counts per class over registers 1..63 at one pc (cached).
+
+        Whole register sets at once: a demanded register splits its
+        bits between ``ace`` and ``logic-masked``, the others fall in
+        one class each by the first of live / defined-later that holds.
+        """
         cached = self._reg_counts.get(pc)
         if cached is not None:
             return cached
-        counts = {cls: 0 for cls in ALL_CLASSES}
-        before = self.bitlive.before[pc]
-        live = self.bitlive.live_before[pc]
-        later = self.bitlive.defined_later[pc]
-        for reg in range(1, NUM_ARCH_REGS):
-            demand = before[reg]
-            if demand:
-                ace = demand.bit_count()
-                counts[ACE_CLASS] += ace
-                counts["logic-masked"] += 64 - ace
-            elif (live >> reg) & 1:
-                counts["no-output"] += 64
-            elif (later >> reg) & 1:
-                counts["overwritten"] += 64
-            else:
-                counts["dead"] += 64
+        row = self.bitlive.before[pc]
+        demanded = nonzero_lanes(row) & _REGS_1_63
+        free = _REGS_1_63 & ~demanded
+        no_output = free & self.bitlive.live_before[pc]
+        overwritten = free & ~no_output & self.bitlive.defined_later[pc]
+        dead = free & ~no_output & ~overwritten
+        ace = (pack(row) >> _REG_BITS).bit_count()  # lanes 1..63
+        counts = {
+            "dead": _REG_BITS * dead.bit_count(),
+            "overwritten": _REG_BITS * overwritten.bit_count(),
+            "no-output": _REG_BITS * no_output.bit_count(),
+            "logic-masked": _REG_BITS * demanded.bit_count() - ace,
+            ACE_CLASS: ace,
+        }
         self._reg_counts[pc] = counts
         return counts
 

@@ -94,17 +94,18 @@ class TestSelfLoopSingleBlock:
         liveness = solve_bit_liveness(cfg)
         assert len(liveness.before) == 1
 
+    # A one-block counting loop: the block is its own predecessor, and
+    # r1 is both defined and used across the back edge.
+    INDUCTION_SOURCE = """
+        ldi r1, 10
+    loop:
+        addi r1, r1, -1
+        bnez r1, loop
+        halt
+    """
+
     def test_self_loop_with_induction_keeps_state(self):
-        # A one-block counting loop: the block is its own predecessor,
-        # and r1 is both defined and used across the back edge.
-        source = """
-            ldi r1, 10
-        loop:
-            addi r1, r1, -1
-            bnez r1, loop
-            halt
-        """
-        cfg = build_cfg(assemble(source))
+        cfg = build_cfg(assemble(self.INDUCTION_SOURCE))
         loop_blocks = [i for i, b in enumerate(cfg.blocks)
                        if i in b.successors or i in b.predecessors]
         assert loop_blocks  # the loop block self-links
@@ -157,14 +158,15 @@ class TestMustMayJoinSplit:
         (finding,) = rules["A2-maybe-uninit-read"]
         assert "r2" in finding.message
 
+    # Contrast case: a register no path defines is A1, not A2.
+    NEVER_WRITTEN_SOURCE = """
+        ldi  r1, 1
+        add  r3, r2, r1
+        halt
+    """
+
     def test_never_written_is_error(self):
-        # Contrast case: a register no path defines is A1, not A2.
-        source = """
-            ldi  r1, 1
-            add  r3, r2, r1
-            halt
-        """
-        report = verify_program(assemble(source))
+        report = verify_program(assemble(self.NEVER_WRITTEN_SOURCE))
         rules = findings_by_rule(report)
         assert "A1-uninit-read" in rules
 
@@ -176,3 +178,14 @@ class TestMustMayJoinSplit:
         # The add at the join demands bits of both r1 and r2.
         assert liveness.before[pc][1] != 0
         assert liveness.before[pc][2] != 0
+
+
+#: Every hand-written program above, by name (the reference-solver
+#: comparison in test_valueflow_reference.py runs them all).
+SOURCES = {
+    "membar-first": TestMembarFirst.SOURCE,
+    "self-loop": TestSelfLoopSingleBlock.SOURCE,
+    "self-loop-induction": TestSelfLoopSingleBlock.INDUCTION_SOURCE,
+    "must-may-join": TestMustMayJoinSplit.SOURCE,
+    "never-written": TestMustMayJoinSplit.NEVER_WRITTEN_SOURCE,
+}

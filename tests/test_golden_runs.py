@@ -10,7 +10,10 @@ three drivers of the cycle loop — ``Machine.run``,
 on the one recorded digest; the sampler's sample series has its own.
 Small fault-injection campaigns pin the SHA-256 of their
 ``results.jsonl``, written in-process one task per chunk and by a
-two-worker pool at the default chunk size.
+two-worker pool at the default chunk size.  The static AVF analyzer
+pins, per profile, its summary and the solver facts under it: the
+known-bits in-state of every block, the per-pc demand rows, and the
+per-pc liveness masks.
 
 The test only reads the fixture.  After a deliberate behaviour change,
 rewrite it with::
@@ -23,13 +26,17 @@ and justify the digest diff in the change that carries it.
 import functools
 import hashlib
 import json
+import struct
 import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
+from valueflow_reference import canonical_known
 
+from repro.analysis.valueflow import solve_known_bits
+from repro.avf.analyzer import analyze_program
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.core.config import MachineConfig
@@ -107,6 +114,9 @@ CAMPAIGNS: Dict[str, Dict[str, object]] = {
 }
 #: How a campaign runs: mode -> (jobs, chunk size; ``None`` = default).
 CAMPAIGN_MODES = {"jobs1-chunk1": (1, 1), "jobs2": (2, None)}
+
+#: Static AVF analysis: every profile's SEED program over this horizon.
+AVF_STEPS = 1000
 
 
 def rounded(data: object) -> object:
@@ -190,6 +200,23 @@ def campaign_run(case: str, mode: str, out_dir: Path) -> str:
         (out_dir / "results.jsonl").read_bytes()).hexdigest()
 
 
+def avf_run(name: str) -> Dict[str, str]:
+    """Digests of one profile's AVF summary and of the solver facts
+    under it."""
+    analysis = analyze_program(program(name), steps=AVF_STEPS)
+    bitlive = analysis.bitlive
+    demand = hashlib.sha256()
+    for rows in (bitlive.before, bitlive.after):
+        for row in rows:
+            demand.update(struct.pack("<64Q", *row))
+    return {
+        "summary": digest(analysis.summary().to_dict()),
+        "known_in": digest(canonical_known(solve_known_bits(analysis.cfg))),
+        "demand": demand.hexdigest()[:16],
+        "liveness": digest([bitlive.live_before, bitlive.defined_later]),
+    }
+
+
 @functools.lru_cache(maxsize=None)
 def golden() -> Dict[str, Dict[str, str]]:
     with open(FIXTURE, "r", encoding="utf-8") as source:
@@ -223,6 +250,11 @@ def test_campaign_digest(case, mode, tmp_path):
     assert campaign_run(case, mode, tmp_path) == golden()["campaigns"][case]
 
 
+@pytest.mark.parametrize("name", SPEC95_NAMES)
+def test_avf_digest(name):
+    assert avf_run(name) == golden()["avf"][name]
+
+
 def regenerate() -> None:
     """Rewrite the fixture from ``Machine.run`` (the reference driver)
     and from in-process campaigns; the pooled runs must agree."""
@@ -246,13 +278,16 @@ def regenerate() -> None:
         "corpus_size": {"instructions": CORPUS_INSTRUCTIONS,
                         "warmup": CORPUS_WARMUP},
         "campaigns": campaigns,
+        "avf": {name: avf_run(name) for name in SPEC95_NAMES},
+        "avf_steps": AVF_STEPS,
     }
     with open(FIXTURE, "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=1, sort_keys=True)
         sink.write("\n")
     print(f"wrote {len(runs)} run, {len(samples)} sample, "
           f"{len(payload['faults'])} fault, {len(payload['corpus'])} "
-          f"corpus and {len(campaigns)} campaign digests to {FIXTURE}")
+          f"corpus, {len(campaigns)} campaign and {len(payload['avf'])} "
+          f"AVF digests to {FIXTURE}")
 
 
 if __name__ == "__main__":

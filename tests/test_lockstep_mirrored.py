@@ -38,8 +38,15 @@ class TestMirroredMode:
             machine.run(max_instructions=1000, warmup=3000)
             return time.perf_counter() - start
 
-        # Not a strict 2x (shared overheads), but clearly cheaper.
-        assert wall(True) < wall(False)
+        # Best of alternating samples: load from other processes only
+        # ever slows a sample down, so each mode's fastest run is its
+        # cost.  Not a strict 2x (shared overheads; about 0.6x on an idle
+        # host), but clearly cheaper: a tie fails.
+        best = {True: float("inf"), False: float("inf")}
+        for _ in range(3):
+            for mirrored in (True, False):
+                best[mirrored] = min(best[mirrored], wall(mirrored))
+        assert best[True] < 0.85 * best[False]
 
     def test_dual_mode_still_compares(self):
         machine = make_machine("lockstep", MachineConfig(),
