@@ -151,6 +151,11 @@ class ProgramVerificationError(ValueError):
             f"program {report.program.name!r} failed static verification "
             f"({len(report.errors)} error(s)):\n{lines}")
 
+    def __reduce__(self):
+        # Rebuilt from the report, not the message, so the error
+        # survives the trip back from a worker process.
+        return type(self), (self.report,)
+
 
 # -- metadata helpers ------------------------------------------------------
 

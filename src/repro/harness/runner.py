@@ -78,9 +78,17 @@ class Runner:
     # -- running ------------------------------------------------------------------
     def run(self, kind: str, spec: WorkloadSpec,
             config: Optional[MachineConfig] = None, **kwargs) -> RunResult:
-        machine = self.make(kind, spec, config, **kwargs)
-        return machine.run(max_instructions=self.instructions,
-                           warmup=self.warmup)
+        programs = self.programs(spec)
+        machine = self.make(kind, programs, config, **kwargs)
+        result = machine.run(max_instructions=self.instructions,
+                             warmup=self.warmup)
+        if (kind == "base" and len(programs) == 1 and not kwargs
+                and (config or self.config) is self.config
+                and self._by_name.get(programs[0].name) is programs[0]):
+            # Exactly the run baseline_ipc would make: keep its IPC.
+            self._baseline.setdefault(programs[0].name,
+                                      result.threads[0].ipc)
+        return result
 
     def run_structured(self, kind: str, spec: WorkloadSpec,
                        config: Optional[MachineConfig] = None,

@@ -77,8 +77,12 @@ class ServeServer:
                  scheduler: Optional[Scheduler] = None) -> None:
         self.host = host
         self.requested_port = port
+        #: The worker pool this server built, and so shuts down.
+        self._pool: Optional[WorkerPool] = None
         if scheduler is None:
-            pool = WorkerPool(workdir, campaign_jobs=campaign_jobs)
+            pool = self._pool = WorkerPool(workdir,
+                                           campaign_jobs=campaign_jobs,
+                                           workers=max_running)
             cache = ResultCache(f"{workdir}/cache")
             scheduler = Scheduler(pool, cache, max_queue=max_queue,
                                   max_running=max_running,
@@ -104,12 +108,17 @@ class ServeServer:
             self._handle_connection, self.host, self.requested_port)
 
     async def shutdown(self) -> None:
-        """SIGTERM path: stop listening, drain, then release the loop."""
+        """SIGTERM path: stop listening, drain, stop the worker
+        processes, then release the loop."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.scheduler.drain()
+        if self._pool is not None:
+            # No job is running any more; joining the workers blocks.
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._pool.shutdown)
         self._stopping.set()
 
     def install_signal_handlers(self) -> None:

@@ -74,7 +74,9 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                         help="queued-job bound (admission control; "
                              "full queue → HTTP 429)")
     parser.add_argument("--max-running", type=int, default=2,
-                        help="concurrent jobs (executor threads)")
+                        help="concurrent jobs; run, analyze, avf and "
+                             "experiment jobs run in this many worker "
+                             "processes")
     parser.add_argument("--job-timeout", type=float, default=0.0,
                         help="per-job wall-clock budget in seconds "
                              "(0 = unlimited; timed-out jobs stop at "

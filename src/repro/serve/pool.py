@@ -1,6 +1,6 @@
 """Executor bridge: serve jobs onto the existing simulation machinery.
 
-No new run paths: a ``campaign`` job drives the PR-1
+No new run paths: a ``campaign`` job drives the
 :class:`~repro.campaign.engine.CampaignEngine` (which in turn owns the
 process-pool fan-out and the resumable artifact store), an
 ``experiment`` job drives the per-figure registry through
@@ -13,15 +13,27 @@ the scheduler's cooperative ``cancel`` event into the engine's
 chunk boundary, and (c) to return a JSON-able result payload the cache
 can seal.
 
+Where each job type runs is decided here, by :data:`PROCESS_HANDLERS`.
+``run``, ``experiment``, ``avf`` and ``analyze`` jobs are CPU-bound
+Python, so their handlers run in one of the pool's worker processes
+(:func:`run_job`), one per ``--max-running`` slot: two slots get two
+cores instead of taking turns under one interpreter lock, and the
+event loop no longer waits behind them.  The scheduler's executor
+thread only waits for the result.  ``campaign`` jobs stay on that
+thread: they stop at chunk boundaries on the scheduler's
+``threading.Event``, append to a store whose chaos points the daemon's
+plan arms, and already fan out through the engine's own process pool.
+
 Campaign artifacts live under ``<workdir>/artifacts/<cache-key>/`` —
 the same content-addressed key as the result cache — so a job that is
 cancelled mid-flight leaves a valid resumable campaign directory, and
 resubmitting the identical spec *resumes* instead of restarting.
 """
 
+import signal
 import threading
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.obs import trace as obs_trace
 from repro.serve.jobs import JobSpec
@@ -38,17 +50,183 @@ class JobCancelled(Exception):
     """The job observed its cancel event and stopped cooperatively."""
 
 
+# -- process-job handlers: params in, JSON payload out ---------------------
+
+def _run_run(params: Dict[str, object]) -> Dict[str, object]:
+    from repro.harness.runner import Runner
+
+    runner = Runner(instructions=int(params["instructions"]),
+                    warmup=int(params["warmup"]),
+                    seed=int(params["seed"]))
+    return runner.run_structured(params["kind"], list(params["benchmarks"]))
+
+
+def _run_experiment(params: Dict[str, object]) -> Dict[str, object]:
+    from repro.harness.experiments import EXPERIMENT_REGISTRY
+    from repro.harness.parallel import run_experiment_parallel
+    from repro.harness.runner import Runner
+
+    driver, _ = EXPERIMENT_REGISTRY[params["experiment"]]
+    runner_kwargs = {
+        "instructions": int(params["instructions"]),
+        "warmup": int(params["warmup"]),
+        "seed": int(params["seed"]),
+    }
+    jobs = int(params["jobs"])
+    if jobs > 1:
+        result = run_experiment_parallel(driver.__name__, runner_kwargs,
+                                         jobs=jobs)
+    else:
+        result = driver(Runner(**runner_kwargs))
+    return result.to_dict()
+
+
+def _run_avf(params: Dict[str, object]) -> Dict[str, object]:
+    from repro.avf.analyzer import analyze_program
+    from repro.avf.report import avf_payload
+    from repro.isa.generator import generate_benchmark
+    from repro.isa.profiles import split_workload
+
+    name, seed = split_workload(params["workload"])
+    program = generate_benchmark(name, seed=seed)
+    summary = analyze_program(program, steps=int(params["steps"])).summary()
+    return avf_payload([summary])
+
+
+def _run_analyze(params: Dict[str, object]) -> Dict[str, object]:
+    from repro.analysis.checks import (ProgramVerificationError,
+                                       verify_program)
+    from repro.analysis.report import analysis_to_dict
+    from repro.isa.generator import generate_benchmark
+    from repro.isa.profiles import split_workload
+
+    name, base_seed = split_workload(params["workload"])
+    # The report is the generator's gate: verify once, fail as it would.
+    program = generate_benchmark(name, seed=base_seed + int(params["seed"]),
+                                 verify=False)
+    report = verify_program(program)
+    if report.errors:
+        raise ProgramVerificationError(report)
+    return analysis_to_dict(report)
+
+
+#: Job types whose handler runs in a worker process.  Every other type
+#: (``campaign``) runs on the scheduler's executor thread.
+PROCESS_HANDLERS = {
+    "run": _run_run,
+    "experiment": _run_experiment,
+    "avf": _run_avf,
+    "analyze": _run_analyze,
+}
+
+
+def run_job(job_type: str, params: Dict[str, object]) -> Dict[str, object]:
+    """Worker-process entry: run one job's handler, return its payload."""
+    return PROCESS_HANDLERS[job_type](params)
+
+
+#: Seconds a stopping worker gets to exit after its pipe closes.
+_STOP_S = 10.0
+
+
+def _serve_jobs(conn) -> None:
+    """Worker-process main loop: answer ``(type, params)`` requests on
+    ``conn`` with ``(ok, payload or error)`` until the daemon closes it.
+
+    SIGINT is ignored: a terminal's Ctrl-C reaches the whole process
+    group, and the daemon's drain lets running jobs finish, then closes
+    the pipe.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            job_type, params = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, run_job(job_type, params))
+        except Exception as error:  # the job failed, not the worker
+            reply = (False, error)
+        conn.send(reply)
+
+
+class _Worker:
+    """One spawned worker process and the daemon's end of its pipe."""
+
+    def __init__(self) -> None:
+        # Imported here, not at module level: daemon start-up stays as
+        # fast as before, and only the first process job pays for it.
+        import multiprocessing.util
+
+        context = multiprocessing.get_context("spawn")
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(target=_serve_jobs,
+                                       args=(child_conn,),
+                                       name="repro-serve-worker")
+        self.process.start()
+        child_conn.close()
+        # At interpreter exit multiprocessing joins its live children;
+        # closing the pipe first lets an undrained worker end its loop.
+        multiprocessing.util.Finalize(self, self.conn.close,
+                                      exitpriority=0)
+
+    def call(self, job_type: str,
+             params: Dict[str, object]) -> Dict[str, object]:
+        """Run one job here; ``BrokenProcessPool`` if the worker died."""
+        try:
+            self.conn.send((job_type, params))
+            ok, value = self.conn.recv()
+        except (EOFError, OSError) as error:
+            from concurrent.futures.process import BrokenProcessPool
+
+            self.process.join(_STOP_S)
+            raise BrokenProcessPool(
+                f"serve worker {self.process.pid} died mid-job (exit "
+                f"code {self.process.exitcode})") from error
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        self.conn.close()  # the worker reads EOF and returns
+        self.process.join(_STOP_S)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
 class WorkerPool:
     """Maps job specs onto the blocking simulation entry points.
 
     One instance per daemon; ``execute`` runs on a scheduler executor
     thread (never the event loop) and may block for the whole job.
+    Process jobs borrow one of at most ``workers`` worker processes,
+    spawned on first need rather than with the pool, so daemon
+    readiness never waits for interpreter start-up.  Each worker serves
+    one job at a time over its own pipe, so only the thread holding a
+    worker can see it die: that thread raises ``BrokenProcessPool`` (an
+    infrastructure error the scheduler requeues) and frees the slot,
+    and the next job spawns the one replacement.  :meth:`shutdown` (the
+    drain path) stops the workers.
+
+    Concurrency:
+        guarded-by _free: _idle, _live, rebuilds
+        unguarded-ok: workdir, campaign_jobs, workers
     """
 
-    def __init__(self, workdir, campaign_jobs: int = 1) -> None:
+    def __init__(self, workdir, campaign_jobs: int = 1,
+                 workers: int = 2) -> None:
         self.workdir = Path(workdir)
         #: Worker processes per campaign job unless the job says otherwise.
         self.campaign_jobs = max(1, int(campaign_jobs))
+        #: Worker processes for process jobs (the daemon's --max-running).
+        self.workers = max(1, int(workers))
+        #: Notified whenever a worker is returned or a slot is freed.
+        self._free = threading.Condition()
+        self._idle: List[_Worker] = []
+        self._live = 0
+        #: Dead workers replaced so far.
+        self.rebuilds = 0
 
     def artifact_dir(self, spec: JobSpec) -> Path:
         return self.workdir / "artifacts" / spec.cache_key()
@@ -59,7 +237,6 @@ class WorkerPool:
                 ) -> Dict[str, object]:
         """Run one job to completion; raises JobCancelled if stopped."""
         cancel = cancel or threading.Event()
-        handler = getattr(self, f"_run_{spec.type}")
         if cancel.is_set():
             raise JobCancelled(f"{spec.type} job cancelled before start")
         # A cancel that lands after the handler's last chunk is too
@@ -68,9 +245,45 @@ class WorkerPool:
         # actually stop early, and it raises JobCancelled itself.
         with obs_trace.span(f"pool.{spec.type}",
                             key=spec.cache_key()[:16]):
-            return handler(spec, cancel)
+            if spec.type in PROCESS_HANDLERS:
+                return self._in_worker(spec)
+            return self._run_campaign(spec, cancel)
 
-    # -- handlers ----------------------------------------------------------
+    def _in_worker(self, spec: JobSpec) -> Dict[str, object]:
+        worker = self._acquire()
+        try:
+            return worker.call(spec.type, spec.params)
+        finally:
+            self._release(worker)
+
+    def _acquire(self) -> _Worker:
+        with self._free:
+            while not self._idle and self._live >= self.workers:
+                self._free.wait()
+            if self._idle:
+                return self._idle.pop()
+            worker = _Worker()
+            self._live += 1
+            return worker
+
+    def _release(self, worker: _Worker) -> None:
+        with self._free:
+            if worker.process.is_alive():
+                self._idle.append(worker)
+            else:  # it died: its slot goes to one replacement
+                self._live -= 1
+                self.rebuilds += 1
+            self._free.notify()
+
+    def shutdown(self) -> None:
+        """Stop the worker processes (call once no job is running)."""
+        with self._free:
+            workers, self._idle = self._idle, []
+            self._live -= len(workers)
+        for worker in workers:
+            worker.stop()
+
+    # -- the thread-side handler -------------------------------------------
     def _run_campaign(self, spec: JobSpec,
                       cancel: threading.Event) -> Dict[str, object]:
         from repro.campaign.engine import CampaignEngine
@@ -115,61 +328,3 @@ class WorkerPool:
             "strata": outcomes,
             "artifact_dir": str(out_dir),
         }
-
-    def _run_run(self, spec: JobSpec,
-                 cancel: threading.Event) -> Dict[str, object]:
-        from repro.harness.runner import Runner
-
-        params = spec.params
-        runner = Runner(instructions=int(params["instructions"]),
-                        warmup=int(params["warmup"]),
-                        seed=int(params["seed"]))
-        return runner.run_structured(params["kind"],
-                                     list(params["benchmarks"]))
-
-    def _run_experiment(self, spec: JobSpec,
-                        cancel: threading.Event) -> Dict[str, object]:
-        from repro.harness.experiments import EXPERIMENT_REGISTRY
-        from repro.harness.parallel import run_experiment_parallel
-        from repro.harness.runner import Runner
-
-        params = spec.params
-        driver, _ = EXPERIMENT_REGISTRY[params["experiment"]]
-        runner_kwargs = {
-            "instructions": int(params["instructions"]),
-            "warmup": int(params["warmup"]),
-            "seed": int(params["seed"]),
-        }
-        jobs = int(params["jobs"])
-        if jobs > 1:
-            result = run_experiment_parallel(driver.__name__,
-                                             runner_kwargs, jobs=jobs)
-        else:
-            result = driver(Runner(**runner_kwargs))
-        return result.to_dict()
-
-    def _run_avf(self, spec: JobSpec,
-                 cancel: threading.Event) -> Dict[str, object]:
-        from repro.avf.analyzer import analyze_program
-        from repro.avf.report import avf_payload
-        from repro.isa.generator import generate_benchmark
-        from repro.isa.profiles import split_workload
-
-        params = spec.params
-        name, seed = split_workload(params["workload"])
-        program = generate_benchmark(name, seed=seed)
-        summary = analyze_program(program, steps=int(params["steps"]))
-        return avf_payload([summary])
-
-    def _run_analyze(self, spec: JobSpec,
-                     cancel: threading.Event) -> Dict[str, object]:
-        from repro.analysis.checks import verify_program
-        from repro.analysis.report import analysis_to_dict
-        from repro.isa.generator import generate_benchmark
-        from repro.isa.profiles import split_workload
-
-        params = spec.params
-        name, base_seed = split_workload(params["workload"])
-        program = generate_benchmark(name,
-                                     seed=base_seed + int(params["seed"]))
-        return analysis_to_dict(verify_program(program))

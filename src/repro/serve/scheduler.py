@@ -3,8 +3,11 @@
 Single-threaded asyncio core: ``submit``/``cancel``/status reads all
 run on the event loop, so there are no locks; only the blocking
 simulation work leaves the loop, onto a small
-:class:`~concurrent.futures.ThreadPoolExecutor` (whose campaign jobs
-then fan out further across the engine's own process pool).
+:class:`~concurrent.futures.ThreadPoolExecutor` with one thread per
+slot.  A campaign job runs on its thread (and fans out further across
+the engine's own process pool); every other job's thread waits while
+the pool's worker process for that slot runs it (see
+:mod:`repro.serve.pool`).
 
 Lifecycle::
 

@@ -12,6 +12,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs import trace as obs_trace
 from repro.serve.api import BackgroundServer, ServeServer
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServeError
@@ -242,6 +243,61 @@ class TestRequestLimits:
                 sock.sendall(b"GET /healthz HTTP/1.1\r\n")  # then stall
                 assert sock.recv(4096) == b""  # dropped, no response
             assert ServeClient(handle.url).ping()["ok"] is True
+
+
+class TestWorkerPoolSpans:
+    def test_job_span_parents_pool_span(self, tmp_path):
+        """The handler runs in a worker process now; its ``pool.*``
+        span still nests under the job's ``serve.job.*`` root."""
+        path = tmp_path / "spans.jsonl"
+        submitted = {"run": RUN_PARAMS,
+                     "analyze": {"workload": "li", "seed": 2}}
+        with obs_trace.traced(path):
+            with BackgroundServer(workdir=str(tmp_path / "serve")) as handle:
+                client = ServeClient(handle.url)
+                for job_type, params in submitted.items():
+                    job = client.submit(job_type, params)["job"]
+                    final = client.wait_for(job["id"], timeout=120)["job"]
+                    assert final["state"] == "done"
+        records = obs_trace.read_spans(path)
+        for job_type, params in submitted.items():
+            key = JobSpec.build(job_type, params).cache_key()[:16]
+            (root,) = [r for r in records
+                       if r["name"] == f"serve.job.{job_type}"]
+            (child,) = [r for r in records
+                        if r["name"] == f"pool.{job_type}"]
+            assert root["trace"] == child["trace"] == key
+            assert root["key"] == child["key"] == key
+            assert root["parent"] is None
+            assert child["parent"] == root["span"]
+            assert root["ok"] and child["ok"]
+
+
+class TestCampaignCancel:
+    def test_cancel_stops_running_campaign_at_chunk_boundary(
+            self, tmp_path):
+        workdir = tmp_path / "serve"
+        params = {"kinds": ["srt"], "workloads": ["gcc"],
+                  "models": ["transient-result"], "injections": 200,
+                  "instructions": 300, "jobs": 1, "chunk_size": 1}
+        with BackgroundServer(workdir=str(workdir)) as handle:
+            client = ServeClient(handle.url)
+            job = client.submit("campaign", params)["job"]
+            artifact = (workdir / "artifacts"
+                        / JobSpec.build("campaign", params).cache_key())
+            results = artifact / "results.jsonl"
+            for _ in range(600):  # until the first chunk is appended
+                if results.exists() and results.read_text():
+                    break
+                threading.Event().wait(0.05)
+            client.cancel(job["id"])
+            final = client.wait_for(job["id"], timeout=120)["job"]
+        assert final["state"] == "cancelled"
+        assert final["error"].startswith("campaign stopped at ")
+        indices = [json.loads(line)["index"]
+                   for line in results.read_text().splitlines()]
+        assert 0 < len(indices) < 200
+        assert indices == list(range(len(indices)))
 
 
 class TestDrain:

@@ -1,11 +1,56 @@
-"""WorkerPool: execution-knob resolution onto the campaign engine."""
+"""WorkerPool: execution-knob resolution onto the campaign engine, and
+the worker processes that run every other job type."""
 
+import json
+import multiprocessing
+import os
+import pickle
+import signal
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+
+import pytest
+
+from repro.analysis import checks
+from repro.analysis.report import analysis_to_dict
+from repro.core.machine import Machine
+from repro.isa import generator
+from repro.isa.assembler import assemble
+from repro.serve.api import BackgroundServer
+from repro.serve.client import ServeClient
 from repro.serve.jobs import JobSpec
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import PROCESS_HANDLERS, WorkerPool, run_job
 
 CAMPAIGN = {"kinds": ["srt"], "workloads": ["gcc"],
             "models": ["transient-result"], "injections": 4,
             "instructions": 200, "warmup": 500}
+
+RUN = {"benchmarks": ["li"], "instructions": 200, "warmup": 500, "seed": 3}
+
+#: One spec per process-job shape the daemon serves.
+PROCESS_JOBS = [
+    ("run", dict(RUN, kind="base")),
+    ("run", dict(RUN, kind="srt")),
+    ("run", dict(RUN, kind="crt")),
+    ("analyze", {"workload": "compress", "seed": 7}),
+    ("avf", {"workload": "m88ksim", "steps": 300}),
+    # jobs=2 fans the figure out again, from inside the worker.
+    ("experiment", {"experiment": "fig9", "instructions": 40,
+                    "warmup": 0, "jobs": 1}),
+    ("experiment", {"experiment": "fig9", "instructions": 40,
+                    "warmup": 0, "jobs": 2}),
+]
+
+
+def blob(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+def new_children(before):
+    return [child for child in multiprocessing.active_children()
+            if child.pid not in before]
 
 
 class TestCampaignJobsDefault:
@@ -30,3 +75,206 @@ class TestCampaignJobsDefault:
         omitted = JobSpec.build("campaign", CAMPAIGN)
         explicit = JobSpec.build("campaign", dict(CAMPAIGN, jobs=1))
         assert omitted.cache_key() != explicit.cache_key()
+
+    def test_campaign_runs_on_the_calling_thread(self, tmp_path):
+        assert "campaign" not in PROCESS_HANDLERS
+        before = {child.pid for child in multiprocessing.active_children()}
+        pool = WorkerPool(tmp_path)
+        pool.execute(JobSpec.build("campaign", dict(CAMPAIGN, jobs=1)))
+        assert new_children(before) == []
+
+
+@pytest.fixture(scope="module")
+def daemon(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("serve")
+    with BackgroundServer(workdir=str(workdir), max_queue=16,
+                          max_running=2) as handle:
+        client = ServeClient(handle.url)
+        client.ping()
+        yield handle, client
+
+
+class TestProcessPayloads:
+    @pytest.mark.parametrize("job_type,params", PROCESS_JOBS,
+                             ids=[f"{t}-{p.get('kind', p.get('jobs', ''))}"
+                                  for t, p in PROCESS_JOBS])
+    def test_daemon_payload_equals_in_process_handler(self, daemon,
+                                                      job_type, params):
+        _, client = daemon
+        job = client.submit(job_type, params)["job"]
+        final = client.wait_for(job["id"], timeout=300)["job"]
+        assert final["state"] == "done", final
+        served = client.result(job["id"])["job"]["result"]
+        spec = JobSpec.build(job_type, params)
+        assert blob(served) == blob(run_job(job_type, spec.params))
+
+
+class TestSingleBaseRun:
+    def test_base_job_simulates_once(self, monkeypatch):
+        """A base run is its own baseline: the SMT-efficiency
+        denominator reuses it instead of simulating it again."""
+        calls = []
+        original = Machine.run
+
+        def counting_run(machine, *args, **kwargs):
+            calls.append(machine.kind)
+            return original(machine, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+        params = JobSpec.build("run", dict(RUN, kind="base")).params
+        payload = run_job("run", params)
+        assert calls == ["base"]
+        (thread,) = payload["threads"]
+        assert payload["baseline_ipc"] == {thread["name"]: thread["ipc"]}
+        assert payload["efficiency"] == {thread["name"]: 1.0}
+        assert payload["mean_efficiency"] == 1.0
+
+    def test_other_kinds_still_measure_their_baseline(self, monkeypatch):
+        calls = []
+        original = Machine.run
+
+        def counting_run(machine, *args, **kwargs):
+            calls.append(machine.kind)
+            return original(machine, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "run", counting_run)
+        run_job("run", JobSpec.build("run", dict(RUN, kind="srt")).params)
+        assert calls == ["srt", "base"]
+
+
+class TestAnalyzeGate:
+    def test_clean_program_is_verified_once(self, monkeypatch):
+        calls = []
+        original = checks.verify_program
+
+        def counting_verify(program, *args, **kwargs):
+            calls.append(program.name)
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "verify_program", counting_verify)
+        # A seed no other test generates, so the gate's memo is cold.
+        params = {"workload": "go", "seed": 91_337}
+        payload = run_job("analyze", params)
+        assert len(calls) == 1
+        assert payload["errors"] == 0
+        program = generator.generate_benchmark("go", seed=91_337,
+                                               verify=False)
+        assert blob(payload) == blob(analysis_to_dict(original(program)))
+
+    def test_failing_program_fails_the_job_with_the_gate_text(
+            self, monkeypatch):
+        bad = assemble("add r1, r2, r3\nhalt\n")
+        monkeypatch.setattr(generator, "generate_benchmark",
+                            lambda name, seed=0, verify=True: bad)
+        with pytest.raises(checks.ProgramVerificationError) as caught:
+            run_job("analyze", {"workload": "gcc", "seed": 0})
+        with pytest.raises(checks.ProgramVerificationError) as gated:
+            checks.gate_program(bad)
+        assert str(caught.value) == str(gated.value)
+        # The error must survive the trip back from a worker process.
+        again = pickle.loads(pickle.dumps(caught.value))
+        assert type(again) is checks.ProgramVerificationError
+        assert str(again) == str(caught.value)
+
+
+class TestPoolBreaks:
+    def test_killed_worker_requeues_and_is_replaced(self, tmp_path):
+        # About 2 s of simulation: still running when the kill lands.
+        params = {"kind": "srt", "benchmarks": ["gcc"],
+                  "instructions": 10_000, "warmup": 1000, "seed": 11}
+        expected = run_job("run", JobSpec.build("run", params).params)
+        before = {child.pid for child in multiprocessing.active_children()}
+        with BackgroundServer(workdir=str(tmp_path / "serve"),
+                              max_running=1) as handle:
+            client = ServeClient(handle.url)
+            job = client.submit("run", params)["job"]
+            deadline = time.monotonic() + 60
+            while not new_children(before):
+                assert time.monotonic() < deadline, "no worker spawned"
+                time.sleep(0.05)
+            (worker,) = new_children(before)
+            time.sleep(1.0)  # past start-up, into the job
+            os.kill(worker.pid, signal.SIGKILL)
+            final = client.wait_for(job["id"], timeout=120)["job"]
+            assert final["state"] == "done", final
+            assert final["infra_retries"] == 1
+            assert "BrokenProcessPool" in final["failure_chain"][0]
+            served = client.result(job["id"])["job"]["result"]
+            assert blob(served) == blob(expected)
+            # Later jobs run normally, on the one replacement worker.
+            later = client.submit("analyze", {"workload": "li",
+                                              "seed": 5})["job"]
+            final = client.wait_for(later["id"], timeout=120)["job"]
+            assert final["state"] == "done", final
+            assert "failure_chain" not in final
+            assert handle.server.scheduler.pool.rebuilds == 1
+
+    def test_concurrent_breaks_replace_each_dead_worker_once(
+            self, tmp_path):
+        """Four executor threads share two workers, which are killed
+        between rounds: each dead worker is replaced exactly once, and
+        the pool never runs more than two."""
+        spec = JobSpec.build("analyze", {"workload": "li", "seed": 1})
+        pool = WorkerPool(tmp_path, workers=2)
+        before = {child.pid for child in multiprocessing.active_children()}
+        interval = sys.getswitchinterval()
+        deadline = time.monotonic() + 120
+        kills = killed = 0
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                assert time.monotonic() < deadline, "stress test too slow"
+                outcomes = []
+
+                def hammer():
+                    try:
+                        outcomes.append(pool.execute(spec)["errors"])
+                    except BrokenProcessPool:
+                        outcomes.append("died")
+
+                threads = [threading.Thread(target=hammer)
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(outcomes) == 4
+                live = [child for child in new_children(before)
+                        if child.is_alive()]
+                assert 1 <= len(live) <= 2
+                # The idle dead workers go to the first jobs, once each.
+                assert outcomes.count("died") == killed
+                assert pool.rebuilds == kills
+                for child in live:
+                    os.kill(child.pid, signal.SIGKILL)
+                    child.join(timeout=30)
+                killed = len(live)
+                kills += killed
+            for _ in range(killed):
+                with pytest.raises(BrokenProcessPool):
+                    pool.execute(spec)
+            assert pool.rebuilds == kills
+            assert pool.execute(spec)["errors"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert not any(child.is_alive() for child in new_children(before))
+
+
+class TestDrain:
+    def test_no_worker_outlives_drain(self, tmp_path):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with BackgroundServer(workdir=str(tmp_path / "serve"),
+                              max_running=2) as handle:
+            client = ServeClient(handle.url)
+            jobs = [client.submit("analyze", {"workload": "li",
+                                              "seed": seed})["job"]
+                    for seed in (1, 2)]
+            for job in jobs:
+                final = client.wait_for(job["id"], timeout=120)["job"]
+                assert final["state"] == "done"
+            workers = new_children(before)
+            assert workers
+            handle.drain()
+            assert not any(worker.is_alive() for worker in workers)
