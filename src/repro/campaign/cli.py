@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--by-termination", action="store_true",
                         help="append the termination breakdown "
                              "(done/cycle-limit/hung/livelock/recovered/"
-                             "unrecoverable) and recovery-latency summary")
+                             "unrecoverable, timed-out and not-struck "
+                             "counts) and recovery-latency summary")
     report.add_argument("--vs-avf", action="store_true",
                         help="render the AVF cross-view instead: "
                              "confusion matrix, per-class detection "

@@ -20,6 +20,7 @@ import math
 from collections import Counter, defaultdict
 from typing import Dict, Iterable, List, Tuple
 
+from repro.campaign.engine import INFRA_FAILURE_OUTCOME
 from repro.core.faults import FaultOutcome
 from repro.harness.experiments import ExperimentResult
 from repro.harness.reporting import render_histogram, render_table
@@ -62,6 +63,8 @@ class StratumStats:
         self.latencies: List[int] = []
         self.recovery_latencies: List[int] = []
         self.timed_out = 0
+        #: Runs that finished with their fault never struck.
+        self.not_struck = 0
 
     def add(self, record: Dict[str, object]) -> None:
         self.outcomes[record["outcome"]] += 1
@@ -69,6 +72,9 @@ class StratumStats:
             self.terminations[record["termination"]] += 1
         if record.get("timed_out"):
             self.timed_out += 1
+        elif (record.get("struck_cycle") is None
+              and record["outcome"] != INFRA_FAILURE_OUTCOME):
+            self.not_struck += 1
         if record.get("latency") is not None:
             self.latencies.append(record["latency"])
         if record.get("recovery_latency") is not None:
@@ -141,22 +147,27 @@ def termination_table(strata: Dict[Tuple[str, str], StratumStats]
     ends ``done`` (detection-only machines keep running), while ``hung``
     / ``livelock`` rows carry watchdog forensics and ``recovered`` /
     ``unrecoverable`` only occur with ``recovery_enabled`` configs.
+    ``not-struck`` counts the runs that finished (neither timed out nor
+    failed as infrastructure) with their fault never struck: a strike
+    cycle past the run's end, say.
     """
     from repro.core.metrics import Termination
 
     order = [termination.value for termination in Termination]
     seen = {value for stats in strata.values()
             for value in stats.terminations}
+    counts = ["timed-out", "not-struck", "n"]
     series = ([value for value in order if value in seen]
-              + sorted(seen - set(order)) + ["timed-out", "n"])
+              + sorted(seen - set(order)) + counts)
     result = ExperimentResult(
         "campaign_termination",
         "Run terminations per stratum (watchdog/recovery verdicts)",
         series=series)
     for (kind, workload), stats in sorted(strata.items()):
         row = {value: stats.terminations.get(value, 0)
-               for value in series if value not in ("timed-out", "n")}
+               for value in series if value not in counts}
         row["timed-out"] = stats.timed_out
+        row["not-struck"] = stats.not_struck
         row["n"] = stats.total
         result.add_row(f"{kind}/{workload}", row)
     return result.finish()

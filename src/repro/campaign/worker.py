@@ -14,23 +14,44 @@ cooperatively, so the worker arms ``SIGALRM`` around each task (POSIX
 only; a zero timeout disables the alarm).  A task that trips the alarm
 is recorded as ``HUNG`` with ``timed_out=true`` rather than poisoning
 the pool.
+
+Reference runs (:func:`reference_run`): a task whose fault could never
+fire takes its group's fault-free run instead of simulating it again
+(:func:`execute_task`).
+
+Concurrency:
+    guarded-by _REFERENCES_LOCK: _REFERENCES
 """
 
+import copy
 import functools
 import signal
 import threading
-from typing import Dict, List, Optional
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from repro.chaos import chaos_point
 from repro.core.config import MachineConfig
 from repro.obs import trace as obs_trace
-from repro.core.faults import (ARCH_FAULT_MODELS, fault_from_dict,
-                               run_arch_fault_experiment,
+from repro.core.faults import (ARCH_FAULT_MODELS, FaultReport,
+                               fault_from_dict, run_arch_fault_experiment,
                                run_fault_experiment_detailed)
 from repro.core.machine import make_machine
 from repro.isa.generator import generate_benchmark
 from repro.isa.profiles import SPEC95_NAMES, split_workload
 from repro.isa.program import Program
+from repro.util.canonical import canonical_json
+
+#: Reference runs a process keeps, least recently used first out: one
+#: per machine kind (base, srt, crt, lockstep) and profile.
+REFERENCE_RUNS = 4 * len(SPEC95_NAMES)
+
+#: Fault models that act only at a cycle >= their site's ``cycle``.
+CYCLE_SCHEDULED_MODELS = ("transient-result", "transient-register")
+
+#: reference key -> (end cycle, report) of the group's fault-free run.
+_REFERENCES: "OrderedDict[tuple, Tuple[int, FaultReport]]" = OrderedDict()
+_REFERENCES_LOCK = threading.Lock()
 
 
 class TaskTimeout(Exception):
@@ -56,6 +77,40 @@ def program_for(workload: str, seed: int) -> Program:
     return generate_benchmark(name, seed=workload_seed + seed)
 
 
+def reference_key(task: Dict[str, object],
+                  config: Optional[Dict[str, object]]) -> tuple:
+    """Everything that determines a machine task's fault-free run: its
+    kind, program, run length, warm-up and machine configuration."""
+    return (task["kind"], task["workload"], task["seed"],
+            task["instructions"], task["warmup"],
+            canonical_json(config or None))
+
+
+def reference_run(key: tuple) -> Optional[Tuple[int, FaultReport]]:
+    """The kept (end cycle, report) of a reference group, or ``None``."""
+    with _REFERENCES_LOCK:
+        reference = _REFERENCES.get(key)
+        if reference is not None:
+            _REFERENCES.move_to_end(key)
+        return reference
+
+
+def keep_reference_run(key: tuple, end_cycle: int,
+                       report: FaultReport) -> None:
+    """Keep a fault-free run of ``key``'s group; the first one stays."""
+    with _REFERENCES_LOCK:
+        if key not in _REFERENCES:
+            _REFERENCES[key] = (end_cycle, report)
+            if len(_REFERENCES) > REFERENCE_RUNS:
+                _REFERENCES.popitem(last=False)
+
+
+def clear_reference_runs() -> None:
+    """Forget every kept reference run of this process."""
+    with _REFERENCES_LOCK:
+        _REFERENCES.clear()
+
+
 def execute_task(task: Dict[str, object],
                  config: Optional[Dict[str, object]] = None,
                  _holder: Optional[List] = None) -> Dict[str, object]:
@@ -64,6 +119,12 @@ def execute_task(task: Dict[str, object],
     ``_holder``, when given, receives the live machine right after
     construction so the SIGALRM timeout path can salvage the watchdog's
     last progress fingerprint from a wedged run.
+
+    A machine run whose fault never struck is the fault-free run of its
+    reference group, and its end cycle ``E`` and report are kept.  A
+    later cycle-scheduled fault of the group at a cycle >= ``E`` gets
+    that report without a machine: the run it would start is the same
+    run, which executes only cycles before ``E``.
     """
     program = program_for(task["workload"], task["seed"])
     fault = fault_from_dict(task["fault"])
@@ -73,14 +134,24 @@ def execute_task(task: Dict[str, object],
         report = run_arch_fault_experiment(
             program, fault, instructions=task["instructions"])
     else:
-        machine_config = (MachineConfig.from_dict(config) if config
-                          else MachineConfig())
-        machine = make_machine(task["kind"], machine_config, [program])
-        if _holder is not None:
-            _holder.append(machine)
-        report = run_fault_experiment_detailed(
-            machine, program, fault,
-            instructions=task["instructions"], warmup=task["warmup"])
+        key = reference_key(task, config)
+        reference = (reference_run(key)
+                     if task["model"] in CYCLE_SCHEDULED_MODELS else None)
+        # Records are their callers' to change, so the kept report goes
+        # in and out as copies: no record shares its fingerprint dict.
+        if reference is not None and task["fault"]["cycle"] >= reference[0]:
+            report = copy.deepcopy(reference[1])
+        else:
+            machine_config = (MachineConfig.from_dict(config) if config
+                              else MachineConfig())
+            machine = make_machine(task["kind"], machine_config, [program])
+            if _holder is not None:
+                _holder.append(machine)
+            report = run_fault_experiment_detailed(
+                machine, program, fault,
+                instructions=task["instructions"], warmup=task["warmup"])
+            if report.struck_cycle is None:
+                keep_reference_run(key, machine.now, copy.deepcopy(report))
     record = {
         "task_id": task["task_id"],
         "index": task["index"],
@@ -140,7 +211,8 @@ def execute_chunk(payload: Dict[str, object]) -> List[Dict[str, object]]:
     key on it so an injected crash does not re-fire on the retry.  A
     process generates each program once (:func:`program_for`) and
     records its path once, whatever the chunking: later tasks, in this
-    chunk or the next, replay that path to warm up and to classify.
+    chunk or the next, replay that path to warm up and to classify, or
+    take their group's reference run (:func:`reference_run`).
     """
     tasks: List[Dict[str, object]] = payload["tasks"]
     config = payload.get("config")

@@ -464,7 +464,16 @@ def _arch_snapshot(executor: FunctionalExecutor) -> tuple:
 
 
 def _arch_golden(program, max_steps: int):
-    """Golden stores [(step, op, addr, value)] + end snapshot."""
+    """Golden stores [(step, op, addr, value)] + end snapshot.
+
+    Kept on the program for the last horizon asked for, which is sound
+    because a program never changes after construction: the oracle's
+    tasks on one program share one golden run.  Threads that miss at
+    once each compute it, and the runs they get are equal.
+    """
+    kept = program._golden
+    if kept is not None and kept[0] == max_steps:
+        return kept[1]
     executor = FunctionalExecutor(program)
     stores = []
     for step in range(max_steps):
@@ -477,7 +486,9 @@ def _arch_golden(program, max_steps: int):
         if result.store is not None:
             stores.append((step, result.instr.op.name,
                            result.store[0], result.store[1]))
-    return stores, _arch_snapshot(executor)
+    golden = (stores, _arch_snapshot(executor))
+    program._golden = (max_steps, golden)
+    return golden
 
 
 def _inject_arch_fault(executor: FunctionalExecutor, fault: "ArchFault"

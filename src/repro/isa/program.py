@@ -31,6 +31,10 @@ class Program:
     metadata: Dict[str, object] = field(default_factory=dict)
     _path: Optional["RecordedPath"] = field(default=None, init=False,
                                             repr=False, compare=False)
+    #: ``(horizon, golden run)`` of the architectural oracle
+    #: (``repro.core.faults._arch_golden``), the last horizon asked for.
+    _golden: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self) -> None:
         if not self.instructions:

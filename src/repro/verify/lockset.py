@@ -82,6 +82,7 @@ LOCKSET_TARGETS = (
     "serve/pool.py",
     "campaign/store.py",
     "campaign/engine.py",
+    "campaign/worker.py",
     "chaos/controller.py",
     "obs/metrics.py",
     "obs/trace.py",

@@ -202,11 +202,14 @@ class TestCancellation:
 
 @pytest.fixture
 def fresh_programs():
-    """An empty worker program cache, emptied again afterwards so no
-    test leaves its programs (or stand-ins) to the next."""
+    """Empty worker program and reference caches, emptied again
+    afterwards so no test leaves its programs (or stand-ins) or
+    reference runs to the next."""
     worker.program_for.cache_clear()
+    worker.clear_reference_runs()
     yield
     worker.program_for.cache_clear()
+    worker.clear_reference_runs()
 
 
 def count_generations(monkeypatch, make=None):
@@ -284,6 +287,7 @@ class TestProgramSharing:
         tasks = [task.to_dict() for task in enumerate_tasks(self.SPEC)]
         reference = execute_chunk({"tasks": tasks, "config": None})
         worker.program_for.cache_clear()
+        worker.clear_reference_runs()
         results, errors = {}, []
 
         def run(index):

@@ -2,9 +2,11 @@
 
 import math
 
+from repro.campaign.engine import infra_failure_record
 from repro.campaign.report import (aggregate, coverage_table,
                                    latency_histograms, latency_table,
-                                   render_report, wilson_interval)
+                                   render_report, termination_table,
+                                   wilson_interval)
 
 
 def record(kind="srt", workload="gcc", outcome="detected", latency=None,
@@ -99,6 +101,33 @@ class TestTables:
         assert "coverage" in text
         assert "srt/gcc" in text and "base/gcc" in text
         assert "detection latency" in text
+
+    def test_termination_table_counts_runs_never_struck(self):
+        """``not-struck``: finished runs whose fault never struck; a
+        timed-out or quarantined task is not one of them."""
+        task = {"task_id": "t", "index": 0, "kind": "srt",
+                "workload": "gcc", "model": "transient-result",
+                "fault": {}}
+        records = [
+            dict(record(outcome="masked"), struck_cycle=None,
+                 termination="done"),
+            dict(record(outcome="hung"), struck_cycle=None,
+                 termination="hung"),
+            dict(record(outcome="detected", latency=9), struck_cycle=70,
+                 termination="done"),
+            dict(record(outcome="hung", timed_out=True), struck_cycle=None,
+                 termination="hung"),
+            infra_failure_record(task, 3),
+            dict(record(kind="base", outcome="masked"), struck_cycle=60,
+                 termination="done"),
+        ]
+        table = termination_table(aggregate(records))
+        assert table.series[-3:] == ["timed-out", "not-struck", "n"]
+        assert table.rows["srt/gcc"]["not-struck"] == 2
+        assert table.rows["srt/gcc"]["timed-out"] == 1
+        assert table.rows["srt/gcc"]["n"] == 5
+        assert table.rows["base/gcc"]["not-struck"] == 0
+        assert "not-struck" in render_report(records, by_termination=True)
 
     def test_render_report_empty(self):
         assert "no records" in render_report([])
