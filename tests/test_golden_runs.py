@@ -13,7 +13,10 @@ Small fault-injection campaigns pin the SHA-256 of their
 two-worker pool at the default chunk size.  The static AVF analyzer
 pins, per profile, its summary and the solver facts under it: the
 known-bits in-state of every block, the per-pc demand rows, and the
-per-pc liveness masks.
+per-pc liveness masks.  The front end pins, per profile and seed, the
+generated program (code, initial memory, metadata), its full
+``verify_program`` report (every finding's rule, severity, pc and
+message) and the constant solver's in-state of every block.
 
 The test only reads the fixture.  After a deliberate behaviour change,
 rewrite it with::
@@ -35,6 +38,8 @@ from typing import Dict, List, Tuple
 import pytest
 from valueflow_reference import canonical_known
 
+from repro.analysis.checks import verify_program
+from repro.analysis.dataflow import solve_constants
 from repro.analysis.valueflow import solve_known_bits
 from repro.avf.analyzer import analyze_program
 from repro.campaign.engine import run_campaign
@@ -117,6 +122,12 @@ CAMPAIGN_MODES = {"jobs1-chunk1": (1, 1), "jobs2": (2, None)}
 
 #: Static AVF analysis: every profile's SEED program over this horizon.
 AVF_STEPS = 1000
+
+#: The front end: every profile at each of these seeds, generated
+#: without the gate and then verified in full.
+PROGRAM_SEEDS = (0, 1, 2)
+PROGRAM_CASES = [f"{name}#{seed}" for name in SPEC95_NAMES
+                 for seed in PROGRAM_SEEDS]
 
 
 def rounded(data: object) -> object:
@@ -217,6 +228,26 @@ def avf_run(name: str) -> Dict[str, str]:
     }
 
 
+def program_run(case: str) -> Dict[str, str]:
+    """Digests of one generated program, its verifier report and its
+    constant in-states."""
+    name, seed = case.split("#")
+    generated = generate_benchmark(name, seed=int(seed), verify=False)
+    report = verify_program(generated)
+    code = [[instr.op.name, instr.rd, instr.ra, instr.rb, instr.imm,
+             instr.target, instr.label] for instr in generated.instructions]
+    return {
+        "program": digest({
+            "name": generated.name, "entry": generated.entry, "code": code,
+            "memory": sorted(generated.initial_memory.items()),
+            "metadata": generated.metadata}),
+        "report": digest([[f.rule, int(f.severity), f.pc, f.message]
+                          for f in report.findings]),
+        "constants": digest([None if state is None else sorted(state.items())
+                             for state in solve_constants(report.cfg)]),
+    }
+
+
 @functools.lru_cache(maxsize=None)
 def golden() -> Dict[str, Dict[str, str]]:
     with open(FIXTURE, "r", encoding="utf-8") as source:
@@ -255,6 +286,11 @@ def test_avf_digest(name):
     assert avf_run(name) == golden()["avf"][name]
 
 
+@pytest.mark.parametrize("case", PROGRAM_CASES)
+def test_program_digest(case):
+    assert program_run(case) == golden()["programs"][case]
+
+
 def regenerate() -> None:
     """Rewrite the fixture from ``Machine.run`` (the reference driver)
     and from in-process campaigns; the pooled runs must agree."""
@@ -280,14 +316,15 @@ def regenerate() -> None:
         "campaigns": campaigns,
         "avf": {name: avf_run(name) for name in SPEC95_NAMES},
         "avf_steps": AVF_STEPS,
+        "programs": {case: program_run(case) for case in PROGRAM_CASES},
     }
     with open(FIXTURE, "w", encoding="utf-8") as sink:
         json.dump(payload, sink, indent=1, sort_keys=True)
         sink.write("\n")
     print(f"wrote {len(runs)} run, {len(samples)} sample, "
           f"{len(payload['faults'])} fault, {len(payload['corpus'])} "
-          f"corpus, {len(campaigns)} campaign and {len(payload['avf'])} "
-          f"AVF digests to {FIXTURE}")
+          f"corpus, {len(campaigns)} campaign, {len(payload['avf'])} AVF "
+          f"and {len(payload['programs'])} program digests to {FIXTURE}")
 
 
 if __name__ == "__main__":
