@@ -17,6 +17,8 @@ Records, through :func:`repro.obs.bench.record` (a no-op unless
 - ``core.warm_record_ms`` — the first ``Machine.warm`` of a freshly
   generated program, which records its path and then replays it;
 - ``isa.generate_ms`` — ``generate_benchmark("gcc", verify=False)``;
+- ``isa.steps_per_s`` — functional executor steps per second of
+  ``record_path`` over gcc's warm-up horizon, recorded afresh;
 - ``analysis.gate_ms`` — ``gate_program`` on the generated program;
 - ``avf.analyze_ms`` — ``analyze_program(program, steps=1000).summary()``
   on the generated program: the static AVF analyzer (both valueflow
@@ -33,6 +35,7 @@ from repro.avf.analyzer import analyze_program
 from repro.core.config import MachineConfig
 from repro.core.machine import make_machine
 from repro.core.metrics import Termination
+from repro.isa.executor import record_path
 from repro.isa.generator import generate_benchmark
 from repro.obs import bench
 
@@ -45,10 +48,19 @@ WARMUP = 3000
 GENERATE_SEEDS = (1, 2, 3)
 #: Golden-trace horizon of the timed AVF analysis.
 AVF_STEPS = 1000
+#: Timed recordings of the warm-up path: each takes a few milliseconds,
+#: so the best of more rounds.
+RECORD_ROUNDS = 9
 
 
 def test_cycle_core_throughput():
     program = generate_benchmark("gcc")
+    best_steps = 0.0
+    for _ in range(RECORD_ROUNDS):
+        start = time.perf_counter()
+        path = record_path(program, WARMUP)
+        best_steps = max(best_steps,
+                         len(path) / (time.perf_counter() - start))
     program.recorded_path(WARMUP)  # every timed warm-up below replays it
     best_rate = {kind: 0.0 for kind in KINDS}
     warm_s = []
@@ -94,6 +106,9 @@ def test_cycle_core_throughput():
         bench.record(f"sim.cycles_per_s.{kind}", ops_per_s=best_rate[kind],
                      meta={"benchmark": "gcc", "instructions": INSTRUCTIONS,
                            "warmup": WARMUP})
+    print(f"isa steps: {best_steps:.0f} steps/s")
+    bench.record("isa.steps_per_s", ops_per_s=best_steps,
+                 meta={"benchmark": "gcc", "steps": WARMUP})
     walls = {"core.warm_ms": warm_s, "core.warm_record_ms": warm_record_s,
              "isa.generate_ms": generate_s, "analysis.gate_ms": gate_s,
              "avf.analyze_ms": analyze_s}

@@ -23,12 +23,21 @@ are consulted, most precise first:
 ``RET`` successors are the instruction after every ``CALL`` (the
 return-site set), which is exact for the call/return discipline the
 RISC-R generator and assembler emit and conservative otherwise.
+
+Register facts
+--------------
+
+Construction also decodes what the register dataflow passes of
+:mod:`repro.analysis.dataflow` read of each instruction, once: a block
+holds, per instruction, the bit mask of the registers it reads and of
+the register it writes, and the block's upward-exposed uses and
+definitions as two masks.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import NUM_ARCH_REGS, Instruction
 from repro.isa.program import Program
 
 
@@ -48,6 +57,15 @@ class BasicBlock:
     #: True when the terminator is an indirect jump resolved
     #: conservatively (all leaders) rather than from a known table.
     imprecise_indirect: bool = False
+    #: Per instruction, the mask of the registers it reads (bit *i* =
+    #: register *i*, ``r0`` included) and of the register it writes (0
+    #: when it writes none).
+    read_masks: List[int] = field(default_factory=list, repr=False)
+    write_masks: List[int] = field(default_factory=list, repr=False)
+    #: Registers read before any write in the block, and every register
+    #: the block writes.
+    use_mask: int = 0
+    def_mask: int = 0
 
     @property
     def terminator(self) -> Optional[Instruction]:
@@ -74,26 +92,34 @@ class CFG:
     #: Landing pads assumed for imprecise indirect jumps (empty when all
     #: indirect flow was resolved precisely).
     conservative_indirect_targets: FrozenSet[int] = frozenset()
+    _reachable: Optional[Tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def block_at(self, pc: int) -> BasicBlock:
         return self.blocks[self.block_of_pc[pc]]
 
-    def reachable(self) -> List[int]:
-        """Block indices reachable from the entry, in discovery order."""
-        seen = [False] * len(self.blocks)
-        order: List[int] = []
-        stack = [self.entry]
-        while stack:
-            index = stack.pop()
-            if seen[index]:
-                continue
-            seen[index] = True
-            order.append(index)
-            # Reversed so the leftmost successor is visited first.
-            for succ in reversed(self.blocks[index].successors):
-                if not seen[succ]:
-                    stack.append(succ)
-        return order
+    def reachable(self) -> Sequence[int]:
+        """Block indices reachable from the entry, in discovery order.
+
+        Computed on the first call and kept: only :func:`build_cfg`
+        changes a CFG, so every later call returns the same tuple.
+        """
+        if self._reachable is None:
+            seen = [False] * len(self.blocks)
+            order: List[int] = []
+            stack = [self.entry]
+            while stack:
+                index = stack.pop()
+                if seen[index]:
+                    continue
+                seen[index] = True
+                order.append(index)
+                # Reversed so the leftmost successor is visited first.
+                for succ in reversed(self.blocks[index].successors):
+                    if not seen[succ]:
+                        stack.append(succ)
+            self._reachable = tuple(order)
+        return self._reachable
 
     def back_edges(self) -> List[Tuple[int, int]]:
         """DFS back edges ``(tail, head)`` over the reachable subgraph.
@@ -144,18 +170,19 @@ class CFG:
         return frozenset(body)
 
 
-def _leaders(program: Program,
-             indirect_targets: Iterable[int]) -> List[int]:
-    leaders = {program.entry, 0}
-    for pc, instr in enumerate(program.instructions):
-        if instr.target is not None:
-            leaders.add(instr.target)
-        if (instr.is_control or instr.is_halt) and pc + 1 < len(program):
-            leaders.add(pc + 1)
-    for target in indirect_targets:
-        if 0 <= target < len(program):
-            leaders.add(target)
-    return sorted(leaders)
+#: ``1 << r`` per register, one shared int each.
+_REG_BITS = tuple(1 << reg for reg in range(NUM_ARCH_REGS))
+
+
+class _SourceMasks(dict):
+    """Source register list -> the mask of the registers it names."""
+
+    def __missing__(self, sources: Tuple[int, ...]) -> int:
+        mask = 0
+        for reg in sources:
+            mask |= _REG_BITS[reg]
+        self[sources] = mask
+        return mask
 
 
 def resolve_indirect_targets(
@@ -180,56 +207,73 @@ def build_cfg(program: Program,
     chain.
     """
     targets, precise = resolve_indirect_targets(program, indirect_targets)
-    n = len(program)
+    instructions = program.instructions
+    n = len(instructions)
 
-    # Conservative leaders must exist before we can say "all leaders",
-    # so compute leaders twice when indirect flow is imprecise: once
-    # without indirect targets, then treat that leader set itself as the
-    # may-target set.
-    leaders = _leaders(program, targets)
+    # Leaders: the entry, every branch target, every instruction after
+    # a control transfer or halt, and the precise indirect targets.
+    # With imprecise indirect flow the leader set itself is the
+    # may-target set ("every block leader").
+    leaders = {program.entry, 0}
+    has_indirect = False
+    # Return sites: the instruction after every CALL (a leader already,
+    # since CALL transfers control).
+    return_sites: List[int] = []
+    for pc, instr in enumerate(instructions):
+        info = instr.op.info
+        if instr.target is not None:
+            leaders.add(instr.target)
+        if (info.is_control or info.is_halt) and pc + 1 < n:
+            leaders.add(pc + 1)
+            if info.is_call:
+                return_sites.append(pc + 1)
+        if info.is_indirect and not info.is_return:
+            has_indirect = True
+    leaders.update(target for target in targets if 0 <= target < n)
+    starts = sorted(leaders)
     conservative: FrozenSet[int] = frozenset()
-    has_indirect = any(i.is_indirect and not i.is_return
-                       for i in program.instructions)
     if has_indirect and not precise:
-        conservative = frozenset(leaders)
-
-    # Return sites: the instruction after every CALL.
-    return_sites = [pc + 1 for pc, instr in enumerate(program.instructions)
-                    if instr.is_call and pc + 1 < n]
-    for site in return_sites:
-        if site not in leaders:
-            leaders = sorted(set(leaders) | {site})
-            break  # CALL already forces pc+1 to be a leader; belt-and-braces
+        conservative = frozenset(starts)
 
     blocks: List[BasicBlock] = []
     block_of_pc: Dict[int, int] = {}
-    for index, start in enumerate(leaders):
-        end = leaders[index + 1] if index + 1 < len(leaders) else n
-        block = BasicBlock(index=index, start=start, end=end,
-                           instructions=program.instructions[start:end])
-        blocks.append(block)
-        for pc in range(start, end):
-            block_of_pc[pc] = index
+    source_masks = _SourceMasks()
+    for index, start in enumerate(starts):
+        end = starts[index + 1] if index + 1 < len(starts) else n
+        code = instructions[start:end]
+        reads = [source_masks[instr.source_regs] for instr in code]
+        writes = [_REG_BITS[instr.rd] if instr.writes_reg else 0
+                  for instr in code]
+        use = defs = 0
+        for read, write in zip(reads, writes):
+            use |= read & ~defs
+            defs |= write
+        blocks.append(BasicBlock(
+            index=index, start=start, end=end, instructions=code,
+            read_masks=reads, write_masks=writes, use_mask=use,
+            def_mask=defs))
+        block_of_pc.update(dict.fromkeys(range(start, end), index))
 
     for block in blocks:
         last_pc = block.end - 1
         last = block.instructions[-1]
+        info = last.op.info
         succs: List[int] = []
-        if last.is_halt:
+        if info.is_halt:
             pass
-        elif last.is_return:
+        elif info.is_return:
             succs = [block_of_pc[s] for s in return_sites]
-        elif last.is_indirect:  # JMP
+        elif info.is_indirect:  # JMP
             pads = targets if precise else conservative
             succs = [block_of_pc[t] for t in sorted(pads)
                      if 0 <= t < n]
             block.imprecise_indirect = not precise
-        elif last.is_control:
+        elif info.is_control:
             if last.target is not None:
                 succs.append(block_of_pc[last.target])
-            if last.is_conditional and last_pc + 1 < n:
+            if info.is_conditional and last_pc + 1 < n:
                 succs.append(block_of_pc[last_pc + 1])
-            if last.is_conditional and last_pc + 1 >= n:
+            if info.is_conditional and last_pc + 1 >= n:
                 block.falls_off_end = True
         else:  # plain fallthrough
             if last_pc + 1 < n:

@@ -42,16 +42,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.dataflow import (
     R0_ONLY,
-    block_def_mask,
-    solve_constants,
+    known_store_bases,
     solve_initialized,
     solve_liveness,
     solve_store_dirty,
-    transfer_constants,
-    written_reg,
 )
 from repro.isa.executor import to_unsigned
-from repro.isa.instructions import ZERO_REG, Op
+from repro.isa.instructions import ZERO_REG, Instruction, Op
 from repro.isa.program import Program
 
 
@@ -193,33 +190,39 @@ def _check_init_reads(cfg: CFG, entry_mask: int,
                       findings: List[Finding]) -> None:
     must_in = solve_initialized(cfg, entry_mask, must=True)
     may_in = solve_initialized(cfg, entry_mask, must=False)
-    reported: set = set()
     for index in cfg.reachable():
         block = cfg.blocks[index]
         must = must_in[index]
         may = may_in[index]
-        pc = block.start
-        for instr in block.instructions:
-            for reg in instr.source_regs:
-                if reg == ZERO_REG or (pc, reg) in reported:
-                    continue
-                if not may >> reg & 1:
-                    reported.add((pc, reg))
-                    findings.append(Finding(
-                        "A1-uninit-read", Severity.ERROR,
-                        f"r{reg} read by '{instr}' but never written on "
-                        f"any path from entry", pc))
-                elif not must >> reg & 1:
-                    reported.add((pc, reg))
-                    findings.append(Finding(
-                        "A2-maybe-uninit-read", Severity.WARNING,
-                        f"r{reg} read by '{instr}' is uninitialized on "
-                        f"at least one path from entry", pc))
-            reg = written_reg(instr)
-            if reg is not None:
-                must |= 1 << reg
-                may |= 1 << reg
-            pc += 1
+        for offset, (read, write) in enumerate(zip(block.read_masks,
+                                                   block.write_masks)):
+            if read & ~(must & may) & ~R0_ONLY:
+                _report_init_reads(block.instructions[offset],
+                                   block.start + offset, must, may, findings)
+            must |= write
+            may |= write
+
+
+def _report_init_reads(instr: Instruction, pc: int, must: int, may: int,
+                       findings: List[Finding]) -> None:
+    """The findings of one instruction that reads a register outside the
+    must- or may-initialized set, one per register, in source order."""
+    reported = set()
+    for reg in instr.source_regs:
+        if reg == ZERO_REG or reg in reported:
+            continue
+        if not may >> reg & 1:
+            reported.add(reg)
+            findings.append(Finding(
+                "A1-uninit-read", Severity.ERROR,
+                f"r{reg} read by '{instr}' but never written on "
+                f"any path from entry", pc))
+        elif not must >> reg & 1:
+            reported.add(reg)
+            findings.append(Finding(
+                "A2-maybe-uninit-read", Severity.WARNING,
+                f"r{reg} read by '{instr}' is uninitialized on "
+                f"at least one path from entry", pc))
 
 
 def _check_dead_stores(cfg: CFG, findings: List[Finding]) -> None:
@@ -227,19 +230,19 @@ def _check_dead_stores(cfg: CFG, findings: List[Finding]) -> None:
     for index in cfg.reachable():
         block = cfg.blocks[index]
         live = live_out[index]
-        for offset in range(len(block.instructions) - 1, -1, -1):
-            instr = block.instructions[offset]
-            reg = written_reg(instr)
-            pc = block.start + offset
-            if reg is not None:
-                if not live >> reg & 1:
+        reads, writes = block.read_masks, block.write_masks
+        for offset in range(len(writes) - 1, -1, -1):
+            write = writes[offset]
+            if write:
+                if not live & write:
+                    instr = block.instructions[offset]
                     findings.append(Finding(
                         "A3-dead-store", Severity.WARNING,
-                        f"result of '{instr}' (r{reg}) is overwritten or "
-                        f"discarded before any read", pc))
-                live &= ~(1 << reg)
-            for src in instr.source_regs:
-                live |= 1 << src
+                        f"result of '{instr}' (r{instr.rd}) is overwritten "
+                        f"or discarded before any read",
+                        block.start + offset))
+                live &= ~write
+            live |= reads[offset]
 
 
 def _check_unreachable(cfg: CFG, findings: List[Finding]) -> None:
@@ -258,16 +261,16 @@ def _check_stores(cfg: CFG, findings: List[Finding]) -> None:
     shared_segments = _segments(program, "shared_segments")
     if data_segments is None and shared_segments is None:
         return
-    const_in = solve_constants(cfg)
-    dirty_in = solve_store_dirty(cfg)
+    bases = known_store_bases(cfg)
+    dirty_in = (solve_store_dirty(cfg) if shared_segments is not None
+                else None)
     for index in cfg.reachable():
         block = cfg.blocks[index]
-        state = dict(const_in[index] or {})
-        dirty = dirty_in[index]
-        for offset, instr in enumerate(block.instructions):
-            pc = block.start + offset
-            if instr.is_store:
-                base = (0 if instr.ra == ZERO_REG else state.get(instr.ra))
+        dirty = dirty_in is not None and dirty_in[index]
+        for pc, instr in zip(block.pcs(), block.instructions):
+            info = instr.op.info
+            if info.is_store:
+                base = bases[pc]
                 if base is not None:
                     addr = to_unsigned(base + instr.imm)
                     word = addr & ~7
@@ -287,9 +290,8 @@ def _check_stores(cfg: CFG, findings: List[Finding]) -> None:
                             f"but a prior store is not fenced by a "
                             f"membar", pc))
                 dirty = True
-            elif instr.is_membar:
+            elif info.is_membar:
                 dirty = False
-            transfer_constants(state, instr)
 
 
 def _check_falls_off_end(cfg: CFG, findings: List[Finding]) -> None:

@@ -3,8 +3,8 @@
 All register-set analyses represent sets as 64-bit integer bitmasks
 (bit *i* = register *i*), so the fixpoint loops are a handful of integer
 ops per block — cheap enough that the generator can afford to verify
-every program it emits (gcc's ~6.5k-instruction program solves in a few
-milliseconds).
+every program it emits.  They read the per-instruction register masks
+that :func:`~repro.analysis.cfg.build_cfg` decodes into each block.
 
 Four solvers:
 
@@ -16,17 +16,30 @@ Four solvers:
   uninitialized — an error, not a warning).
 - :func:`solve_liveness` — backward liveness, for dead-store detection.
 - :func:`solve_constants` — forward must-constant propagation using the
-  executor's own :func:`~repro.isa.executor.alu_result` semantics, so a
-  "statically known address" means exactly what the machine computes.
+  opcodes' own ALU semantics (``OpInfo.alu``, what the executor and the
+  pipeline compute), so a "statically known address" means exactly
+  what the machine computes.
 - :func:`solve_store_dirty` — forward "a store has retired since the
   last MEMBAR" predicate, for the publication-ordering check.
+
+The constant solver runs each block as a transfer list decoded once
+per block: one step per register write, naming the write's ALU
+function and source registers.  A CFG merge keeps the ``(register,
+value)`` pairs every incoming state holds, as one intersection of the
+states' item views.  A block whose merged input did not change since
+its last visit is skipped (its output cannot change), the worklist is
+FIFO, and the solver raises ``RuntimeError`` rather than return states
+that are not a fixpoint when it has not converged within
+``CONSTANT_VISITS_PER_BLOCK * n + CONSTANT_VISITS_BASE`` block visits
+(``n`` blocks).
 """
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
-from repro.isa.executor import alu_result
-from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Instruction, Op
+from repro.isa.instructions import (NUM_ARCH_REGS, ZERO_REG, AluFunction,
+                                    Instruction)
 
 ALL_REGS = (1 << NUM_ARCH_REGS) - 1
 R0_ONLY = 1 << ZERO_REG
@@ -41,29 +54,6 @@ def written_reg(instr: Instruction) -> Optional[int]:
     return instr.rd if instr.writes_reg else None
 
 
-def block_def_mask(block: BasicBlock) -> int:
-    mask = 0
-    for instr in block.instructions:
-        reg = written_reg(instr)
-        if reg is not None:
-            mask |= 1 << reg
-    return mask
-
-
-def block_use_def(block: BasicBlock) -> Tuple[int, int]:
-    """(upward-exposed uses, defs) masks for backward liveness."""
-    use = 0
-    defs = 0
-    for instr in block.instructions:
-        for reg in instr.source_regs:
-            if not defs >> reg & 1:
-                use |= 1 << reg
-        reg = written_reg(instr)
-        if reg is not None:
-            defs |= 1 << reg
-    return use, defs
-
-
 # -- initialization (forward) ----------------------------------------------
 
 def solve_initialized(cfg: CFG, entry_mask: int = R0_ONLY,
@@ -74,40 +64,42 @@ def solve_initialized(cfg: CFG, entry_mask: int = R0_ONLY,
     program entry (always includes the hardwired ``r0``).
     """
     entry_mask |= R0_ONLY
-    n = len(cfg.blocks)
+    blocks = cfg.blocks
+    entry = cfg.entry
+    n = len(blocks)
     top = ALL_REGS if must else 0
     in_masks = [top] * n
     out_masks = [top] * n
-    in_masks[cfg.entry] = entry_mask
-    gen = [block_def_mask(b) for b in cfg.blocks]
+    in_masks[entry] = entry_mask
 
-    worklist = list(cfg.reachable())
+    worklist = deque(cfg.reachable())
     on_list = [False] * n
     for b in worklist:
         on_list[b] = True
     while worklist:
-        index = worklist.pop(0)
+        index = worklist.popleft()
         on_list[index] = False
-        block = cfg.blocks[index]
-        if index == cfg.entry:
+        block = blocks[index]
+        preds = block.predecessors
+        if index == entry:
+            # Entry may also have predecessors (loop back to entry);
+            # must-init keeps the entry facts.
             in_mask = entry_mask
-            # Entry may also have predecessors (loop back to entry).
-            for pred in block.predecessors:
-                in_mask = (in_mask | out_masks[pred] if not must
-                           else in_mask)  # must-init keeps entry facts
-        else:
-            preds = block.predecessors
-            if not preds:
-                in_mask = entry_mask if not must else ALL_REGS
-            else:
-                in_mask = top
+            if not must:
                 for pred in preds:
-                    if must:
-                        in_mask &= out_masks[pred]
-                    else:
-                        in_mask |= out_masks[pred]
+                    in_mask |= out_masks[pred]
+        elif not preds:
+            in_mask = ALL_REGS if must else entry_mask
+        elif must:
+            in_mask = ALL_REGS
+            for pred in preds:
+                in_mask &= out_masks[pred]
+        else:
+            in_mask = 0
+            for pred in preds:
+                in_mask |= out_masks[pred]
         in_masks[index] = in_mask
-        new_out = in_mask | gen[index]
+        new_out = in_mask | block.def_mask
         if new_out != out_masks[index]:
             out_masks[index] = new_out
             for succ in block.successors:
@@ -121,21 +113,20 @@ def solve_initialized(cfg: CFG, entry_mask: int = R0_ONLY,
 
 def solve_liveness(cfg: CFG) -> Tuple[List[int], List[int]]:
     """Per-block (live-in, live-out) register masks."""
-    n = len(cfg.blocks)
-    use_def = [block_use_def(b) for b in cfg.blocks]
+    blocks = cfg.blocks
+    n = len(blocks)
     live_in = [0] * n
     live_out = [0] * n
     changed = True
-    order = list(reversed(cfg.reachable()))
+    order = cfg.reachable()[::-1]
     while changed:
         changed = False
         for index in order:
-            block = cfg.blocks[index]
+            block = blocks[index]
             out = 0
             for succ in block.successors:
                 out |= live_in[succ]
-            use, defs = use_def[index]
-            new_in = use | (out & ~defs)
+            new_in = block.use_mask | (out & ~block.def_mask)
             if out != live_out[index] or new_in != live_in[index]:
                 live_out[index] = out
                 live_in[index] = new_in
@@ -145,89 +136,107 @@ def solve_liveness(cfg: CFG) -> Tuple[List[int], List[int]]:
 
 # -- constant propagation (forward) ----------------------------------------
 
-_CONST_KILL_OPS = {Op.LD}  # loads produce runtime values
+#: The constant solver's visit cap is ``CONSTANT_VISITS_PER_BLOCK * n +
+#: CONSTANT_VISITS_BASE`` for ``n`` blocks.  A safety net, not the
+#: lattice height: after its first visit a block's in-state only ever
+#: loses constants.
+CONSTANT_VISITS_PER_BLOCK = 64
+CONSTANT_VISITS_BASE = 256
+
+#: The source operands of a register write, ``(a, a0, b, b0, c, c0)``:
+#: the write reads registers a, b and c (c is rd for FMA), each with a
+#: default value, a0, b0 or c0: 0 for ``r0`` or an absent operand,
+#: ``None`` (unknown) for any other register.
+_Operands = Tuple[int, Optional[int], int, Optional[int], int, Optional[int]]
+
+#: One register write, decoded for the constant solver: ``(rd, alu,
+#: operands, imm)``.  ``alu`` is ``None`` for a write whose value is
+#: never known statically (a load; a call's link value, pc + 1, is not
+#: modelled).  Otherwise rd becomes ``alu(a, b, c, imm)`` of the
+#: operands' values when all are known, and unknown when one is not.
+_ConstStep = Tuple[int, Optional[AluFunction], _Operands, int]
+
+class _OperandTable(dict):
+    """Source register list -> its operands, decoded once per list."""
+
+    def __missing__(self, sources: Tuple[int, ...]) -> _Operands:
+        a, b, c = (*sources, ZERO_REG, ZERO_REG, ZERO_REG)[:3]
+        operands = self[sources] = (
+            a, None if a else 0, b, None if b else 0, c, None if c else 0)
+        return operands
+
+
+def _const_step(instr: Instruction, operands: _OperandTable) -> _ConstStep:
+    """The step of an instruction that writes a register."""
+    return (instr.rd, instr.op.info.alu, operands[instr.source_regs],
+            instr.imm)
+
+
+def _run_steps(state: ConstState, steps: Sequence[_ConstStep]) -> None:
+    get, pop = state.get, state.pop
+    for rd, alu, (a, a0, b, b0, c, c0), imm in steps:
+        if alu is not None:
+            x = get(a, a0)
+            if x is not None:
+                y = get(b, b0)
+                if y is not None:
+                    z = get(c, c0)
+                    if z is not None:
+                        state[rd] = alu(x, y, z, imm)
+                        continue
+        pop(rd, None)
 
 
 def transfer_constants(state: ConstState, instr: Instruction) -> ConstState:
     """Apply one instruction to a must-constant state (mutates and
     returns ``state``)."""
-    reg = written_reg(instr)
-    if instr.is_call and instr.rd != ZERO_REG:
-        # Link value is a known constant (pc + 1), but we do not model
-        # it; treat as unknown.
-        state.pop(instr.rd, None)
-        return state
-    if reg is None:
-        return state
-    if instr.op in _CONST_KILL_OPS:
-        state.pop(reg, None)
-        return state
-    sources = instr.source_regs
-    values = []
-    known = True
-    for src in sources:
-        if src == ZERO_REG:
-            values.append(0)
-        elif src in state:
-            values.append(state[src])
-        else:
-            known = False
-            break
-    if not known:
-        state.pop(reg, None)
-        return state
-    a = values[0] if len(values) > 0 else 0
-    b = values[1] if len(values) > 1 else 0
-    if instr.op is Op.FMA:
-        # source_regs order for FMA is (ra, rb, rd).
-        a, b, c = values
-    else:
-        c = 0
-    try:
-        state[reg] = alu_result(instr, a, b, c)
-    except ValueError:
-        state.pop(reg, None)
+    if instr.writes_reg:
+        _run_steps(state, (_const_step(instr, _OperandTable()),))
     return state
 
 
-def _meet_constants(states: List[Optional[ConstState]]) -> ConstState:
-    live = [s for s in states if s is not None]
-    if not live:
-        return {}
-    result = dict(live[0])
-    for other in live[1:]:
-        for reg in list(result):
-            if other.get(reg) != result[reg]:
-                del result[reg]
-    return result
-
-
-def solve_constants(cfg: CFG) -> List[Optional[ConstState]]:
-    """Per-block IN constant maps (``None`` for blocks never reached)."""
-    n = len(cfg.blocks)
+def _solve_constants(cfg: CFG, code: List[List[_ConstStep]]
+                     ) -> List[Optional[ConstState]]:
+    blocks = cfg.blocks
+    n = len(blocks)
+    entry = cfg.entry
     in_states: List[Optional[ConstState]] = [None] * n
     out_states: List[Optional[ConstState]] = [None] * n
-    in_states[cfg.entry] = {}
-    worklist = [cfg.entry]
+    # Whatever flows back into the entry is met with the nothing-known
+    # entry state, which absorbs it.
+    in_states[entry] = {}
+    worklist = deque([entry])
     on_list = [False] * n
-    on_list[cfg.entry] = True
-    iterations = 0
-    limit = 64 * n + 256  # safety net: lattice height is bounded anyway
-    while worklist and iterations < limit:
-        iterations += 1
-        index = worklist.pop(0)
+    on_list[entry] = True
+    visits = 0
+    limit = CONSTANT_VISITS_PER_BLOCK * n + CONSTANT_VISITS_BASE
+    while worklist:
+        if visits == limit:
+            raise RuntimeError(f"constants: no fixpoint after {limit} "
+                               f"block visits ({n} blocks)")
+        visits += 1
+        index = worklist.popleft()
         on_list[index] = False
-        block = cfg.blocks[index]
-        if index != cfg.entry or block.predecessors:
-            preds = [out_states[p] for p in block.predecessors]
-            merged = _meet_constants(preds)
-            if index == cfg.entry:
-                # Entry facts survive only if consistent with loop-backs.
-                merged = _meet_constants([merged, in_states[index] or {}])
-            in_states[index] = merged
-        state = dict(in_states[index] or {})
-        for instr in block.instructions:
-            transfer_constants(state, instr)
+        block = blocks[index]
+        if index == entry:
+            merged = in_states[entry]
+        else:
+            merged = None
+            for pred in block.predecessors:
+                out = out_states[pred]
+                if out is None:
+                    continue
+                if merged is None:
+                    merged = out
+                elif not merged.items() <= out.items():
+                    merged = dict(merged.items() & out.items())
+            if merged is None:
+                merged = {}
+        if merged == in_states[index] and out_states[index] is not None:
+            continue  # same input as the last visit: same output
+        in_states[index] = merged
+        state = dict(merged)
+        _run_steps(state, code[index])
         if out_states[index] != state:
             out_states[index] = state
             for succ in block.successors:
@@ -235,6 +244,57 @@ def solve_constants(cfg: CFG) -> List[Optional[ConstState]]:
                     worklist.append(succ)
                     on_list[succ] = True
     return in_states
+
+
+def _compile(cfg: CFG) -> Tuple[List[List[_ConstStep]],
+                                List[List[Tuple[int, int, int]]]]:
+    """Per block, the constant steps of its register writes and, for
+    each store, ``(steps before it, pc, ra)``."""
+    operands = _OperandTable()
+    code, stores = [], []
+    for block in cfg.blocks:
+        steps: List[_ConstStep] = []
+        probes = []
+        for pc, instr in zip(block.pcs(), block.instructions):
+            if instr.writes_reg:
+                steps.append(_const_step(instr, operands))
+            elif instr.op.info.is_store:
+                probes.append((len(steps), pc, instr.ra))
+        code.append(steps)
+        stores.append(probes)
+    return code, stores
+
+
+def solve_constants(cfg: CFG) -> List[Optional[ConstState]]:
+    """Per-block IN constant maps (``None`` for blocks never reached).
+
+    Raises ``RuntimeError`` when the visit cap is hit before the
+    fixpoint.
+    """
+    in_states = _solve_constants(cfg, _compile(cfg)[0])
+    # A block met from one state holds that state object: hand out
+    # copies.
+    return [None if state is None else dict(state) for state in in_states]
+
+
+def known_store_bases(cfg: CFG) -> Dict[int, Optional[int]]:
+    """The constant value of the base register (ra) of every store in a
+    reachable block, by pc: ``None`` when it is not statically known."""
+    code, stores = _compile(cfg)
+    const_in = _solve_constants(cfg, code)
+    bases: Dict[int, Optional[int]] = {}
+    for index in cfg.reachable():
+        probes = stores[index]
+        if not probes:
+            continue
+        state = dict(const_in[index] or {})
+        steps = code[index]
+        done = 0
+        for before, pc, ra in probes:
+            _run_steps(state, steps[done:before])
+            done = before
+            bases[pc] = state.get(ra, None if ra else 0)
+    return bases
 
 
 # -- membar ordering (forward) ---------------------------------------------

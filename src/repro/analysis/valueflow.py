@@ -59,7 +59,6 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import solve_liveness, written_reg
-from repro.isa.executor import alu_result
 from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Instruction, Op
 from repro.util.bits import MASK64, to_unsigned
 
@@ -266,7 +265,8 @@ def _kb_immediate(kb_op):
 def _kb_compare(masks: array, values: array, instr: Instruction) -> None:
     ra, rb = instr.ra, instr.rb
     if masks[ra] == MASK64 and masks[rb] == MASK64:
-        result = kb_const(alu_result(instr, values[ra], values[rb]))
+        result = kb_const(instr.op.info.alu(values[ra], values[rb], 0,
+                                            instr.imm))
     else:
         result = (MASK64 & ~1, 0)  # result is 0 or 1
     masks[instr.rd], values[instr.rd] = result

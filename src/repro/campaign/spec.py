@@ -117,7 +117,9 @@ class CampaignSpec:
         if self.warmup < 0:
             raise CampaignConfigError("warmup must be >= 0")
         lo, hi = self.effective_strike_window()
-        if not (0 <= lo <= hi):
+        # Integer bounds: the sampler draws fault cycles with randint.
+        if not (isinstance(lo, int) and isinstance(hi, int)
+                and 0 <= lo <= hi):
             raise CampaignConfigError(
                 f"invalid strike window ({lo}, {hi})")
         if self.config is not None:

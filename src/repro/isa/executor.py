@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Instruction, Op
 from repro.isa.program import Program
-from repro.util.bits import MASK64, to_signed, to_unsigned
+from repro.util.bits import MASK64, to_unsigned
 
 WORD_BYTES = 8
 WORD_MASK = ~(WORD_BYTES - 1) & MASK64
@@ -27,47 +27,13 @@ def alu_result(instr: Instruction, a: int, b: int, c: int = 0) -> int:
     """Compute the 64-bit result of a register-writing instruction.
 
     ``a``/``b`` are the ra/rb source values, ``c`` the old rd value (only
-    FMA reads it).  Shared between the functional executor and the
-    pipeline's execute stage so both use identical semantics.
+    FMA reads it).  The semantics are the opcode's ``OpInfo.alu``, which
+    the pipeline's execute stage computes with too.
     """
-    op = instr.op
-    if op is Op.ADD:
-        return to_unsigned(a + b)
-    if op is Op.SUB:
-        return to_unsigned(a - b)
-    if op is Op.MUL:
-        return to_unsigned(a * b)
-    if op is Op.ADDI:
-        return to_unsigned(a + instr.imm)
-    if op is Op.LDI:
-        return to_unsigned(instr.imm)
-    if op is Op.CMPLT:
-        return 1 if to_signed(a) < to_signed(b) else 0
-    if op is Op.CMPEQ:
-        return 1 if a == b else 0
-    if op is Op.AND:
-        return a & b
-    if op is Op.OR:
-        return a | b
-    if op is Op.XOR:
-        return a ^ b
-    if op is Op.SHL:
-        return to_unsigned(a << (b & 63))
-    if op is Op.SHR:
-        return (a & MASK64) >> (b & 63)
-    if op is Op.ANDI:
-        return a & to_unsigned(instr.imm)
-    if op is Op.XORI:
-        return a ^ to_unsigned(instr.imm)
-    if op is Op.FADD:
-        return to_unsigned(a + b)
-    if op is Op.FMUL:
-        return to_unsigned(a * b)
-    if op is Op.FMA:
-        return to_unsigned(a * b + c)
-    if op is Op.FDIV:
-        return to_unsigned(a // (b | 1))
-    raise ValueError(f"alu_result called for non-ALU op {op.name}")
+    alu = instr.op.info.alu
+    if alu is None:
+        raise ValueError(f"alu_result called for non-ALU op {instr.op.name}")
+    return alu(a, b, c, instr.imm)
 
 
 def merge_partial_store(unaligned_addr: int, old_word: int, value: int) -> int:
@@ -84,17 +50,14 @@ def merge_partial_store(unaligned_addr: int, old_word: int, value: int) -> int:
 
 def branch_taken(instr: Instruction, a: int) -> bool:
     """Resolve a conditional/unconditional control instruction."""
-    op = instr.op
-    if op is Op.BEQZ:
-        return a == 0
-    if op is Op.BNEZ:
-        return a != 0
-    if op in (Op.BR, Op.JMP, Op.CALL, Op.RET):
-        return True
-    raise ValueError(f"branch_taken called for non-control op {op.name}")
+    taken = instr.op.info.taken
+    if taken is None:
+        raise ValueError(
+            f"branch_taken called for non-control op {instr.op.name}")
+    return taken(a)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     """What one architecturally-executed instruction did."""
 
@@ -140,57 +103,64 @@ class FunctionalExecutor:
         self.retired = 0
 
     def step(self) -> StepResult:
-        """Execute and retire one instruction; return what it did."""
+        """Execute and retire one instruction; return what it did.
+
+        Dispatches on the opcode's :class:`~repro.isa.instructions.OpInfo`
+        and reads ``r0`` as zero whatever its backing slot holds.
+        """
         state = self.state
         if state.halted:
             raise RuntimeError(f"program {self.program.name!r} already halted")
         pc = state.pc
-        if not self.program.in_range(pc):
+        instructions = self.program.instructions
+        if not 0 <= pc < len(instructions):
             raise RuntimeError(
                 f"program {self.program.name!r} ran off code at pc={pc}")
-        instr = self.program.fetch(pc)
-        result = StepResult(pc=pc, instr=instr, next_pc=pc + 1)
-        op = instr.op
-
-        if op in (Op.NOP, Op.MEMBAR):
-            pass
-        elif op is Op.HALT:
+        instr = instructions[pc]
+        info = instr.op.info
+        regs = state.regs
+        result = StepResult(pc, instr, pc + 1)
+        alu = info.alu
+        if alu is not None:
+            rd = instr.rd
+            if rd:
+                ra, rb = instr.ra, instr.rb
+                regs[rd] = alu(regs[ra] if ra else 0, regs[rb] if rb else 0,
+                               regs[rd], instr.imm) & MASK64
+        elif info.is_load:
+            ra = instr.ra
+            addr = ((regs[ra] if ra else 0) + instr.imm) & WORD_MASK
+            value = state.memory.get(addr, 0)
+            if instr.rd:
+                regs[instr.rd] = value & MASK64
+            result.load = (addr, value)
+        elif info.is_store:
+            ra, rb = instr.ra, instr.rb
+            raw_addr = ((regs[ra] if ra else 0) + instr.imm) & MASK64
+            addr = raw_addr & WORD_MASK
+            value = regs[rb] if rb else 0
+            if info.is_partial_store:
+                value = merge_partial_store(
+                    raw_addr, state.memory.get(addr, 0), value)
+            state.memory[addr] = value & MASK64
+            result.store = (addr, value)
+        elif info.is_control:
+            ra = instr.ra
+            a = regs[ra] if ra else 0
+            taken = result.taken = info.taken(a)
+            if info.is_call:
+                if instr.rd:
+                    regs[instr.rd] = (pc + 1) & MASK64
+                result.next_pc = instr.target
+            elif info.is_indirect:
+                result.next_pc = a % len(instructions)
+            elif taken:
+                result.next_pc = instr.target
+        elif info.is_halt:
             state.halted = True
             result.halted = True
             result.next_pc = pc
-        elif op is Op.LD:
-            addr = align_word(state.read_reg(instr.ra) + instr.imm)
-            value = state.read_mem(addr)
-            state.write_reg(instr.rd, value)
-            result.load = (addr, value)
-        elif op is Op.ST:
-            addr = align_word(state.read_reg(instr.ra) + instr.imm)
-            value = state.read_reg(instr.rb)
-            state.write_mem(addr, value)
-            result.store = (addr, value)
-        elif op is Op.STH:
-            raw_addr = to_unsigned(state.read_reg(instr.ra) + instr.imm)
-            addr = align_word(raw_addr)
-            merged = merge_partial_store(raw_addr, state.read_mem(addr),
-                                         state.read_reg(instr.rb))
-            state.write_mem(addr, merged)
-            result.store = (addr, merged)
-        elif instr.is_control:
-            a = state.read_reg(instr.ra)
-            taken = branch_taken(instr, a)
-            result.taken = taken
-            if op is Op.CALL:
-                state.write_reg(instr.rd, pc + 1)
-                result.next_pc = instr.target
-            elif op in (Op.JMP, Op.RET):
-                result.next_pc = a % len(self.program)
-            elif taken:
-                result.next_pc = instr.target
-        else:
-            a = state.read_reg(instr.ra)
-            b = state.read_reg(instr.rb)
-            c = state.read_reg(instr.rd)
-            state.write_reg(instr.rd, alu_result(instr, a, b, c))
+        # NOP and MEMBAR change no architectural state.
 
         state.pc = result.next_pc
         self.retired += 1
@@ -199,10 +169,11 @@ class FunctionalExecutor:
     def run(self, max_instructions: int) -> List[StepResult]:
         """Execute up to ``max_instructions`` (stops early on HALT)."""
         results: List[StepResult] = []
+        state, step = self.state, self.step
         for _ in range(max_instructions):
-            if self.state.halted:
+            if state.halted:
                 break
-            results.append(self.step())
+            results.append(step())
         return results
 
 
@@ -266,22 +237,24 @@ def record_path(program: Program, steps: int) -> RecordedPath:
     """Execute up to ``steps`` instructions of ``program`` (stopping on
     HALT) and keep what a warm-up replays and a classifier compares."""
     executor = FunctionalExecutor(program)
+    state, execute = executor.state, executor.step
     pcs = array("I")
     kinds = bytearray()
     addrs = array("Q")
     values = array("Q")
     for _ in range(steps):
-        if executor.state.halted:
+        if state.halted:
             break
-        step = executor.step()
+        step = execute()
+        info = step.instr.op.info
         if step.load is not None:
             kind, (addr, value) = _LOAD, step.load
         elif step.store is not None:
-            kind = _STH if step.instr.op is Op.STH else _ST
+            kind = _STH if info.is_partial_store else _ST
             addr, value = step.store
         else:
             kind = ((_TAKEN if step.taken else _FELL_THROUGH)
-                    if step.instr.is_conditional else _OTHER)
+                    if info.is_conditional else _OTHER)
             addr = value = 0
         pcs.append(step.pc)
         kinds.append(kind)

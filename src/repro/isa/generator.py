@@ -20,11 +20,9 @@ Program shape::
 All randomness comes from the (profile, seed) pair.
 """
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.isa.instructions import Instruction, Op
+from repro.isa.instructions import ZERO_REG, Instruction, Op
 from repro.isa.profiles import WorkloadProfile
 from repro.isa.program import Program
 from repro.util.rng import DeterministicRng
@@ -66,28 +64,37 @@ INIT_DATA_WORDS = 4096
 _INT_ALU_OPS = (Op.ADD, Op.SUB, Op.CMPLT, Op.CMPEQ)
 _LOGIC_OPS = (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR)
 _FP_OPS = (Op.FADD, Op.FMUL, Op.FMA)
+#: The block bodies' other opcodes, read once: on Python 3.11 reading an
+#: ``Op`` member costs about ten times a global read.
+_LD, _ST, _STH, _MUL, _FDIV, _MEMBAR = (Op.LD, Op.ST, Op.STH, Op.MUL,
+                                        Op.FDIV, Op.MEMBAR)
+
+#: A symbolic branch target: ``('main'|'sub'|'loop', block index)``.
+_SymTarget = Tuple[str, int]
 
 
-@dataclass
-class _SymInstr:
-    """An instruction whose branch target may still be a symbolic block."""
-
-    instr: Instruction
-    sym_target: Optional[Tuple[str, int]] = None  # ('main'|'sub', index)
-
-
-@dataclass
 class _Block:
-    key: Tuple[str, int]
-    items: List[_SymInstr] = field(default_factory=list)
-    loop_init_len: int = 0  # instructions before the loop-back target
+    """One block's instructions.  A block that ends in a branch to a
+    symbolic target keeps that branch as ``exit``, ``(op, rd, ra,
+    target)``, until the layout fixes where its target starts."""
 
-    def emit(self, instr: Instruction,
-             sym_target: Optional[Tuple[str, int]] = None) -> None:
-        self.items.append(_SymInstr(instr, sym_target))
+    __slots__ = ("key", "items", "emit", "exit", "loop_init_len")
+
+    def __init__(self, key: _SymTarget) -> None:
+        self.key = key
+        self.items: List[Instruction] = []
+        self.emit = self.items.append
+        self.exit: Optional[Tuple[Op, int, int, _SymTarget]] = None
+        #: Instructions before the loop-back target.
+        self.loop_init_len = 0
+
+    def branch(self, op: Op, target: _SymTarget, rd: int = ZERO_REG,
+               ra: int = ZERO_REG) -> None:
+        """End the block with ``op`` to the symbolic ``target``."""
+        self.exit = (op, rd, ra, target)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.items) + (self.exit is not None)
 
 
 class _PoolAllocator:
@@ -96,7 +103,8 @@ class _PoolAllocator:
     def __init__(self, pool: Tuple[int, ...], rng: DeterministicRng,
                  dep_density: float) -> None:
         self._pool = pool
-        self._rng = rng
+        self._random = rng.random
+        self._choice = rng.choice
         self._dep_density = dep_density
         self._cursor = 0
         self._recent: List[int] = list(pool[:3])
@@ -104,15 +112,16 @@ class _PoolAllocator:
     def next_dest(self) -> int:
         reg = self._pool[self._cursor % len(self._pool)]
         self._cursor += 1
-        self._recent.append(reg)
-        if len(self._recent) > 3:
-            self._recent.pop(0)
+        recent = self._recent
+        recent.append(reg)
+        if len(recent) > 3:
+            recent.pop(0)
         return reg
 
     def source(self) -> int:
-        if self._rng.random() < self._dep_density:
-            return self._rng.choice(self._recent)
-        return self._rng.choice(self._pool)
+        if self._random() < self._dep_density:
+            return self._choice(self._recent)
+        return self._choice(self._pool)
 
 
 class ProgramGenerator:
@@ -161,14 +170,14 @@ class ProgramGenerator:
     # -- prologue -----------------------------------------------------
     def _build_prologue(self) -> List[Instruction]:
         profile = self.profile
-        rng = self.rng.derive("prologue")
+        randint = self.rng.derive("prologue").randint
         ws_bytes = profile.working_set_words * 8
         instrs = [
             Instruction(Op.LDI, rd=R_LCGMUL, imm=LCG_MULTIPLIER),
         ]
         for reg in R_LCGS:
             instrs.append(
-                Instruction(Op.LDI, rd=reg, imm=rng.randint(1, (1 << 62))))
+                Instruction(Op.LDI, rd=reg, imm=randint(1, (1 << 62))))
         instrs += [
             Instruction(Op.LDI, rd=R_BASE, imm=DATA_BASE),
             Instruction(Op.LDI, rd=R_CURSOR, imm=0),
@@ -184,7 +193,7 @@ class ProgramGenerator:
             instrs.append(Instruction(Op.LDI, rd=cursor, imm=start))
         for reg in (*MAIN_POOL, *SUB_POOL):
             instrs.append(
-                Instruction(Op.LDI, rd=reg, imm=rng.randint(0, (1 << 32))))
+                Instruction(Op.LDI, rd=reg, imm=randint(0, (1 << 32))))
         for reg in R_LOOP:
             # Zero the loop counters so the guarded loop tails (cmplt
             # against zero) are well-defined even when a forward branch or
@@ -197,25 +206,31 @@ class ProgramGenerator:
         return instrs
 
     # -- block bodies ---------------------------------------------------
-    def _body_kinds(self, size: int, rng: DeterministicRng) -> List[str]:
+    def _body_kinds(self, size: int,
+                    random: Callable[[], float]) -> List[str]:
         profile = self.profile
+        # Cumulative thresholds, summed in the order the draws compare.
+        load = profile.load_frac
+        store = load + profile.store_frac
+        fp = store + profile.fp_frac
+        mul = fp + profile.mul_frac
+        membar = profile.membar_frac
         kinds: List[str] = []
+        append = kinds.append
         for _ in range(size):
-            draw = rng.random()
-            if draw < profile.load_frac:
-                kinds.append("load")
-            elif draw < profile.load_frac + profile.store_frac:
-                kinds.append("store")
-            elif draw < (profile.load_frac + profile.store_frac
-                         + profile.fp_frac):
-                kinds.append("fp")
-            elif draw < (profile.load_frac + profile.store_frac
-                         + profile.fp_frac + profile.mul_frac):
-                kinds.append("mul")
+            draw = random()
+            if draw < load:
+                append("load")
+            elif draw < store:
+                append("store")
+            elif draw < fp:
+                append("fp")
+            elif draw < mul:
+                append("mul")
             else:
-                kinds.append("alu")
-            if rng.random() < profile.membar_frac:
-                kinds.append("membar")
+                append("alu")
+            if random() < membar:
+                append("membar")
         # Stencil-style ordering within small windows: gather loads early,
         # compute, write results back — producing the short store bursts
         # that pressure the store queue (uniformly spread stores would
@@ -227,7 +242,7 @@ class ProgramGenerator:
         clustered: List[str] = []
         for start in range(0, len(kinds), window):
             chunk = kinds[start:start + window]
-            chunk.sort(key=lambda kind: order[kind])
+            chunk.sort(key=order.__getitem__)
             clustered.extend(chunk)
         return clustered
 
@@ -268,63 +283,64 @@ class ProgramGenerator:
 
     def _emit_body(self, block: _Block, pool: _PoolAllocator, size: int,
                    rng: DeterministicRng) -> None:
-        profile = self.profile
-        kinds = self._body_kinds(size, rng)
+        randint, random, choice = rng.randint, rng.random, rng.choice
+        kinds = self._body_kinds(size, random)
         addr_reg = R_ADDR[self._addr_rotation % len(R_ADDR)]
-        if any(kind in ("load", "store") for kind in kinds):
+        if "load" in kinds or "store" in kinds:
             # Refresh the cursor only some of the time; reusing a previous
             # address register models spatial locality and keeps address
             # arithmetic from dominating the mix.
-            if rng.random() < 0.6:
+            if random() < 0.6:
                 addr_reg = self._emit_addr_refresh(block, rng)
+        emit = block.emit
+        next_dest, source = pool.next_dest, pool.source
+        partial_store_frac = self.profile.partial_store_frac
         for kind in kinds:
             if kind == "load":
-                offset = 8 * rng.randint(0, MAX_LOAD_OFFSET_WORDS - 1)
-                block.emit(Instruction(Op.LD, rd=pool.next_dest(),
-                                       ra=addr_reg, imm=offset))
+                offset = 8 * randint(0, MAX_LOAD_OFFSET_WORDS - 1)
+                emit(Instruction(_LD, rd=next_dest(), ra=addr_reg,
+                                 imm=offset))
             elif kind == "store":
-                offset = 8 * rng.randint(0, MAX_LOAD_OFFSET_WORDS - 1)
-                op = (Op.STH if rng.random() < profile.partial_store_frac
-                      else Op.ST)
-                if op is Op.STH and rng.random() < 0.5:
+                offset = 8 * randint(0, MAX_LOAD_OFFSET_WORDS - 1)
+                op = _STH if random() < partial_store_frac else _ST
+                if op is _STH and random() < 0.5:
                     offset += 4  # store into the high half of the word
-                block.emit(Instruction(op, ra=addr_reg, imm=offset,
-                                       rb=pool.source()))
+                emit(Instruction(op, ra=addr_reg, imm=offset, rb=source()))
             elif kind == "fp":
-                op = Op.FDIV if rng.random() < 0.05 else rng.choice(_FP_OPS)
-                block.emit(Instruction(op, rd=pool.next_dest(),
-                                       ra=pool.source(), rb=pool.source()))
+                op = _FDIV if random() < 0.05 else choice(_FP_OPS)
+                emit(Instruction(op, rd=next_dest(), ra=source(),
+                                 rb=source()))
             elif kind == "mul":
-                block.emit(Instruction(Op.MUL, rd=pool.next_dest(),
-                                       ra=pool.source(), rb=pool.source()))
+                emit(Instruction(_MUL, rd=next_dest(), ra=source(),
+                                 rb=source()))
             elif kind == "membar":
-                block.emit(Instruction(Op.MEMBAR))
+                emit(Instruction(_MEMBAR))
             else:
-                use_logic = rng.random() < 0.45
-                op = rng.choice(_LOGIC_OPS if use_logic else _INT_ALU_OPS)
-                block.emit(Instruction(op, rd=pool.next_dest(),
-                                       ra=pool.source(), rb=pool.source()))
+                use_logic = random() < 0.45
+                op = choice(_LOGIC_OPS if use_logic else _INT_ALU_OPS)
+                emit(Instruction(op, rd=next_dest(), ra=source(),
+                                 rb=source()))
 
     # -- terminators ----------------------------------------------------
     def _shift_reg(self, rng: DeterministicRng) -> int:
         return rng.choice(R_SHIFTS)
 
-    def _emit_random_branch(self, block: _Block, target: Tuple[str, int],
+    def _emit_random_branch(self, block: _Block, target: _SymTarget,
                             rng: DeterministicRng) -> None:
         """A genuinely 50/50 LCG-driven forward branch."""
         self._emit_lcg_step(block)
         block.emit(Instruction(Op.SHR, rd=R_COND, ra=R_LCG,
                                rb=self._shift_reg(rng)))
         block.emit(Instruction(Op.ANDI, rd=R_COND, ra=R_COND, imm=1))
-        block.emit(Instruction(Op.BNEZ, ra=R_COND, target=0), sym_target=target)
+        block.branch(Op.BNEZ, target, ra=R_COND)
 
-    def _emit_biased_branch(self, block: _Block, target: Tuple[str, int],
+    def _emit_biased_branch(self, block: _Block, target: _SymTarget,
                             rng: DeterministicRng) -> None:
         """A rarely-taken (~1/16) forward branch reading current LCG bits."""
         block.emit(Instruction(Op.SHR, rd=R_COND, ra=R_LCG,
                                rb=self._shift_reg(rng)))
         block.emit(Instruction(Op.ANDI, rd=R_COND, ra=R_COND, imm=15))
-        block.emit(Instruction(Op.BEQZ, ra=R_COND, target=0), sym_target=target)
+        block.branch(Op.BEQZ, target, ra=R_COND)
 
     def _emit_indirect_jump(self, block: _Block,
                             rng: DeterministicRng) -> None:
@@ -349,8 +365,7 @@ class ProgramGenerator:
         """
         block.emit(Instruction(Op.ADDI, rd=reg, ra=reg, imm=-1))
         block.emit(Instruction(Op.CMPLT, rd=R_COND, ra=0, rb=reg))
-        block.emit(Instruction(Op.BNEZ, ra=R_COND, target=0),
-                   sym_target=("loop", head))
+        block.branch(Op.BNEZ, ("loop", head), ra=R_COND)
 
     # -- main region ------------------------------------------------------
     def _fill_main_blocks(self, blocks: List[_Block], pool: _PoolAllocator,
@@ -396,7 +411,7 @@ class ProgramGenerator:
                 head, reg = loop_tails[i]
                 self._emit_loop_tail(block, head, reg)
             elif i == n - 1:
-                block.emit(Instruction(Op.BR, target=0), sym_target=("main", 0))
+                block.branch(Op.BR, ("main", 0))
             else:
                 self._emit_terminator(block, i, n, n_subs, rng)
 
@@ -416,13 +431,12 @@ class ProgramGenerator:
         elif (draw < profile.random_branch_frac + profile.biased_branch_frac
                 + profile.call_frac and n_subs > 0):
             target = ("sub", rng.randint(0, n_subs - 1))
-            block.emit(Instruction(Op.CALL, rd=R_LINK, target=0),
-                       sym_target=target)
+            block.branch(Op.CALL, target, rd=R_LINK)
         elif (draw < profile.random_branch_frac + profile.biased_branch_frac
                 + profile.call_frac + profile.indirect_frac):
             self._emit_indirect_jump(block, rng)
         elif rng.random() < 0.3:
-            block.emit(Instruction(Op.BR, target=0), sym_target=forward)
+            block.branch(Op.BR, forward)
         # else: plain fallthrough.
 
     # -- subroutines ------------------------------------------------------
@@ -437,7 +451,7 @@ class ProgramGenerator:
     # -- final layout ------------------------------------------------------
     def _link(self, prologue: List[Instruction], main_blocks: List[_Block],
               sub_blocks: List[_Block]) -> Program:
-        starts: Dict[Tuple[str, int], int] = {}
+        starts: Dict[_SymTarget, int] = {}
         pc = len(prologue)
         for block in (*main_blocks, *sub_blocks):
             starts[block.key] = pc
@@ -448,12 +462,11 @@ class ProgramGenerator:
 
         instructions = list(prologue)
         for block in (*main_blocks, *sub_blocks):
-            for item in block.items:
-                instr = item.instr
-                if item.sym_target is not None:
-                    instr = dataclasses.replace(
-                        instr, target=starts[item.sym_target])
-                instructions.append(instr)
+            instructions += block.items
+            if block.exit is not None:
+                op, rd, ra, target = block.exit
+                instructions.append(Instruction(op, rd=rd, ra=ra,
+                                                target=starts[target]))
 
         initial_memory, table_targets = self._build_initial_memory(
             starts, len(main_blocks))
@@ -483,13 +496,13 @@ class ProgramGenerator:
         return program
 
     def _build_initial_memory(
-            self, starts: Dict[Tuple[str, int], int],
+            self, starts: Dict[_SymTarget, int],
             n_main: int) -> Tuple[Dict[int, int], List[int]]:
         rng = self.rng.derive("memory")
-        memory: Dict[int, int] = {}
+        randint, top = rng.randint, (1 << 64) - 1
         init_words = min(self.profile.working_set_words, INIT_DATA_WORDS)
-        for i in range(init_words):
-            memory[DATA_BASE + 8 * i] = rng.randint(0, (1 << 64) - 1)
+        memory: Dict[int, int] = {DATA_BASE + 8 * i: randint(0, top)
+                                  for i in range(init_words)}
         table_targets = [starts[("main", rng.randint(0, n_main - 1))]
                          for _ in range(JUMP_TABLE_SLOTS)]
         for slot, target in enumerate(table_targets):

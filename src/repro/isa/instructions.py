@@ -16,7 +16,9 @@ hardwired to zero.
 import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.util.bits import MASK64
 
 NUM_ARCH_REGS = 64
 ZERO_REG = 0
@@ -69,7 +71,13 @@ class Op(enum.Enum):
 
 
 class FuClass(enum.Enum):
-    """Functional-unit pools of the EBOX/FBOX/MBOX (Table 1)."""
+    """Functional-unit pools of the EBOX/FBOX/MBOX (Table 1).
+
+    Each member carries its position in declaration order as
+    ``ordinal``, so a table indexed by class needs no enum hashing.
+    """
+
+    ordinal: int
 
     INT = "int"
     LOGIC = "logic"
@@ -77,7 +85,16 @@ class FuClass(enum.Enum):
     FP = "fp"
 
 
+for _ordinal, _fu_class in enumerate(FuClass):
+    _fu_class.ordinal = _ordinal
+
+
 DEFAULT_EXEC_LATENCY = 1
+
+#: ``alu(a, b, c, imm)``: the result of a register-writing ALU opcode
+#: from its ra/rb values ``a``/``b``, the old rd value ``c`` (only FMA
+#: reads it) and the immediate.
+AluFunction = Callable[[int, int, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -86,7 +103,9 @@ class OpInfo:
 
     Decoded once, at import: each :class:`Op` member carries its record
     as ``op.info``, so an instruction reaches it with an attribute read
-    instead of hashing the enum into a table.
+    instead of hashing the enum into a table.  The record holds the
+    opcode's semantics too: ``alu`` computes an ALU result and ``taken``
+    resolves a control instruction (see :mod:`repro.isa.executor`).
     """
 
     mnemonic: str
@@ -111,6 +130,12 @@ class OpInfo:
     source_count: int = 2
     #: Operand text after the mnemonic (and ``rd``), for ``__str__``.
     operands: str = "r{ra} r{rb}"
+    #: The ALU result (see :data:`AluFunction`); ``None`` for loads,
+    #: stores, control flow and the no-result opcodes.
+    alu: Optional[AluFunction] = None
+    #: Control flow: whether the instruction is taken, from its ra
+    #: value; ``None`` for every other opcode.
+    taken: Optional[Callable[[int], bool]] = None
 
 
 def _decode(op: Op, fu_class: FuClass, **fields: object) -> None:
@@ -120,21 +145,47 @@ def _decode(op: Op, fu_class: FuClass, **fields: object) -> None:
 _IMM = dict(source_count=1, operands="r{ra} {imm}")
 _NO_OPERANDS = dict(writes=False, source_count=0, operands="")
 _BRANCH = dict(is_control=True, writes=False)
+#: Flipping the sign bit maps signed 64-bit order onto unsigned order.
+_SIGN = 1 << 63
 
-for _op in (Op.ADD, Op.SUB, Op.CMPLT, Op.CMPEQ):
-    _decode(_op, FuClass.INT)
-_decode(Op.MUL, FuClass.INT, exec_latency=7)
-_decode(Op.ADDI, FuClass.INT, **_IMM)
-_decode(Op.LDI, FuClass.INT, source_count=0, operands="{imm}")
-for _op in (Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR):
-    _decode(_op, FuClass.LOGIC)
-for _op in (Op.ANDI, Op.XORI):
-    _decode(_op, FuClass.LOGIC, **_IMM)
+
+def _always_taken(a: int) -> bool:
+    return True
+
+
+# The ALU semantics are the ISA's definition: the functional executor,
+# the pipeline's execute stage and the analyses all compute with them.
+_decode(Op.ADD, FuClass.INT, alu=lambda a, b, c, imm: (a + b) & MASK64)
+_decode(Op.SUB, FuClass.INT, alu=lambda a, b, c, imm: (a - b) & MASK64)
+_decode(Op.MUL, FuClass.INT, exec_latency=7,
+        alu=lambda a, b, c, imm: (a * b) & MASK64)
+_decode(Op.ADDI, FuClass.INT, **_IMM,
+        alu=lambda a, b, c, imm: (a + imm) & MASK64)
+_decode(Op.LDI, FuClass.INT, source_count=0, operands="{imm}",
+        alu=lambda a, b, c, imm: imm & MASK64)
+_decode(Op.CMPLT, FuClass.INT, alu=lambda a, b, c, imm: (
+    1 if (a & MASK64) ^ _SIGN < (b & MASK64) ^ _SIGN else 0))
+_decode(Op.CMPEQ, FuClass.INT, alu=lambda a, b, c, imm: 1 if a == b else 0)
+_decode(Op.AND, FuClass.LOGIC, alu=lambda a, b, c, imm: a & b)
+_decode(Op.OR, FuClass.LOGIC, alu=lambda a, b, c, imm: a | b)
+_decode(Op.XOR, FuClass.LOGIC, alu=lambda a, b, c, imm: a ^ b)
+_decode(Op.SHL, FuClass.LOGIC,
+        alu=lambda a, b, c, imm: (a << (b & 63)) & MASK64)
+_decode(Op.SHR, FuClass.LOGIC,
+        alu=lambda a, b, c, imm: (a & MASK64) >> (b & 63))
+_decode(Op.ANDI, FuClass.LOGIC, **_IMM,
+        alu=lambda a, b, c, imm: a & (imm & MASK64))
+_decode(Op.XORI, FuClass.LOGIC, **_IMM,
+        alu=lambda a, b, c, imm: a ^ (imm & MASK64))
 _decode(Op.NOP, FuClass.LOGIC, **_NO_OPERANDS)
-for _op in (Op.FADD, Op.FMUL):
-    _decode(_op, FuClass.FP, exec_latency=4)
-_decode(Op.FMA, FuClass.FP, exec_latency=4, source_count=3)
-_decode(Op.FDIV, FuClass.FP, exec_latency=12)
+_decode(Op.FADD, FuClass.FP, exec_latency=4,
+        alu=lambda a, b, c, imm: (a + b) & MASK64)
+_decode(Op.FMUL, FuClass.FP, exec_latency=4,
+        alu=lambda a, b, c, imm: (a * b) & MASK64)
+_decode(Op.FMA, FuClass.FP, exec_latency=4, source_count=3,
+        alu=lambda a, b, c, imm: (a * b + c) & MASK64)
+_decode(Op.FDIV, FuClass.FP, exec_latency=12,
+        alu=lambda a, b, c, imm: (a // (b | 1)) & MASK64)
 _decode(Op.LD, FuClass.MEM, is_load=True, source_count=1,
         operands="r{ra}+{imm}")
 _decode(Op.ST, FuClass.MEM, is_store=True, writes=False,
@@ -143,16 +194,18 @@ _decode(Op.STH, FuClass.MEM, is_store=True, is_partial_store=True,
         writes=False, operands="r{ra}+{imm} r{rb}")
 _decode(Op.MEMBAR, FuClass.MEM, is_membar=True, **_NO_OPERANDS)
 # Control flow resolves on the integer pool.
-for _op in (Op.BEQZ, Op.BNEZ):
-    _decode(_op, FuClass.INT, is_conditional=True, source_count=1,
-            operands="r{ra} @{target}", **_BRANCH)
-_decode(Op.BR, FuClass.INT, source_count=0, operands="@{target}", **_BRANCH)
+_decode(Op.BEQZ, FuClass.INT, is_conditional=True, source_count=1,
+        operands="r{ra} @{target}", taken=lambda a: a == 0, **_BRANCH)
+_decode(Op.BNEZ, FuClass.INT, is_conditional=True, source_count=1,
+        operands="r{ra} @{target}", taken=lambda a: a != 0, **_BRANCH)
+_decode(Op.BR, FuClass.INT, source_count=0, operands="@{target}",
+        taken=_always_taken, **_BRANCH)
 _decode(Op.JMP, FuClass.INT, is_indirect=True, source_count=1,
-        operands="r{ra}", **_BRANCH)
+        operands="r{ra}", taken=_always_taken, **_BRANCH)
 _decode(Op.CALL, FuClass.INT, is_control=True, is_call=True, source_count=0,
-        operands="@{target}")
+        operands="@{target}", taken=_always_taken)
 _decode(Op.RET, FuClass.INT, is_indirect=True, is_return=True,
-        source_count=1, operands="r{ra}", **_BRANCH)
+        source_count=1, operands="r{ra}", taken=_always_taken, **_BRANCH)
 _decode(Op.HALT, FuClass.INT, is_halt=True, **_NO_OPERANDS)
 
 #: One shared tuple per distinct source list: programs repeat the same
@@ -166,7 +219,7 @@ def _classified(name: str) -> property:
                     doc=f"``{name}`` of the opcode's :class:`OpInfo`.")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Instruction:
     """A static RISC-R instruction.
 
@@ -190,23 +243,36 @@ class Instruction:
     source_regs: Tuple[int, ...] = field(init=False, repr=False,
                                          compare=False)
 
-    def __post_init__(self) -> None:
-        info = self.op.info
-        rd, ra, rb = self.rd, self.ra, self.rb
+    def __new__(cls, op: Op, rd: int = ZERO_REG, ra: int = ZERO_REG,
+                rb: int = ZERO_REG, imm: int = 0,
+                target: Optional[int] = None, label: str = ""
+                ) -> "Instruction":
+        info = op.info
         if not (0 <= rd < NUM_ARCH_REGS and 0 <= ra < NUM_ARCH_REGS
                 and 0 <= rb < NUM_ARCH_REGS):
             for name, reg in (("rd", rd), ("ra", ra), ("rb", rb)):
                 if not 0 <= reg < NUM_ARCH_REGS:
-                    raise ValueError(
-                        f"{self.op.name}: {name} out of range: {reg}")
-        if (info.is_control and not info.is_indirect
-                and self.target is None):
-            raise ValueError(f"{self.op.name} requires a target")
+                    raise ValueError(f"{op.name}: {name} out of range: {reg}")
+        if info.is_control and not info.is_indirect and target is None:
+            raise ValueError(f"{op.name} requires a target")
         sources = (ra, rb, rd)[:info.source_count]
-        decoded = object.__setattr__
-        decoded(self, "writes_reg", info.writes and rd != ZERO_REG)
-        decoded(self, "source_regs",
-                _SOURCE_REGS.setdefault(sources, sources))
+        # A frozen instance refuses attribute stores, and storing through
+        # object.__setattr__ costs a name lookup per field.  So the fields
+        # go into an instance of _InstructionFields, a plain class with
+        # the same slots, one plain store each, and that instance then
+        # becomes a ``cls``.
+        instr = _new_fields(_InstructionFields)
+        instr.op = op
+        instr.rd = rd
+        instr.ra = ra
+        instr.rb = rb
+        instr.imm = imm
+        instr.target = target
+        instr.label = label
+        instr.writes_reg = info.writes and rd != ZERO_REG
+        instr.source_regs = _SOURCE_REGS.setdefault(sources, sources)
+        instr.__class__ = cls
+        return instr
 
     def __reduce__(self):
         # Rebuilt through the constructor, so an unpickled instruction is
@@ -237,3 +303,12 @@ class Instruction:
             parts.append(info.operands.format(
                 ra=self.ra, rb=self.rb, imm=self.imm, target=self.target))
         return " ".join(parts)
+
+
+class _InstructionFields:
+    """An :class:`Instruction` under construction (see its ``__new__``)."""
+
+    __slots__ = Instruction.__slots__
+
+
+_new_fields = object.__new__

@@ -26,7 +26,6 @@ from bisect import insort
 from operator import attrgetter
 from typing import TYPE_CHECKING, List
 
-from repro.isa.executor import alu_result, branch_taken
 from repro.isa.instructions import FuClass
 from repro.pipeline.thread import HwThread
 from repro.pipeline.uop import Uop, UopState
@@ -190,7 +189,7 @@ class QBox:
         elif instr.writes_reg:
             operands = [core.regfile.read(reg) for reg in uop.phys_srcs]
             operands += (0, 0, 0)[len(operands):]  # absent sources read 0
-            uop.result = alu_result(instr, *operands)
+            uop.result = info.alu(*operands, instr.imm)
 
         if core.result_corruptor is not None:
             core.result_corruptor(uop, now)
@@ -202,14 +201,15 @@ class QBox:
         """Compute a control uop's actual outcome from register values."""
         core = self.core
         instr = uop.instr
+        info = instr.op.info
         wrap = len(thread.program)
         value = (core.regfile.read(uop.phys_srcs[0])
                  if uop.phys_srcs else 0)
-        taken = branch_taken(instr, value)
-        if instr.is_call:
+        taken = info.taken(value)
+        if info.is_call:
             target = instr.target
             uop.result = (uop.pc + 1) % wrap  # return address into rd
-        elif instr.is_indirect:  # JMP / RET
+        elif info.is_indirect:  # JMP / RET
             target = value % wrap
         elif taken:
             target = instr.target

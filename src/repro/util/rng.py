@@ -33,11 +33,22 @@ def spawn_seed(parent_seed: int, *key: object) -> int:
 
 
 class DeterministicRng:
-    """Thin wrapper over :class:`random.Random` with named derivation."""
+    """Thin wrapper over :class:`random.Random` with named derivation.
+
+    Draws are bound once per stream: ``random`` is the host generator's
+    own C method, and ``randint`` and ``choice`` consume its bits
+    exactly as :class:`random.Random` does, so every stream yields the
+    same values as ``random.Random(seed)`` would.
+    """
 
     def __init__(self, *seed_parts: object) -> None:
-        self.seed = seed_from(*seed_parts)
-        self._rng = random.Random(self.seed)
+        self._seed(seed_from(*seed_parts))
+
+    def _seed(self, seed: int) -> None:
+        self.seed = seed
+        self._rng = random.Random(seed)
+        self.random = self._rng.random
+        self._getrandbits = self._rng.getrandbits
 
     def derive(self, *parts: object) -> "DeterministicRng":
         """Create an independent child stream, stable under reordering of use."""
@@ -58,18 +69,31 @@ class DeterministicRng:
     def from_seed(cls, seed: int) -> "DeterministicRng":
         """Wrap an already-derived integer seed without re-hashing it."""
         rng = cls.__new__(cls)
-        rng.seed = seed
-        rng._rng = random.Random(seed)
+        rng._seed(seed)
         return rng
 
     def randint(self, low: int, high: int) -> int:
-        return self._rng.randint(low, high)
-
-    def random(self) -> float:
-        return self._rng.random()
+        """A uniform integer in ``[low, high]``, as
+        ``random.Random.randint`` draws it."""
+        n = high - low + 1
+        if n <= 0:
+            raise ValueError(
+                f"empty range for randrange() ({low}, {high + 1}, {n})")
+        # random.Random._randbelow_with_getrandbits: k bits per try, and
+        # k counts the bits of n itself, not of n - 1.
+        getrandbits = self._getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return low + r
 
     def choice(self, options: Sequence[T]) -> T:
-        return self._rng.choice(options)
+        """A uniform element of ``options``, as ``random.Random.choice``
+        draws it: the same draw as ``randint(0, len(options) - 1)``."""
+        if not len(options):
+            raise IndexError("Cannot choose from an empty sequence")
+        return options[self.randint(0, len(options) - 1)]
 
     def choices(self, options: Sequence[T], weights: Sequence[float], k: int = 1):
         return self._rng.choices(options, weights=weights, k=k)

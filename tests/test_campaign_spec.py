@@ -36,6 +36,8 @@ class TestValidation:
     def test_bad_strike_window_rejected(self):
         with pytest.raises(CampaignConfigError, match="strike window"):
             spec(strike_window=(500, 100)).validate()
+        with pytest.raises(CampaignConfigError, match="strike window"):
+            spec(strike_window=(50.0, 200.0)).validate()
 
     def test_bad_config_dict_rejected(self):
         with pytest.raises(ValueError):
