@@ -8,9 +8,11 @@ three drivers of the cycle loop — ``Machine.run``,
 :class:`~repro.obs.profile.StageProfiler` and
 :class:`~repro.harness.tracing.OccupancySampler` — and each must land
 on the one recorded digest; the sampler's sample series has its own.
-Small fault-injection campaigns pin the SHA-256 of their
-``results.jsonl``, written in-process one task per chunk and by a
-two-worker pool at the default chunk size.  The static AVF analyzer
+Single fault runs (SRT, and lockstep struck on either core) pin their
+report, end cycle, statistics and fault events.  Small fault-injection
+campaigns pin the SHA-256 of their ``results.jsonl``, written
+in-process one task per chunk and by a two-worker pool at the default
+chunk size.  The static AVF analyzer
 pins, per profile, its summary and the solver facts under it: the
 known-bits in-state of every block, the per-pc demand rows, and the
 per-pc liveness masks.  The front end pins, per profile and seed, the
@@ -81,17 +83,29 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, object], Dict[str, object]]] = {
 PROGRAMS = ("gcc", "m88ksim")
 #: CRT also runs a partner program so both cores lead one thread.
 CRT_PARTNER = "compress"
-
-#: Fault runs on srt/gcc: case -> (MachineConfig overrides, outcome).
-FAULT_RUNS = {
-    "srt-detected": ({}, "detected"),
-    "srt-recovered": ({"recovery_enabled": True}, "recovered"),
+#: Lock0 and Lock8 as Figure 11 runs them, on one two-program and one
+#: four-program workload of its default set (programs joined by ``+``).
+FIG11_CONFIGS: Dict[str, Tuple[str, Dict[str, object], Dict[str, object]]] = {
+    "lock0": ("lockstep", {}, {"checker_latency": 0}),
+    "lock8": ("lockstep", {}, {"checker_latency": 8}),
 }
-FAULT = dict(cycle=40, core_index=0, bit=5, thread=0)
+FIG11_WORKLOADS = ("gcc+go", "gcc+go+ijpeg+fpppp")
+
+#: Fault runs on gcc: case -> (machine kind, MachineConfig overrides,
+#: struck core, outcome).
+FAULT_RUNS = {
+    "srt-detected": ("srt", {}, 0, "detected"),
+    "srt-recovered": ("srt", {"recovery_enabled": True}, 0, "recovered"),
+    "lockstep-core0": ("lockstep", {}, 0, "detected"),
+    "lockstep-core1": ("lockstep", {}, 1, "detected"),
+}
+FAULT = dict(cycle=40, bit=5, thread=0)
 
 DRIVERS = ("run", "profile", "sample")
-RUN_CASES = [f"{config}/{program}" for config in CONFIGS
-             for program in PROGRAMS]
+RUN_CASES = ([f"{config}/{program}" for config in CONFIGS
+              for program in PROGRAMS]
+             + [f"{config}/{workload}" for config in FIG11_CONFIGS
+                for workload in FIG11_WORKLOADS])
 
 #: The wide corpus: kind/profile#seed, one program per machine.
 CORPUS_KINDS = ("base", "srt", "crt", "lockstep")
@@ -116,6 +130,10 @@ CAMPAIGNS: Dict[str, Dict[str, object]] = {
     "arch": dict(kinds=("arch",), workloads=("m88ksim", "gcc"),
                  models=("arch-register", "arch-memory", "arch-destfield"),
                  injections=2, instructions=300, seed=2),
+    "lockstep": dict(kinds=("lockstep",), workloads=("m88ksim", "gcc"),
+                     models=("transient-result", "transient-register"),
+                     injections=2, instructions=200, warmup=500, seed=3,
+                     strike_window=(20, 120)),
 }
 #: How a campaign runs: mode -> (jobs, chunk size; ``None`` = default).
 CAMPAIGN_MODES = {"jobs1-chunk1": (1, 1), "jobs2": (2, None)}
@@ -151,9 +169,9 @@ def program(name: str, seed: int = SEED):
 
 
 def build(case: str):
-    config_name, program_name = case.split("/")
-    kind, overrides, kwargs = CONFIGS[config_name]
-    programs = [program(program_name)]
+    config_name, workload = case.split("/")
+    kind, overrides, kwargs = {**CONFIGS, **FIG11_CONFIGS}[config_name]
+    programs = [program(name) for name in workload.split("+")]
     if kind == "crt":
         programs.append(program(CRT_PARTNER))
     return make_machine(kind, MachineConfig(**overrides), programs, **kwargs)
@@ -188,11 +206,12 @@ def corpus_run(case: str) -> str:
 
 def fault_run(case: str) -> Tuple[str, str]:
     """(digest, outcome) of one fault run."""
-    overrides, _ = FAULT_RUNS[case]
-    machine = make_machine("srt", MachineConfig(**overrides),
+    kind, overrides, core_index, _ = FAULT_RUNS[case]
+    machine = make_machine(kind, MachineConfig(**overrides),
                            [program("gcc")])
     report = run_fault_experiment_detailed(
-        machine, program("gcc"), TransientResultFault(**FAULT),
+        machine, program("gcc"),
+        TransientResultFault(core_index=core_index, **FAULT),
         instructions=INSTRUCTIONS, warmup=WARMUP)
     run_digest = digest({"report": report.to_dict(), "cycles": machine.now,
                          "stats": machine.machine_stats(),
@@ -271,7 +290,7 @@ def test_corpus_digest(case):
 @pytest.mark.parametrize("case", sorted(FAULT_RUNS))
 def test_fault_run_digest(case):
     run_digest, outcome = fault_run(case)
-    assert outcome == FAULT_RUNS[case][1]
+    assert outcome == FAULT_RUNS[case][-1]
     assert run_digest == golden()["faults"][case]
 
 
