@@ -11,7 +11,8 @@ Records, through :func:`repro.obs.bench.record` (a no-op unless
 ``REPRO_BENCH_OUT`` is set):
 
 - ``sim.cycles_per_s.{base,srt,crt,lockstep}`` — simulated cycles per
-  second of the run;
+  second of the run; the lockstep run has no fault injector, so it
+  simulates core 0 and mirrors core 1 from it;
 - ``core.warm_ms`` — one ``Machine.warm`` that replays the program's
   already recorded path (``Program.recorded_path``);
 - ``core.warm_record_ms`` — the first ``Machine.warm`` of a freshly

@@ -300,9 +300,9 @@ class FaultInjector:
     def __init__(self, machine: Machine, faults: Iterable[Fault]) -> None:
         self.machine = machine
         self.faults: List[Fault] = list(faults)
+        machine.attach_injector(self)
         for fault in self.faults:
             fault.attach(machine)
-        machine.injector = self
 
     def tick(self, now: int) -> None:
         for fault in self.faults:

@@ -15,10 +15,22 @@ The checker:
   an idealised zero-cycle checker, Lock8 a realistic 8-cycle one);
 - compares the two cores' drained-store streams per thread and flags
   mismatches as detected faults.
+
+With no fault injector attached, core 1 cannot differ from core 0, so
+the machine simulates core 0 and its hierarchy only.  It decides once,
+before its first warm-up or cycle (:meth:`Machine._begin`): it mirrors
+when ``injector`` is ``None``, and any attached
+:class:`~repro.core.faults.FaultInjector`, even an empty one, keeps both
+cores simulated.  A mirroring machine reports core 0 as core 1 too
+(:attr:`LockstepMachine.reported_cores`), so its statistics, hang
+reports and occupancy samples carry ``core1.*`` entries equal to
+``core0.*``, and its checker counts one comparison per store core 0
+drains; its ``RunResult`` is the one dual simulation produces.
+Attaching an injector once the machine mirrors raises.
 """
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.core.machine import Machine, partition
@@ -42,6 +54,10 @@ class LockstepChecker(CoreHooks):
 
     def on_store_drained(self, core: Core, thread: HwThread, uop: Uop,
                          now: int) -> None:
+        if self.machine.mirroring:
+            # Core 1 drains this very store in this very cycle.
+            self.comparisons += 1
+            return
         key = (core.core_id, thread.tid)
         self._streams.setdefault(key, deque()).append(
             (uop.instr.op.name, uop.mem_addr, uop.store_value))
@@ -65,21 +81,13 @@ class LockstepMachine(Machine):
     kind = "lockstep"
 
     def __init__(self, config: MachineConfig, programs: List[Program],
-                 checker_latency: int = None, mirrored: bool = False) -> None:
-        """``mirrored`` simulates only core 0.
-
-        The two lockstepped cores are deterministic and identically
-        configured, so core 1 is an exact mirror: simulating it adds
-        output comparison (needed for fault experiments) but no
-        performance information.  Mirrored mode halves simulation time
-        for long fault-free sweeps; tests assert both modes time
-        identically.
-        """
+                 checker_latency: int = None) -> None:
         super().__init__(config)
         if checker_latency is None:
             checker_latency = config.checker_latency
         self.checker_latency = checker_latency
-        self.mirrored = mirrored
+        #: Whether core 1 mirrors core 0; ``None`` until :meth:`_begin`.
+        self.mirroring: Optional[bool] = None
         self.checker = LockstepChecker(self)
         self.memories: List[Dict[int, int]] = [{}, {}]
 
@@ -87,7 +95,7 @@ class LockstepMachine(Machine):
         lq = partition(config.core.load_queue_entries, hw_count)
         sq = partition(config.core.store_queue_entries, hw_count)
 
-        for core_id in range(1 if mirrored else 2):
+        for core_id in range(2):
             hier_config = type(config.hierarchy)(**vars(config.hierarchy))
             hier_config.checker_latency = checker_latency
             hierarchy = MemoryHierarchy(hier_config, num_cores=1)
@@ -111,6 +119,26 @@ class LockstepMachine(Machine):
         # memory property kept for interface parity; core 0's image.
         self.memory = self.memories[0]
 
+    def _begin(self) -> None:
+        if self.mirroring is None:
+            self.mirroring = self.injector is None
+            if self.mirroring:
+                del self.cores[1:], self.hierarchies[1:]
+
+    def attach_injector(self, injector) -> None:
+        if self.mirroring:
+            raise RuntimeError(
+                "this lockstep machine already simulates core 0 only; "
+                "attach the fault injector before its first warm-up or "
+                "cycle")
+        super().attach_injector(injector)
+
+    @property
+    def reported_cores(self) -> List[Tuple[int, Core]]:
+        if self.mirroring:
+            core = self.cores[0]
+            return [(0, core), (1, core)]
+        return super().reported_cores
 
     def machine_stats(self):
         stats = super().machine_stats()

@@ -54,6 +54,24 @@ class Machine:
             raise ValueError(f"duplicate logical thread name {name!r}")
         self._measured[name] = thread
 
+    def attach_injector(self, injector) -> None:
+        """Tick ``injector`` (a :class:`~repro.core.faults.FaultInjector`)
+        at the start of every cycle."""
+        self.injector = injector
+
+    @property
+    def reported_cores(self) -> List[Tuple[int, Core]]:
+        """``(core_id, core)`` for every core a run reports on: what
+        :meth:`machine_stats`, the watchdog's fingerprint and the
+        occupancy sampler read.  The simulated cores, unless a subclass
+        reports one simulated core under another id as well."""
+        return [(core.core_id, core) for core in self.cores]
+
+    def _begin(self) -> None:
+        """Settle which cores and hierarchies are simulated; runs before
+        every warm-up and before the first cycle, and must keep the
+        first answer."""
+
     def report_fault(self, cycle: int, kind: str, thread: int,
                      detail: str = "") -> None:
         event = FaultEvent(cycle, kind, thread, detail)
@@ -78,8 +96,9 @@ class Machine:
         warmed before statistics are collected).  Each program's future
         architectural path (:meth:`Program.recorded_path`, executed once
         per program and then replayed) installs the blocks it touches in
-        every hierarchy, and its branch outcomes train the conditional
-        predictors of the cores that will run the thread.
+        every simulated hierarchy (:meth:`_begin`), and its branch
+        outcomes train the conditional predictors of the simulated cores
+        that will run the thread.
 
         A cache's warmed state depends only on its own sequence of
         installs and a predictor's only on its own training, so each
@@ -87,6 +106,7 @@ class Machine:
         addresses, every L1D the data addresses, every L2 both in step
         order.
         """
+        self._begin()
         code: List[int] = []
         data: List[int] = []
         unified: List[int] = []
@@ -252,12 +272,15 @@ class Machine:
     def phases(self) -> Tuple[Phase, ...]:
         """One cycle as ``(stage, phase)`` pairs, in the order :meth:`step`
         calls them with the current cycle: the fault injector, every
-        core's :attr:`Core.phases`, RMT verification and recovery, every
-        memory hierarchy, then advancing ``now`` under the watchdog.
+        simulated core's :attr:`Core.phases`, RMT verification and
+        recovery, every simulated memory hierarchy, then advancing
+        ``now`` under the watchdog.
 
         Built on first use, after the subclass added its cores and
-        hierarchies; ``stage`` is what the stage profiler charges.
+        hierarchies and :meth:`_begin` settled which are simulated;
+        ``stage`` is what the stage profiler charges.
         """
+        self._begin()
         return (("queue", self._inject),
                 *(phase for core in self.cores for phase in core.phases),
                 ("verify", self._verify),
@@ -298,8 +321,8 @@ class Machine:
 
     def machine_stats(self) -> Dict[str, float]:
         stats: Dict[str, float] = {}
-        for core in self.cores:
-            prefix = f"core{core.core_id}."
+        for core_id, core in self.reported_cores:
+            prefix = f"core{core_id}."
             stats[prefix + "cycles"] = self.now
             stats[prefix + "retired"] = core.stats.retired_total
             stats[prefix + "squashes"] = core.stats.squashes

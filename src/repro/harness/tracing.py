@@ -73,8 +73,8 @@ class OccupancySampler:
 
     def _snapshot(self) -> Dict[str, int]:
         values: Dict[str, int] = {}
-        for core in self.machine.cores:
-            prefix = f"core{core.core_id}."
+        for core_id, core in self.machine.reported_cores:
+            prefix = f"core{core_id}."
             values[prefix + "iq"] = (core.qbox.occupancy(0)
                                      + core.qbox.occupancy(1))
             for thread in core.threads:

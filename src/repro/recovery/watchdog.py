@@ -142,8 +142,8 @@ class ProgressWatchdog:
         fp = Fingerprint(cycle=now)
         for name, hw in machine._measured.items():
             fp.measured[name] = hw.stats.retired
-        for core in machine.cores:
-            prefix = f"core{core.core_id}."
+        for core_id, core in machine.reported_cores:
+            prefix = f"core{core_id}."
             fp.activity[prefix + "retired"] = core.stats.retired_total
             fp.activity[prefix + "squashes"] = core.stats.squashes
             fp.queues[prefix + "iq.half0"] = core.qbox.occupancy(0)

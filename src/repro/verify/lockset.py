@@ -314,8 +314,11 @@ class _ModuleAnalysis:
                 continue
             held = sorted({lock for lock, _ in holds[block.idx]})
             if block.kind == "with-enter":
-                self._order_edges(held, self.locks_of_with(block.node, model),
-                                  block.line)
+                acquired = self.locks_of_with(block.node, model)
+                for index, lock in enumerate(acquired):
+                    # ``with a, b:`` takes ``b`` while holding ``a``.
+                    self._order_edges(held + acquired[:index], [lock],
+                                      block.line)
             for node in _evaluated(cfg.block_exprs(block)):
                 if model is not None:
                     attr = self_attr(node)

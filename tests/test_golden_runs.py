@@ -12,10 +12,9 @@ Single fault runs (SRT, and lockstep struck on either core) pin their
 report, end cycle, statistics and fault events.  Small fault-injection
 campaigns pin the SHA-256 of their ``results.jsonl``, written
 in-process one task per chunk and by a two-worker pool at the default
-chunk size.  The static AVF analyzer
-pins, per profile, its summary and the solver facts under it: the
-known-bits in-state of every block, the per-pc demand rows, and the
-per-pc liveness masks.  The front end pins, per profile and seed, the
+chunk size.  The static AVF analyzer pins, per profile, its summary
+and the solver facts under it: the known-bits in-state of every block,
+the per-pc demand rows, and the per-pc liveness masks.  The front end pins, per profile and seed, the
 generated program (code, initial memory, metadata), its full
 ``verify_program`` report (every finding's rule, severity, pc and
 message) and the constant solver's in-state of every block.
@@ -77,7 +76,6 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, object], Dict[str, object]]] = {
     "srt+nosc": ("srt", {"store_comparison": False}, {}),
     "srt+recovery": ("srt", {"recovery_enabled": True}, {}),
     "lockstep": ("lockstep", {}, {}),
-    "lockstep+mirrored": ("lockstep", {}, {"mirrored": True}),
     "crt": ("crt", {}, {}),
 }
 PROGRAMS = ("gcc", "m88ksim")

@@ -1,14 +1,20 @@
 """Integration tests for the lockstepped dual-core machine (Section 5)."""
 
 from repro.core.config import MachineConfig
+from repro.core.faults import FaultInjector
 from repro.core.machine import make_machine
 from repro.isa.generator import generate_benchmark
 
 
-def run_lockstep(names, checker_latency=8, instructions=500, warmup=2000):
+def run_lockstep(names, checker_latency=8, instructions=500, warmup=2000,
+                 dual=False):
+    """Run a lockstep machine; ``dual`` attaches an empty fault injector,
+    which keeps core 1 simulated instead of mirrored from core 0."""
     programs = [generate_benchmark(n) for n in names]
     machine = make_machine("lockstep", MachineConfig(), programs,
                            checker_latency=checker_latency)
+    if dual:
+        FaultInjector(machine, [])
     result = machine.run(max_instructions=instructions, warmup=warmup)
     return machine, result
 
@@ -16,7 +22,7 @@ def run_lockstep(names, checker_latency=8, instructions=500, warmup=2000):
 class TestLockstepExecution:
     def test_cores_stay_in_lockstep(self):
         """Identical deterministic cores: retirement counts match."""
-        machine, result = run_lockstep(["gcc"])
+        machine, result = run_lockstep(["gcc"], dual=True)
         core0, core1 = machine.cores
         assert core0.stats.retired_total == core1.stats.retired_total
         assert core0.stats.squashes == core1.stats.squashes
@@ -36,7 +42,7 @@ class TestLockstepExecution:
             assert len(stream) < 50
 
     def test_private_memory_images_identical(self):
-        machine, _ = run_lockstep(["m88ksim"])
+        machine, _ = run_lockstep(["m88ksim"], dual=True)
         assert machine.memories[0] == machine.memories[1]
 
 
@@ -67,7 +73,8 @@ class TestCheckerLatency:
 
 class TestMultiprogrammed:
     def test_two_programs_both_duplicated(self):
-        machine, result = run_lockstep(["gcc", "swim"], instructions=300)
+        machine, result = run_lockstep(["gcc", "swim"], instructions=300,
+                                       dual=True)
         assert len(machine.cores[0].threads) == 2
         assert len(machine.cores[1].threads) == 2
         assert all(t.retired == 300 for t in result.threads)

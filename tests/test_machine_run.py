@@ -1,6 +1,7 @@
 """Tests for the machine run loop: warmup, drain, targets, stats."""
 
 from repro.core.config import MachineConfig
+from repro.core.faults import FaultInjector
 from repro.core.machine import BaseMachine, make_machine
 from repro.isa.assembler import assemble
 from repro.isa.generator import generate_benchmark
@@ -33,6 +34,8 @@ class TestWarmup:
     def test_lockstep_warms_both_hierarchies(self):
         program = generate_benchmark("gcc")
         machine = make_machine("lockstep", MachineConfig(), [program])
+        # An attached injector keeps core 1 and its hierarchy simulated.
+        FaultInjector(machine, [])
         machine.warm(3000)
         addr = machine.cores[0].threads[0].code_addr(program.entry)
         assert machine.hierarchies[0].l1i[0].contains(addr)

@@ -403,6 +403,82 @@ class C:
 '''
         assert analyze(src) == []
 
+    def test_multi_item_with_against_nested_reverse(self):
+        src = '''
+import threading
+
+class C:
+    def __init__(self):
+        self._a = threading.Lock()
+        self._b = threading.Lock()
+
+    def one(self):
+        with self._a, self._b:
+            pass
+
+    def two(self):
+        with self._b:
+            with self._a:
+                pass
+'''
+        findings = analyze(src)
+        assert rules_of(findings) == ["S502"]
+        assert "C._a" in findings[0].message
+        assert "C._b" in findings[0].message
+
+    def test_multi_item_with_cycle_of_module_locks(self):
+        src = '''
+import threading
+
+_A = threading.Lock()
+_B = threading.Lock()
+
+
+def one():
+    with _A, _B:
+        pass
+
+
+def two():
+    with _B, _A:
+        pass
+'''
+        assert rules_of(analyze(src)) == ["S502"]
+
+    def test_multi_item_with_in_consistent_order_is_clean(self):
+        src = '''
+import threading
+
+class C:
+    def __init__(self):
+        self._a = threading.Lock()
+        self._b = threading.Lock()
+
+    def one(self):
+        with self._a, self._b:
+            pass
+
+    def two(self):
+        with self._a:
+            with self._b:
+                pass
+'''
+        assert analyze(src) == []
+
+    def test_multi_item_with_reentrant_lock_is_clean(self):
+        src = '''
+import threading
+
+class C:
+    def __init__(self):
+        self._a = threading.RLock()
+
+    def one(self):
+        with self._a, self._a:
+            pass
+'''
+        assert analyze(src) == []
+
     def test_cross_module_cycle_through_members(self):
         store = '''
 import threading

@@ -14,6 +14,7 @@ evicts another way, so even the call count matters.
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.core.faults import FaultInjector
 from repro.core.machine import Machine, make_machine
 from repro.isa.assembler import assemble
 from repro.isa.executor import FunctionalExecutor
@@ -78,6 +79,9 @@ def test_replay_matches_reexecution(kind):
     # The first warm-up records each program's path, the second replays.
     for _ in range(2):
         machine = make_machine(kind, MachineConfig(), programs)
+        # An attached injector keeps a lockstep machine's core 1 and its
+        # hierarchy simulated, so both are warmed and compared.
+        FaultInjector(machine, [])
         machine.warm(STEPS)
         assert warm_state(machine) == warm_state(reference)
 
