@@ -9,7 +9,12 @@ three drivers of the cycle loop — ``Machine.run``,
 :class:`~repro.harness.tracing.OccupancySampler` — and each must land
 on the one recorded digest; the sampler's sample series has its own.
 Single fault runs (SRT, and lockstep struck on either core) pin their
-report, end cycle, statistics and fault events.  Small fault-injection
+report, end cycle, statistics and fault events.  Figures 6, 8, 10 and
+11 at paper-smoke size pin their ``ExperimentResult``, one
+:class:`~repro.harness.runner.Runner` per figure so that machines of
+different kinds warm the same programs, as ``reproduce_paper`` does.
+Machines warmed twice pin a warm-up that does not start from cold
+structures, and a served SRT run pins ``Runner.run_structured``.  Small fault-injection
 campaigns pin the SHA-256 of their ``results.jsonl``, written
 in-process one task per chunk and by a two-worker pool at the default
 chunk size.  The static AVF analyzer pins, per profile, its summary
@@ -49,6 +54,11 @@ from repro.core.config import MachineConfig
 from repro.core.faults import (TransientResultFault,
                                run_fault_experiment_detailed)
 from repro.core.machine import make_machine
+from repro.harness.experiments import (fig6_srt_one_thread,
+                                       fig8_srt_two_threads,
+                                       fig10_crt_one_thread,
+                                       fig11_crt_multithread)
+from repro.harness.runner import Runner
 from repro.harness.tracing import OccupancySampler
 from repro.isa.generator import generate_benchmark
 from repro.isa.profiles import SPEC95_NAMES
@@ -56,6 +66,8 @@ from repro.obs.profile import StageProfiler
 from repro.util.canonical import content_hash
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_runs.json"
+
+pytestmark = pytest.mark.golden
 
 #: Significant digits a float keeps in a digest: ``sum`` of floats is
 #: compensated from Python 3.12 on, so derived ratios may differ in
@@ -104,6 +116,19 @@ RUN_CASES = ([f"{config}/{program}" for config in CONFIGS
               for program in PROGRAMS]
              + [f"{config}/{workload}" for config in FIG11_CONFIGS
                 for workload in FIG11_WORKLOADS])
+
+#: Figures at paper-smoke size: name -> (driver, keyword, items).
+FIGURES = {
+    "fig6": (fig6_srt_one_thread, "benchmarks", list(PROGRAMS)),
+    "fig8": (fig8_srt_two_threads, "pairs", [["gcc", "go"]]),
+    "fig10": (fig10_crt_one_thread, "benchmarks", list(PROGRAMS)),
+    "fig11": (fig11_crt_multithread, "workloads",
+              [workload.split("+") for workload in FIG11_WORKLOADS]),
+}
+FIGURE_INSTRUCTIONS = 600
+FIGURE_WARMUP = 3000
+#: Machines warmed once by ``warm`` and again by ``run(warmup=...)``.
+REWARM_KINDS = ("base", "srt", "crt")
 
 #: The wide corpus: kind/profile#seed, one program per machine.
 CORPUS_KINDS = ("base", "srt", "crt", "lockstep")
@@ -218,6 +243,29 @@ def fault_run(case: str) -> Tuple[str, str]:
     return run_digest, report.outcome.value
 
 
+def figure_run(name: str) -> str:
+    """Digest of one figure's ``ExperimentResult`` on a fresh runner."""
+    driver, keyword, items = FIGURES[name]
+    runner = Runner(instructions=FIGURE_INSTRUCTIONS, warmup=FIGURE_WARMUP,
+                    seed=SEED)
+    return digest(driver(runner, **{keyword: items}).to_dict())
+
+
+def rewarm_run(kind: str) -> str:
+    """Digest of a gcc run whose machine is warmed twice."""
+    machine = make_machine(kind, MachineConfig(), [program("gcc")])
+    machine.warm(WARMUP)
+    result = machine.run(max_instructions=INSTRUCTIONS, warmup=WARMUP)
+    return digest(result.to_dict())
+
+
+def served_run() -> str:
+    """Digest of a served SRT payload: the SRT run, then its base
+    baseline, on one runner."""
+    runner = Runner(instructions=INSTRUCTIONS, warmup=WARMUP, seed=SEED)
+    return digest(runner.run_structured("srt", ["gcc"]))
+
+
 def campaign_run(case: str, mode: str, out_dir: Path) -> str:
     """SHA-256 of one campaign's ``results.jsonl``."""
     jobs, chunk_size = CAMPAIGN_MODES[mode]
@@ -292,6 +340,20 @@ def test_fault_run_digest(case):
     assert run_digest == golden()["faults"][case]
 
 
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_figure_digest(name):
+    assert figure_run(name) == golden()["figures"][name]
+
+
+@pytest.mark.parametrize("kind", REWARM_KINDS)
+def test_rewarm_digest(kind):
+    assert rewarm_run(kind) == golden()["rewarmed"][kind]
+
+
+def test_served_digest():
+    assert served_run() == golden()["served"]
+
+
 @pytest.mark.parametrize("mode", sorted(CAMPAIGN_MODES))
 @pytest.mark.parametrize("case", sorted(CAMPAIGNS))
 def test_campaign_digest(case, mode, tmp_path):
@@ -327,6 +389,11 @@ def regenerate() -> None:
         "seed": SEED, "instructions": INSTRUCTIONS, "warmup": WARMUP,
         "runs": runs, "samples": samples,
         "faults": {case: fault_run(case)[0] for case in sorted(FAULT_RUNS)},
+        "figures": {name: figure_run(name) for name in sorted(FIGURES)},
+        "figure_size": {"instructions": FIGURE_INSTRUCTIONS,
+                        "warmup": FIGURE_WARMUP},
+        "rewarmed": {kind: rewarm_run(kind) for kind in REWARM_KINDS},
+        "served": served_run(),
         "corpus": {case: corpus_run(case) for case in CORPUS_CASES},
         "corpus_size": {"instructions": CORPUS_INSTRUCTIONS,
                         "warmup": CORPUS_WARMUP},
@@ -339,9 +406,11 @@ def regenerate() -> None:
         json.dump(payload, sink, indent=1, sort_keys=True)
         sink.write("\n")
     print(f"wrote {len(runs)} run, {len(samples)} sample, "
-          f"{len(payload['faults'])} fault, {len(payload['corpus'])} "
-          f"corpus, {len(campaigns)} campaign, {len(payload['avf'])} AVF "
-          f"and {len(payload['programs'])} program digests to {FIXTURE}")
+          f"{len(payload['faults'])} fault, {len(payload['figures'])} "
+          f"figure, {len(payload['rewarmed']) + 1} rewarm and served, "
+          f"{len(payload['corpus'])} corpus, {len(campaigns)} campaign, "
+          f"{len(payload['avf'])} AVF and {len(payload['programs'])} "
+          f"program digests to {FIXTURE}")
 
 
 if __name__ == "__main__":
