@@ -13,8 +13,11 @@ Records, through :func:`repro.obs.bench.record` (a no-op unless
 - ``sim.cycles_per_s.{base,srt,crt,lockstep}`` — simulated cycles per
   second of the run; the lockstep run has no fault injector, so it
   simulates core 0 and mirrors core 1 from it;
-- ``core.warm_ms`` — one ``Machine.warm`` that replays the program's
-  already recorded path (``Program.recorded_path``);
+- ``core.warm_ms`` — one ``Machine.warm`` after the layout's first: it
+  restores the caches and predictor the first one left
+  (``Program._warm``).  Each round warms an equal program generated
+  afresh, whose path is recorded before timing: base replays, then srt,
+  crt and lockstep restore, so the median is a restore;
 - ``core.warm_record_ms`` — the first ``Machine.warm`` of a freshly
   generated program, which records its path and then replays it;
 - ``isa.generate_ms`` — ``generate_benchmark("gcc", verify=False)``;
@@ -62,10 +65,13 @@ def test_cycle_core_throughput():
         path = record_path(program, WARMUP)
         best_steps = max(best_steps,
                          len(path) / (time.perf_counter() - start))
-    program.recorded_path(WARMUP)  # every timed warm-up below replays it
     best_rate = {kind: 0.0 for kind in KINDS}
     warm_s = []
     for _ in range(ROUNDS):
+        # A cold warm-up memo: base replays the recorded path, the other
+        # kinds restore what it left.
+        program = generate_benchmark("gcc")
+        program.recorded_path(WARMUP)
         for kind in KINDS:
             machine = make_machine(kind, MachineConfig(), [program])
             start = time.perf_counter()

@@ -13,7 +13,7 @@ A *machine* is one single-chip device configuration from the paper:
 """
 
 import logging
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
@@ -104,38 +104,63 @@ class Machine:
         installs and a predictor's only on its own training, so each
         structure takes its whole stream in one call: every L1I the code
         addresses, every L1D the data addresses, every L2 both in step
-        order.
+        order.  Warmed from pristine, a structure's state is a function
+        of its geometry, its stream (for a predictor, the threads it
+        trains for each measured program) and the layout: the warm-up
+        length and, per measured thread in order, its program, address
+        offset and code base.  The first such warm-up of a layout
+        publishes a copy of each state in the memo of the first measured
+        thread's program (``Program._warm``); later ones restore copies
+        into their pristine structures instead of replaying, so machines
+        of different kinds and latencies, and CRT's sibling L1s, warm each
+        geometry once.  A multi-program entry holds the layout's other
+        programs and applies only when each one is the machine's.  A
+        structure that is not pristine (a second warm-up, a warm-up after
+        cycles ran) replays.  Entries are immutable and published by one
+        dict assignment: threads that miss on one key at once each replay
+        and publish equal entries.
         """
         self._begin()
-        code: List[int] = []
-        data: List[int] = []
-        unified: List[int] = []
-        for hw in self._measured.values():
-            program = hw.program
-            path = program.recorded_path(instructions)
-            thread_code = hw.code_addrs(path.pcs[:instructions])
-            for block, addr in zip(thread_code, path.data(instructions)):
-                unified.append(block)
-                if addr is not None:
-                    block = hw.phys_addr(addr)
-                    data.append(block)
-                    unified.append(block)
-            code += thread_code
-            trainers: Dict[object, List[int]] = {}
-            for core in self.cores:
-                for thread in core.threads:
-                    if thread.program is program and not thread.is_trailing:
-                        trainers.setdefault(core.branch_predictor,
-                                            []).append(thread.tid)
-            branches = path.branches(instructions)
-            for predictor, tids in trainers.items():
-                predictor.train(tids, branches)
+        measured = list(self._measured.values())
+        if not measured:
+            return
+        programs = [hw.program for hw in measured]
+        others = tuple(programs[1:])
+        memo = programs[0]._warm
+        layout = (instructions, tuple(program.name for program in others),
+                  tuple((hw.addr_offset, hw.program.code_base)
+                        for hw in measured))
+        streams: Dict[str, List[int]] = {}
+
+        def warm_cache(cache, stream: str) -> None:
+            if not streams:
+                streams.update(_warm_streams(measured, instructions))
+            cache.warm(streams[stream])
+
+        def train(predictor, tids: Tuple[Tuple[int, ...], ...]) -> None:
+            for program, thread_ids in zip(programs, tids):
+                if thread_ids:
+                    path = program.recorded_path(instructions)
+                    predictor.train(thread_ids, path.branches(instructions))
+
+        for core in self.cores:
+            predictor = core.branch_predictor
+            tids = tuple(tuple(thread.tid for thread in core.threads
+                               if thread.program is program
+                               and not thread.is_trailing)
+                         for program in programs)
+            if any(tids):
+                _settle(memo, others, predictor,
+                        ("branch", predictor.geometry, tids, layout),
+                        partial(train, predictor, tids))
         for hierarchy in self.hierarchies:
-            for cache in hierarchy.l1i:
-                cache.warm(code)
-            for cache in hierarchy.l1d:
-                cache.warm(data)
-            hierarchy.l2.warm(unified)
+            for stream, caches in (("code", hierarchy.l1i),
+                                   ("data", hierarchy.l1d),
+                                   ("unified", (hierarchy.l2,))):
+                for cache in caches:
+                    _settle(memo, others, cache,
+                            (stream, cache.geometry, layout),
+                            partial(warm_cache, cache, stream))
 
     # -- run loop ---------------------------------------------------------------
     def run(self, max_instructions: int = 10_000,
@@ -346,6 +371,51 @@ class Machine:
         if self.recovery is not None:
             stats.update(self.recovery.machine_stats())
         return stats
+
+
+#: Most entries one program's warm-up memo holds (``Program._warm``): a
+#: sweep over cache or predictor geometries or warm-up lengths adds
+#: entries, and past this many a warm-up replays without publishing.
+WARM_MEMO_LIMIT = 256
+
+
+def _warm_streams(measured: List[HwThread],
+                  instructions: int) -> Dict[str, List[int]]:
+    """The addresses a warm-up installs, per stream: every L1I takes the
+    code addresses, every L1D the data addresses and every L2 both in
+    step order, each thread's steps after the previous thread's."""
+    code: List[int] = []
+    data: List[int] = []
+    unified: List[int] = []
+    for hw in measured:
+        path = hw.program.recorded_path(instructions)
+        thread_code = hw.code_addrs(path.pcs[:instructions])
+        for block, addr in zip(thread_code, path.data(instructions)):
+            unified.append(block)
+            if addr is not None:
+                block = hw.phys_addr(addr)
+                data.append(block)
+                unified.append(block)
+        code += thread_code
+    return {"code": code, "data": data, "unified": unified}
+
+
+def _settle(memo: Dict[tuple, tuple], others: Tuple[Program, ...],
+            structure, key: tuple, replay: Callable[[], None]) -> None:
+    """Give ``structure`` (a cache or a branch predictor) its warmed state
+    for ``key``: restore the entry ``memo`` holds for these ``others``
+    into a pristine structure, or else ``replay()``, and publish a copy
+    of the state a replay from pristine reached."""
+    pristine = structure.is_pristine()
+    if pristine:
+        entry = memo.get(key)
+        if entry is not None and all(
+                mine is theirs for mine, theirs in zip(others, entry[0])):
+            structure.restore(entry[1])
+            return
+    replay()
+    if pristine and len(memo) < WARM_MEMO_LIMIT:
+        memo[key] = (others, structure.snapshot())
 
 
 def partition(total: int, parts: int) -> int:

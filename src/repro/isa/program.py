@@ -35,6 +35,11 @@ class Program:
     #: (``repro.core.faults._arch_golden``), the last horizon asked for.
     _golden: Optional[tuple] = field(default=None, init=False, repr=False,
                                      compare=False)
+    #: Warmed cache and predictor states of the layouts this program
+    #: leads (``repro.core.machine.Machine.warm``): key -> (the layout's
+    #: other programs, snapshot).
+    _warm: Dict[tuple, tuple] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.instructions:

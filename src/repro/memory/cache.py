@@ -8,8 +8,9 @@ issuing duplicate next-level accesses (as the paper's trailing threads
 rely on: a sufficiently delayed fetch finds the block already present).
 """
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 
 @dataclass
@@ -89,6 +90,12 @@ class SetAssociativeCache(NextLevel):
         self._mshrs: Dict[int, int] = {}
         self._use_stamp = 0
 
+    @property
+    def geometry(self) -> Tuple[int, int, int]:
+        """``(num_sets, assoc, block_bytes)``: with the blocks it installs,
+        all a warm-up's outcome depends on (latencies never reach it)."""
+        return self.num_sets, self.assoc, self.block_bytes
+
     # -- address helpers ------------------------------------------------
     def block_addr(self, addr: int) -> int:
         return addr & ~(self.block_bytes - 1)
@@ -147,3 +154,33 @@ class SetAssociativeCache(NextLevel):
             block = addr // block_bytes
             self._use_stamp += 1
             fill(block % num_sets, block // num_sets)
+
+    # -- warmed-state copies ----------------------------------------------
+    def is_pristine(self) -> bool:
+        """True while nothing is installed, counted or in flight: the
+        cache as constructed."""
+        return not (self._sets or self._use_stamp or self._mshrs
+                    or any(vars(self.stats).values()))
+
+    def snapshot(self) -> tuple:
+        """A copy of all that :meth:`warm` changes, sharing nothing with
+        the cache: its sets as flat ``(index, tag, stamp)`` triples in
+        insertion order, the use stamp and the statistics."""
+        triples = array("q")
+        for index, ways in self._sets.items():
+            for tag, stamp in ways.items():
+                triples.extend((index, tag, stamp))
+        return triples, self._use_stamp, dict(vars(self.stats))
+
+    def restore(self, snapshot: tuple) -> None:
+        """Take the state :meth:`snapshot` copied, as fresh objects, into a
+        pristine cache (a warm-up never leaves a set empty)."""
+        triples, self._use_stamp, stats = snapshot
+        sets = self._sets = {}
+        values = iter(triples)
+        for index, tag, stamp in zip(values, values, values):
+            ways = sets.get(index)
+            if ways is None:
+                ways = sets[index] = {}
+            ways[tag] = stamp
+        vars(self.stats).update(stats)

@@ -135,10 +135,15 @@ class Core:
                           lq_capacity=lq_capacity, sq_capacity=sq_capacity)
         thread.core = self
         self.threads.append(thread)
-        # Seed the architectural memory image (idempotent across the
-        # redundant pair, which shares an address space).
-        for addr, value in program.initial_memory.items():
-            self.memory.setdefault(thread.phys_addr(addr), value)
+        # Seed the architectural memory image in one update.  Memory holds
+        # only earlier threads' images yet, and two threads share an
+        # address space only as the redundant copies of one program, so
+        # a word already there keeps its place and gets its own value:
+        # what a setdefault per word left.
+        image = program.initial_memory
+        offset = thread.addr_offset
+        self.memory.update(zip(map(offset.__add__, image), image.values())
+                           if offset else image)
         return thread
 
     def next_seq(self) -> int:

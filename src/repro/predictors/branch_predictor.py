@@ -8,6 +8,7 @@ thread; the counter and target tables are shared (and therefore alias
 across threads, as on the real machine).
 """
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -94,6 +95,36 @@ class GshareBranchPredictor:
         for pc, taken in branches:
             for thread in threads:
                 update(thread, pc, taken, predict(thread, pc))
+
+    @property
+    def geometry(self) -> Tuple[int, int, int]:
+        """``(size, history_mask, contexts)``: with what it is trained on,
+        all a warm-up's outcome depends on."""
+        return self.size, self.history_mask, len(self._history)
+
+    def is_pristine(self) -> bool:
+        """True while every table is empty and every history and
+        statistic zero: the predictor as constructed."""
+        return not (self._gshare or self._bimodal or self._chooser
+                    or any(self._history) or any(vars(self.stats).values()))
+
+    def snapshot(self) -> tuple:
+        """A copy of all that :meth:`train` changes, sharing nothing with
+        the predictor: each table as its indexes and 2-bit counters, the
+        per-thread histories and the statistics."""
+        tables = tuple((array("q", table), bytes(table.values()))
+                       for table in (self._gshare, self._bimodal,
+                                     self._chooser))
+        return tables, tuple(self._history), dict(vars(self.stats))
+
+    def restore(self, snapshot: tuple) -> None:
+        """Take the state :meth:`snapshot` copied, as fresh objects, into a
+        pristine predictor."""
+        tables, history, stats = snapshot
+        self._gshare, self._bimodal, self._chooser = (
+            dict(zip(indexes, counters)) for indexes, counters in tables)
+        self._history = list(history)
+        vars(self.stats).update(stats)
 
     def snapshot_history(self, thread: int) -> int:
         return self._history[thread]

@@ -117,7 +117,7 @@ RUN_CASES = ([f"{config}/{program}" for config in CONFIGS
              + [f"{config}/{workload}" for config in FIG11_CONFIGS
                 for workload in FIG11_WORKLOADS])
 
-#: Figures at paper-smoke size: name -> (driver, keyword, items).
+#: Figures at paper-smoke size: name -> (experiment, keyword, items).
 FIGURES = {
     "fig6": (fig6_srt_one_thread, "benchmarks", list(PROGRAMS)),
     "fig8": (fig8_srt_two_threads, "pairs", [["gcc", "go"]]),
@@ -245,10 +245,10 @@ def fault_run(case: str) -> Tuple[str, str]:
 
 def figure_run(name: str) -> str:
     """Digest of one figure's ``ExperimentResult`` on a fresh runner."""
-    driver, keyword, items = FIGURES[name]
+    experiment, keyword, items = FIGURES[name]
     runner = Runner(instructions=FIGURE_INSTRUCTIONS, warmup=FIGURE_WARMUP,
                     seed=SEED)
-    return digest(driver(runner, **{keyword: items}).to_dict())
+    return digest(experiment(runner, **{keyword: items}).to_dict())
 
 
 def rewarm_run(kind: str) -> str:
