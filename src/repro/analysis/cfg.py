@@ -32,10 +32,23 @@ Construction also decodes what the register dataflow passes of
 holds, per instruction, the bit mask of the registers it reads and of
 the register it writes, and the block's upward-exposed uses and
 definitions as two masks.
+
+Visit order
+-----------
+
+:meth:`CFG.depth_first` walks the graph once, depth first from the
+entry, and keeps the walk: the reachable blocks in reverse postorder
+(RPO) and the back edges the loop check reads.  In RPO every edge but
+a back edge runs forward, so a forward fixpoint that visits the lowest
+rank first has met a block's forward predecessors before the block
+itself, and a backward one that sweeps in postorder has met its
+successors.  The fixpoint a monotone framework reaches does not depend
+on the visit order; the number of visits it takes does.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.isa.instructions import NUM_ARCH_REGS, Instruction
 from repro.isa.program import Program
@@ -80,6 +93,55 @@ class BasicBlock:
                 f"-> {self.successors})")
 
 
+class DepthFirst(NamedTuple):
+    """One depth-first walk of a CFG from its entry, each block's
+    successors taken left to right.
+
+    Every fixpoint over the CFG visits blocks in this walk's order:
+    forward problems by ``rank``, backward ones in postorder.
+    """
+
+    #: The reachable blocks in reverse postorder: the entry first, and
+    #: every edge that is not a back edge goes to a later block.
+    order: Tuple[int, ...]
+    #: Per block index, its position in ``order`` (``len(order)`` for an
+    #: unreachable block).
+    rank: Tuple[int, ...]
+    #: The edges ``(tail, head)`` to a block on the walk's stack, in the
+    #: order the walk meets them.
+    back_edges: Tuple[Tuple[int, int], ...]
+
+
+def _depth_first(blocks: Sequence[BasicBlock], entry: int) -> DepthFirst:
+    # Iterative, with one successor iterator per open block, so deep
+    # CFGs (gcc has ~900 blocks) never hit the recursion limit.
+    seen = [False] * len(blocks)
+    on_stack = [False] * len(blocks)
+    postorder: List[int] = []
+    back_edges: List[Tuple[int, int]] = []
+    seen[entry] = on_stack[entry] = True
+    stack = [(entry, iter(blocks[entry].successors))]
+    while stack:
+        node, successors = stack[-1]
+        for succ in successors:
+            if not seen[succ]:
+                seen[succ] = on_stack[succ] = True
+                stack.append((succ, iter(blocks[succ].successors)))
+                break
+            if on_stack[succ]:
+                back_edges.append((node, succ))
+        else:  # every successor met: the block is finished
+            stack.pop()
+            on_stack[node] = False
+            postorder.append(node)
+    order = tuple(reversed(postorder))
+    rank = [len(order)] * len(blocks)
+    for position, index in enumerate(order):
+        rank[index] = position
+    return DepthFirst(order=order, rank=tuple(rank),
+                      back_edges=tuple(back_edges))
+
+
 @dataclass
 class CFG:
     """Control-flow graph: blocks indexed densely, entry first."""
@@ -92,34 +154,27 @@ class CFG:
     #: Landing pads assumed for imprecise indirect jumps (empty when all
     #: indirect flow was resolved precisely).
     conservative_indirect_targets: FrozenSet[int] = frozenset()
-    _reachable: Optional[Tuple[int, ...]] = field(
+    _walk: Optional[DepthFirst] = field(
         default=None, init=False, repr=False, compare=False)
 
     def block_at(self, pc: int) -> BasicBlock:
         return self.blocks[self.block_of_pc[pc]]
 
-    def reachable(self) -> Sequence[int]:
-        """Block indices reachable from the entry, in discovery order.
+    def depth_first(self) -> DepthFirst:
+        """The CFG's depth-first walk from the entry (see
+        :class:`DepthFirst`).
 
         Computed on the first call and kept: only :func:`build_cfg`
-        changes a CFG, so every later call returns the same tuple.
+        changes a CFG, so every later call returns the same walk.
         """
-        if self._reachable is None:
-            seen = [False] * len(self.blocks)
-            order: List[int] = []
-            stack = [self.entry]
-            while stack:
-                index = stack.pop()
-                if seen[index]:
-                    continue
-                seen[index] = True
-                order.append(index)
-                # Reversed so the leftmost successor is visited first.
-                for succ in reversed(self.blocks[index].successors):
-                    if not seen[succ]:
-                        stack.append(succ)
-            self._reachable = tuple(order)
-        return self._reachable
+        if self._walk is None:
+            self._walk = _depth_first(self.blocks, self.entry)
+        return self._walk
+
+    def reachable(self) -> Sequence[int]:
+        """Block indices reachable from the entry, in reverse postorder
+        (the entry first)."""
+        return self.depth_first().order
 
     def back_edges(self) -> List[Tuple[int, int]]:
         """DFS back edges ``(tail, head)`` over the reachable subgraph.
@@ -127,29 +182,7 @@ class CFG:
         A back edge is an edge to a block currently on the DFS stack;
         each corresponds to (at least) one loop with head ``head``.
         """
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = [WHITE] * len(self.blocks)
-        edges: List[Tuple[int, int]] = []
-
-        # Iterative DFS with explicit exit events, so deep CFGs (gcc has
-        # ~900 blocks) never hit the recursion limit.
-        stack: List[Tuple[int, int]] = [(self.entry, 0)]
-        color[self.entry] = GREY
-        while stack:
-            node, child = stack[-1]
-            succs = self.blocks[node].successors
-            if child < len(succs):
-                stack[-1] = (node, child + 1)
-                succ = succs[child]
-                if color[succ] == GREY:
-                    edges.append((node, succ))
-                elif color[succ] == WHITE:
-                    color[succ] = GREY
-                    stack.append((succ, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-        return edges
+        return list(self.depth_first().back_edges)
 
     def natural_loop(self, tail: int, head: int) -> FrozenSet[int]:
         """Blocks of the natural loop for back edge ``tail -> head``.

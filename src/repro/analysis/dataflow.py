@@ -22,19 +22,24 @@ Four solvers:
 - :func:`solve_store_dirty` — forward "a store has retired since the
   last MEMBAR" predicate, for the publication-ordering check.
 
+Every solver visits blocks in the order of the CFG's one depth-first
+walk (:meth:`~repro.analysis.cfg.CFG.depth_first`): the forward
+worklists pop the lowest reverse-postorder rank first, the store-dirty
+pass sweeps in reverse postorder, and liveness sweeps in postorder.
+
 The constant solver runs each block as a transfer list decoded once
 per block: one step per register write, naming the write's ALU
 function and source registers.  A CFG merge keeps the ``(register,
 value)`` pairs every incoming state holds, as one intersection of the
 states' item views.  A block whose merged input did not change since
-its last visit is skipped (its output cannot change), the worklist is
-FIFO, and the solver raises ``RuntimeError`` rather than return states
-that are not a fixpoint when it has not converged within
+its last visit is skipped (its output cannot change), and the solver
+raises ``RuntimeError`` rather than return states that are not a
+fixpoint when it has not converged within
 ``CONSTANT_VISITS_PER_BLOCK * n + CONSTANT_VISITS_BASE`` block visits
 (``n`` blocks).
 """
 
-from collections import deque
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
@@ -45,13 +50,6 @@ ALL_REGS = (1 << NUM_ARCH_REGS) - 1
 R0_ONLY = 1 << ZERO_REG
 
 ConstState = Dict[int, int]  # reg -> known 64-bit value (absent = unknown)
-
-
-# -- per-instruction facts -------------------------------------------------
-
-def written_reg(instr: Instruction) -> Optional[int]:
-    """The architectural register defined by ``instr`` (None if none)."""
-    return instr.rd if instr.writes_reg else None
 
 
 # -- initialization (forward) ----------------------------------------------
@@ -72,12 +70,16 @@ def solve_initialized(cfg: CFG, entry_mask: int = R0_ONLY,
     out_masks = [top] * n
     in_masks[entry] = entry_mask
 
-    worklist = deque(cfg.reachable())
+    walk = cfg.depth_first()
+    order, rank = walk.order, walk.rank
+    # Every reachable block, lowest reverse-postorder rank first: a
+    # sorted list of ranks is already a heap.
+    worklist = list(range(len(order)))
     on_list = [False] * n
-    for b in worklist:
-        on_list[b] = True
+    for index in order:
+        on_list[index] = True
     while worklist:
-        index = worklist.popleft()
+        index = order[heappop(worklist)]
         on_list[index] = False
         block = blocks[index]
         preds = block.predecessors
@@ -88,8 +90,6 @@ def solve_initialized(cfg: CFG, entry_mask: int = R0_ONLY,
             if not must:
                 for pred in preds:
                     in_mask |= out_masks[pred]
-        elif not preds:
-            in_mask = ALL_REGS if must else entry_mask
         elif must:
             in_mask = ALL_REGS
             for pred in preds:
@@ -104,7 +104,7 @@ def solve_initialized(cfg: CFG, entry_mask: int = R0_ONLY,
             out_masks[index] = new_out
             for succ in block.successors:
                 if not on_list[succ]:
-                    worklist.append(succ)
+                    heappush(worklist, rank[succ])
                     on_list[succ] = True
     return in_masks
 
@@ -112,7 +112,8 @@ def solve_initialized(cfg: CFG, entry_mask: int = R0_ONLY,
 # -- liveness (backward) ---------------------------------------------------
 
 def solve_liveness(cfg: CFG) -> Tuple[List[int], List[int]]:
-    """Per-block (live-in, live-out) register masks."""
+    """Per-block (live-in, live-out) register masks, swept in postorder
+    until a sweep changes nothing."""
     blocks = cfg.blocks
     n = len(blocks)
     live_in = [0] * n
@@ -172,7 +173,10 @@ def _const_step(instr: Instruction, operands: _OperandTable) -> _ConstStep:
             instr.imm)
 
 
-def _run_steps(state: ConstState, steps: Sequence[_ConstStep]) -> None:
+def _run_steps(state: ConstState, steps: Sequence[_ConstStep]
+               ) -> ConstState:
+    """The state after ``steps``, as a new map."""
+    state = dict(state)
     get, pop = state.get, state.pop
     for rd, alu, (a, a0, b, b0, c, c0), imm in steps:
         if alu is not None:
@@ -185,14 +189,14 @@ def _run_steps(state: ConstState, steps: Sequence[_ConstStep]) -> None:
                         state[rd] = alu(x, y, z, imm)
                         continue
         pop(rd, None)
+    return state
 
 
 def transfer_constants(state: ConstState, instr: Instruction) -> ConstState:
-    """Apply one instruction to a must-constant state (mutates and
-    returns ``state``)."""
+    """The must-constant state after ``instr``, as a new map."""
     if instr.writes_reg:
-        _run_steps(state, (_const_step(instr, _OperandTable()),))
-    return state
+        return _run_steps(state, (_const_step(instr, _OperandTable()),))
+    return dict(state)
 
 
 def _solve_constants(cfg: CFG, code: List[List[_ConstStep]]
@@ -200,12 +204,14 @@ def _solve_constants(cfg: CFG, code: List[List[_ConstStep]]
     blocks = cfg.blocks
     n = len(blocks)
     entry = cfg.entry
+    walk = cfg.depth_first()
+    order, rank = walk.order, walk.rank
     in_states: List[Optional[ConstState]] = [None] * n
     out_states: List[Optional[ConstState]] = [None] * n
     # Whatever flows back into the entry is met with the nothing-known
     # entry state, which absorbs it.
     in_states[entry] = {}
-    worklist = deque([entry])
+    worklist = [rank[entry]]
     on_list = [False] * n
     on_list[entry] = True
     visits = 0
@@ -215,12 +221,13 @@ def _solve_constants(cfg: CFG, code: List[List[_ConstStep]]
             raise RuntimeError(f"constants: no fixpoint after {limit} "
                                f"block visits ({n} blocks)")
         visits += 1
-        index = worklist.popleft()
+        index = order[heappop(worklist)]
         on_list[index] = False
         block = blocks[index]
         if index == entry:
             merged = in_states[entry]
         else:
+            # Queued by a predecessor's new state, so one is reached.
             merged = None
             for pred in block.predecessors:
                 out = out_states[pred]
@@ -230,18 +237,15 @@ def _solve_constants(cfg: CFG, code: List[List[_ConstStep]]
                     merged = out
                 elif not merged.items() <= out.items():
                     merged = dict(merged.items() & out.items())
-            if merged is None:
-                merged = {}
         if merged == in_states[index] and out_states[index] is not None:
             continue  # same input as the last visit: same output
         in_states[index] = merged
-        state = dict(merged)
-        _run_steps(state, code[index])
+        state = _run_steps(merged, code[index])
         if out_states[index] != state:
             out_states[index] = state
             for succ in block.successors:
                 if not on_list[succ]:
-                    worklist.append(succ)
+                    heappush(worklist, rank[succ])
                     on_list[succ] = True
     return in_states
 
@@ -287,11 +291,11 @@ def known_store_bases(cfg: CFG) -> Dict[int, Optional[int]]:
         probes = stores[index]
         if not probes:
             continue
-        state = dict(const_in[index] or {})
+        state = const_in[index] or {}
         steps = code[index]
         done = 0
         for before, pc, ra in probes:
-            _run_steps(state, steps[done:before])
+            state = _run_steps(state, steps[done:before])
             done = before
             bases[pc] = state.get(ra, None if ra else 0)
     return bases
@@ -304,6 +308,7 @@ def solve_store_dirty(cfg: CFG) -> List[bool]:
 
     Meet is OR (may-analysis): the publication check must fire if *any*
     path reaches a shared store with an unfenced plain store behind it.
+    Swept in reverse postorder until a sweep changes nothing.
     """
     n = len(cfg.blocks)
     in_dirty = [False] * n
@@ -324,8 +329,6 @@ def solve_store_dirty(cfg: CFG) -> List[bool]:
         for index in order:
             block = cfg.blocks[index]
             dirty = any(out_dirty[p] for p in block.predecessors)
-            if index == cfg.entry:
-                dirty = dirty or False
             new_out = transfer(block, dirty)
             if dirty != in_dirty[index] or new_out != out_dirty[index]:
                 in_dirty[index] = dirty

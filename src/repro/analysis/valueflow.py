@@ -44,21 +44,26 @@ constant 0 in every known-bits state and is never demanded.
 
 Both solvers skip a block whose input is unchanged since its last
 visit: its transfer depends on that input alone, so its output cannot
-change.  The forward solver pops a FIFO worklist and raises
+change.  Both visit blocks in the order of the CFG's depth-first walk
+(:meth:`~repro.analysis.cfg.CFG.depth_first`).  The forward solver's
+worklist pops the lowest reverse-postorder rank first, and it raises
 ``RuntimeError`` when it has not converged within ``130 * n + 256``
 block visits (``n`` blocks) instead of returning states that are not a
-fixpoint.  The backward solver sweeps the reachable blocks in reverse
-discovery order until a sweep changes nothing.
+fixpoint.  The backward solver sweeps the reachable blocks in
+postorder until a sweep changes nothing.  It decodes each
+instruction's demand rule once per solve, with the forward facts the
+rule reads.
 """
 
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG
-from repro.analysis.dataflow import solve_liveness, written_reg
+from repro.analysis.dataflow import solve_liveness
 from repro.isa.instructions import NUM_ARCH_REGS, ZERO_REG, Instruction, Op
 from repro.util.bits import MASK64, to_unsigned
 
@@ -88,24 +93,13 @@ def pack(row: array) -> int:
     return int.from_bytes(row, "little")
 
 
-#: Byte -> 0/1 flag, and 0/1 flag -> ASCII binary digit.
-_NONZERO_BYTE = bytes([0] + [1] * 255)
-_BINARY_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+#: ``1 << r`` per lane r.
+_LANE_BITS = tuple(1 << lane for lane in range(NUM_ARCH_REGS))
 
 
 def nonzero_lanes(row: array) -> int:
-    """Register mask of the non-zero lanes of ``row``.
-
-    Loop-free: every byte becomes a 0/1 flag, each lane's eight flags
-    fold onto its lowest byte, and the 64 lane flags are read back as
-    binary digits, lane 63 first.
-    """
-    flags = int.from_bytes(row.tobytes().translate(_NONZERO_BYTE), "little")
-    flags |= flags >> 32
-    flags |= flags >> 16
-    flags |= flags >> 8
-    lanes = flags.to_bytes(_ROW_BYTES, "little")[-8::-8]
-    return int(lanes.translate(_BINARY_DIGIT), 2)
+    """Register mask of the non-zero lanes of ``row``."""
+    return sum(compress(_LANE_BITS, row))
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +328,12 @@ def solve_known_bits(cfg: CFG) -> List[Optional[KnownBits]]:
     blocks = cfg.blocks
     n = len(blocks)
     entry = cfg.entry
+    walk = cfg.depth_first()
+    order, rank = walk.order, walk.rank
     in_states: List[Optional[KnownBits]] = [None] * n
     out_states: List[Optional[KnownBits]] = [None] * n
     code = [_block_code(block.instructions) for block in blocks]
-    worklist = deque([entry])
+    worklist = [rank[entry]]
     on_list = [False] * n
     on_list[entry] = True
     visits = 0
@@ -349,7 +345,7 @@ def solve_known_bits(cfg: CFG) -> List[Optional[KnownBits]]:
             raise RuntimeError(f"known bits: no fixpoint after {limit} "
                                f"block visits ({n} blocks)")
         visits += 1
-        index = worklist.popleft()
+        index = order[heappop(worklist)]
         on_list[index] = False
         block = blocks[index]
         state: Optional[KnownBits] = None
@@ -360,8 +356,13 @@ def solve_known_bits(cfg: CFG) -> List[Optional[KnownBits]]:
         else:
             for pred in block.predecessors:
                 out = out_states[pred]
-                if out is not None:
-                    state = out if state is None else kb_join(*state, *out)
+                if out is None:
+                    continue
+                if state is None:
+                    state = out
+                else:  # kb_join of the two vector pairs
+                    mask = state[0] & out[0] & ~(state[1] ^ out[1])
+                    state = mask, state[1] & mask
         if state == in_states[index] and out_states[index] is not None:
             continue  # same input as the last visit: same output
         in_states[index] = state
@@ -370,7 +371,7 @@ def solve_known_bits(cfg: CFG) -> List[Optional[KnownBits]]:
             out_states[index] = out
             for succ in block.successors:
                 if not on_list[succ]:
-                    worklist.append(succ)
+                    heappush(worklist, rank[succ])
                     on_list[succ] = True
     return in_states
 
@@ -400,12 +401,10 @@ STH_VALUE_DEMAND = 0xFFFF_FFFF
 _SHIFT_AMOUNT_BITS = 0x3F
 
 
-#: The opcodes whose demand rule consults forward facts.  Their facts
-#: are the known bits of ra and rb just before the instruction,
-#: ``(ra mask, ra value, rb mask, rb value)``.  Only facts about
-#: *demanded* operand bits are consulted (see module docstring).
-_FACT_OPS = frozenset({Op.AND, Op.OR, Op.SHL, Op.SHR, Op.BEQZ, Op.BNEZ})
-
+#: The forward facts a demand rule may consult: the known bits of ra
+#: and rb just before the instruction, ``(ra mask, ra value, rb mask,
+#: rb value)``.  Only facts about *demanded* operand bits are consulted
+#: (see module docstring).
 Facts = Tuple[int, int, int, int]
 
 #: The facts of an instruction whose operands are not known at all.
@@ -531,25 +530,35 @@ _SOURCE_RULES = {
 }
 
 
-def demand_transfer(dem: array, instr: Instruction,
-                    facts: Facts = _NO_FACTS) -> None:
-    """Backward per-bit demand transfer for one instruction.
+#: The demand rules that consult forward facts: those of AND, OR, SHL,
+#: SHR, BEQZ and BNEZ.
+_FACT_RULES = frozenset({_and_sources, _or_sources, _shl_sources,
+                         _shr_sources, _branch_uses})
 
-    ``dem`` (mutated in place) holds the demand masks *after* the
-    instruction on entry and *before* it on exit.  A write to ``r0`` is
+#: One instruction decoded for the demand fixpoint, ``(instr, rule,
+#: facts)``: ``rule`` is its source rule when it writes a register and
+#: its use rule (or ``None``) when it does not.
+_DemandStep = Tuple[Instruction, Optional[Callable[..., None]], Facts]
+
+
+def _run_demand(dem: array, steps: Iterable[_DemandStep]) -> None:
+    """Backward per-bit demand transfer through ``steps``, last
+    instruction first.
+
+    ``dem`` (mutated in place) holds the demand masks *after* the steps
+    on entry and *before* them on exit.  A write to ``r0`` is
     discarded, so its sources are never observed through it.
     """
-    if instr.writes_reg:
-        rd = instr.rd
-        d = dem[rd]
-        dem[rd] = 0  # the write kills rd's demand...
-        if d:  # ...and passes it on to the sources
-            _SOURCE_RULES[instr.op](dem, instr, facts, d)
-    else:
-        uses = _USE_RULES.get(instr.op)
-        if uses is not None:
-            uses(dem, instr, facts)
-    dem[ZERO_REG] = 0  # r0 is hardwired; demands on it are vacuous
+    for instr, rule, facts in steps:
+        if instr.writes_reg:
+            rd = instr.rd
+            d = dem[rd]
+            dem[rd] = 0  # the write kills rd's demand...
+            if d:  # ...and passes it on to the sources
+                rule(dem, instr, facts, d)
+        elif rule is not None:
+            rule(dem, instr, facts)
+        dem[ZERO_REG] = 0  # r0 is hardwired; demands on it are vacuous
 
 
 @dataclass
@@ -572,19 +581,32 @@ class BitLiveness:
     defined_later: List[int]
 
 
-def _facts(cfg: CFG, known_in: List[Optional[KnownBits]]) -> List[Facts]:
-    """Per-pc forward facts, fixed once the forward solution is known
-    (an unreached block starts from the entry state)."""
-    facts: List[Facts] = [_NO_FACTS] * len(cfg.program)
+def _demand_code(cfg: CFG, known_in: List[Optional[KnownBits]]
+                 ) -> List[List[_DemandStep]]:
+    """Per block, the demand step of each instruction, last one first.
+
+    Each instruction's rule is decoded once, and its facts are fixed
+    once the forward solution is known (an unreached block starts from
+    the entry state).
+    """
+    code = []
     for block in cfg.blocks:
         state = known_in[block.index] or ENTRY_STATE
         masks, values = unpack(state[0]), unpack(state[1])
-        for pc, instr in zip(block.pcs(), block.instructions):
-            if instr.op in _FACT_OPS:
+        steps: List[_DemandStep] = []
+        for instr in block.instructions:
+            rule = (_SOURCE_RULES[instr.op] if instr.writes_reg
+                    else _USE_RULES.get(instr.op))
+            if rule in _FACT_RULES:
                 ra, rb = instr.ra, instr.rb
-                facts[pc] = (masks[ra], values[ra], masks[rb], values[rb])
+                steps.append((instr, rule, (masks[ra], values[ra],
+                                            masks[rb], values[rb])))
+            else:
+                steps.append((instr, rule, _NO_FACTS))
             transfer_known_bits(masks, values, instr)
-    return facts
+        steps.reverse()
+        code.append(steps)
+    return code
 
 
 def solve_bit_liveness(cfg: CFG,
@@ -593,15 +615,14 @@ def solve_bit_liveness(cfg: CFG,
     """Solve the backward per-bit demand fixpoint for ``cfg``."""
     if known_in is None:
         known_in = solve_known_bits(cfg)
-    instructions = cfg.program.instructions
-    facts = _facts(cfg, known_in)
+    code = _demand_code(cfg, known_in)
     blocks = cfg.blocks
     n = len(blocks)
 
     # Block-level backward fixpoint on packed demand vectors.
     demand_in = [0] * n
     demand_out = [0] * n
-    order = list(reversed(cfg.reachable()))
+    order = cfg.reachable()[::-1]
     first_sweep = True
     changed = True
     while changed:
@@ -617,8 +638,7 @@ def solve_bit_liveness(cfg: CFG,
             elif not first_sweep:
                 continue  # same output as the last visit: same input
             dem = unpack(out)
-            for pc in range(block.end - 1, block.start - 1, -1):
-                demand_transfer(dem, instructions[pc], facts[pc])
+            _run_demand(dem, code[index])
             merged = demand_in[index] | pack(dem)
             if merged != demand_in[index]:
                 demand_in[index] = merged
@@ -627,17 +647,19 @@ def solve_bit_liveness(cfg: CFG,
 
     # Materialize per-pc demand rows, one backward sweep per block (every
     # pc lies in exactly one block, so every slot gets a row).
-    before = [None] * len(instructions)
-    after = [None] * len(instructions)
+    before = [None] * len(cfg.program)
+    after = [None] * len(cfg.program)
     for block in blocks:
         out = 0
         for succ in block.successors:
             out |= demand_in[succ]
         dem = unpack(out)
-        for pc in range(block.end - 1, block.start - 1, -1):
+        pc = block.end
+        for step in code[block.index]:
+            pc -= 1
             after[pc] = dem
             dem = dem[:]
-            demand_transfer(dem, instructions[pc], facts[pc])
+            _run_demand(dem, (step,))
             before[pc] = dem
 
     live_before, defined_later = _per_pc_liveness(cfg)
@@ -651,10 +673,10 @@ def _per_pc_liveness(cfg: CFG) -> Tuple[List[int], List[int]]:
     n = len(cfg.blocks)
     program_len = len(cfg.program)
 
-    # defined-later: backward union of def masks.
+    # defined-later: backward union of def masks, swept in postorder.
     def_in = [0] * n
     def_out = [0] * n
-    order = list(reversed(cfg.reachable()))
+    order = cfg.reachable()[::-1]
     changed = True
     while changed:
         changed = False
@@ -663,11 +685,7 @@ def _per_pc_liveness(cfg: CFG) -> Tuple[List[int], List[int]]:
             out = 0
             for succ in block.successors:
                 out |= def_in[succ]
-            new_in = out
-            for instr in block.instructions:
-                reg = written_reg(instr)
-                if reg is not None:
-                    new_in |= 1 << reg
+            new_in = out | block.def_mask
             if out != def_out[index] or new_in != def_in[index]:
                 def_out[index] = out
                 def_in[index] = new_in
@@ -680,15 +698,13 @@ def _per_pc_liveness(cfg: CFG) -> Tuple[List[int], List[int]]:
         defined = def_out[block.index]
         for succ in block.successors:
             live |= live_in[succ]
-        for pc in range(block.end - 1, block.start - 1, -1):
-            instr = cfg.program.instructions[pc]
-            reg = written_reg(instr)
-            if reg is not None:
-                live &= ~(1 << reg)
-                defined |= 1 << reg
-            for src in instr.source_regs:
-                live |= 1 << src
-            live &= ~1  # r0 is never meaningfully live
+        reads, writes = block.read_masks, block.write_masks
+        for offset in range(len(writes) - 1, -1, -1):
+            write = writes[offset]
+            defined |= write
+            # r0 is never meaningfully live.
+            live = (live & ~write | reads[offset]) & ~1
+            pc = block.start + offset
             live_before[pc] = live
             defined_later[pc] = defined
     return live_before, defined_later

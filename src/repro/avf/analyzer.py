@@ -44,6 +44,7 @@ contract empirically.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG, build_cfg
@@ -72,12 +73,6 @@ DEST_FIELD_BITS = 6
 #: Bits in a register, and the register mask of r1..r63.
 _REG_BITS = 64
 _REGS_1_63 = ((1 << NUM_ARCH_REGS) - 1) & ~(1 << ZERO_REG)
-
-#: Ops whose rd field is architecturally ignored: flipping it is a no-op.
-_RD_IRRELEVANT_OPS = frozenset({
-    Op.ST, Op.STH, Op.MEMBAR, Op.NOP, Op.HALT,
-    Op.BEQZ, Op.BNEZ, Op.BR, Op.JMP, Op.RET,
-})
 
 #: Bit mask of the half-word written by an STH at the given raw address.
 _STH_HIGH = 0xFFFF_FFFF_0000_0000
@@ -220,7 +215,7 @@ class ProgramAVF:
                         else solve_bit_liveness(self.cfg))
         self.trace = (trace if trace is not None
                       else collect_trace(program, steps))
-        self._reg_counts: Dict[int, Dict[str, int]] = {}
+        self._reg_counts: Dict[int, Tuple[int, ...]] = {}
         self._dest_counts: Dict[int, Dict[str, int]] = {}
         self._memory_component: Optional[ComponentAVF] = None
 
@@ -245,30 +240,32 @@ class ProgramAVF:
         return self.classify_register(self.trace.pcs[step], reg, bit)
 
     def register_class_counts(self, pc: int) -> Dict[str, int]:
-        """Bit counts per class over registers 1..63 at one pc (cached).
+        """Bit counts per class over registers 1..63 at one pc."""
+        return dict(zip(ALL_CLASSES, self._register_counts(pc)))
+
+    def _register_counts(self, pc: int) -> Tuple[int, ...]:
+        """:meth:`register_class_counts` as a tuple in ``ALL_CLASSES``
+        order (cached).
 
         Whole register sets at once: a demanded register splits its
         bits between ``ace`` and ``logic-masked``, the others fall in
         one class each by the first of live / defined-later that holds.
         """
-        cached = self._reg_counts.get(pc)
-        if cached is not None:
-            return cached
-        row = self.bitlive.before[pc]
-        demanded = nonzero_lanes(row) & _REGS_1_63
-        free = _REGS_1_63 & ~demanded
-        no_output = free & self.bitlive.live_before[pc]
-        overwritten = free & ~no_output & self.bitlive.defined_later[pc]
-        dead = free & ~no_output & ~overwritten
-        ace = (pack(row) >> _REG_BITS).bit_count()  # lanes 1..63
-        counts = {
-            "dead": _REG_BITS * dead.bit_count(),
-            "overwritten": _REG_BITS * overwritten.bit_count(),
-            "no-output": _REG_BITS * no_output.bit_count(),
-            "logic-masked": _REG_BITS * demanded.bit_count() - ace,
-            ACE_CLASS: ace,
-        }
-        self._reg_counts[pc] = counts
+        counts = self._reg_counts.get(pc)
+        if counts is None:
+            row = self.bitlive.before[pc]
+            demanded = nonzero_lanes(row) & _REGS_1_63
+            free = _REGS_1_63 & ~demanded
+            no_output = free & self.bitlive.live_before[pc]
+            overwritten = free & ~no_output & self.bitlive.defined_later[pc]
+            dead = free & ~no_output & ~overwritten
+            ace = (pack(row) >> _REG_BITS).bit_count()  # lanes 1..63
+            counts = self._reg_counts[pc] = (
+                _REG_BITS * dead.bit_count(),
+                _REG_BITS * overwritten.bit_count(),
+                _REG_BITS * no_output.bit_count(),
+                _REG_BITS * demanded.bit_count() - ace,
+                ace)
         return counts
 
     # -- destination-field sites ------------------------------------------
@@ -276,8 +273,8 @@ class ProgramAVF:
     def classify_dest_field(self, pc: int, bit: int) -> str:
         """Class of a flip of bit ``bit`` of the rd field at ``pc``."""
         instr = self.program.fetch(pc)
-        if instr.op in _RD_IRRELEVANT_OPS:
-            return "dead"
+        if not instr.op.info.writes:
+            return "dead"  # the opcode ignores its rd field
         rd = instr.rd
         alt = rd ^ (1 << bit)
         after = self.bitlive.after[pc]
@@ -383,20 +380,22 @@ class ProgramAVF:
     # -- summaries ---------------------------------------------------------
 
     def register_component(self, dynamic: bool = True) -> ComponentAVF:
-        name = "register" if dynamic else "register-static"
-        component = ComponentAVF(name=name)
+        """Register bits per class: each executed pc's counts weighted by
+        its step count, or each reachable pc's counts once."""
         if dynamic:
-            for pc, count in self.trace.pc_counts.items():
-                for cls, bits in self.register_class_counts(pc).items():
-                    if bits:
-                        component.add(cls, bits * count)
+            pcs = list(self.trace.pc_counts)
+            weights = list(self.trace.pc_counts.values())
         else:
-            for index in self.cfg.reachable():
-                for pc in self.cfg.blocks[index].pcs():
-                    for cls, bits in self.register_class_counts(pc).items():
-                        if bits:
-                            component.add(cls, bits)
-        return component
+            pcs = [pc for index in self.cfg.reachable()
+                   for pc in self.cfg.blocks[index].pcs()]
+            weights = [1] * len(pcs)
+        columns = zip(*map(self._register_counts, pcs))
+        totals = [sum(map(mul, column, weights)) for column in columns]
+        return ComponentAVF(
+            name="register" if dynamic else "register-static",
+            class_bits={cls: bits for cls, bits in zip(ALL_CLASSES, totals)
+                        if bits},
+            total=sum(totals))
 
     def memory_component(self) -> ComponentAVF:
         if self._memory_component is None:

@@ -8,6 +8,7 @@ from repro.avf.analyzer import (ACE_CLASS, ALL_CLASSES, MASKED_CLASSES,
 from repro.avf.sites import (ARCH_MODELS, SiteUniverse,
                              clear_universe_cache, get_universe)
 from repro.isa.assembler import assemble
+from repro.isa.instructions import Op
 from repro.util.rng import DeterministicRng
 
 
@@ -159,6 +160,12 @@ class TestDestFieldClasses:
         avf = avf_of("ldi r1, 5\nhalt")
         assert avf.classify_dest_field(0, 1) == "no-output"
 
+    def test_ignored_rd_fields_are_the_non_writing_opcodes(self):
+        # The analyzer asks the opcode record, not a list of its own.
+        assert {op for op in Op if not op.info.writes} == {
+            Op.ST, Op.STH, Op.MEMBAR, Op.NOP, Op.HALT,
+            Op.BEQZ, Op.BNEZ, Op.BR, Op.JMP, Op.RET}
+
 
 class TestSummary:
     def test_components_and_totals(self):
@@ -176,6 +183,34 @@ class TestSummary:
         for comp in summary.components:
             assert 0.0 <= comp.avf <= 1.0
             assert comp.avf + comp.masked_fraction == pytest.approx(1.0)
+
+    def test_register_components_sum_the_per_pc_counts(self):
+        avf = avf_of("""
+            ldi r1, 3
+        loop:
+            addi r1, r1, -1
+            andi r2, r1, 0xF
+            st   r0, 0x1000, r2
+            bnez r1, loop
+            halt
+        """)
+        expected = {"register": {}, "register-static": {}}
+        for pc, count in avf.trace.pc_counts.items():
+            for cls, bits in avf.register_class_counts(pc).items():
+                if bits:
+                    expected["register"][cls] = (
+                        expected["register"].get(cls, 0) + bits * count)
+        for pc in range(len(avf.program)):
+            for cls, bits in avf.register_class_counts(pc).items():
+                if bits:
+                    expected["register-static"][cls] = (
+                        expected["register-static"].get(cls, 0) + bits)
+        for dynamic, name in ((True, "register"),
+                              (False, "register-static")):
+            component = avf.register_component(dynamic=dynamic)
+            assert component.name == name
+            assert component.class_bits == expected[name]
+            assert component.total == sum(expected[name].values())
 
     def test_to_dict_round_trips_classes(self):
         data = avf_of("ldi r1, 1\nhalt").summary().to_dict()

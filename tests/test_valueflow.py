@@ -6,6 +6,7 @@ from array import array
 import pytest
 from valueflow_reference import assert_known_fixpoint
 
+from repro.analysis import valueflow
 from repro.analysis.cfg import build_cfg
 from repro.analysis.valueflow import (ENTRY_STATE, KB_TOP, KB_ZERO, kb_add,
                                       kb_and, kb_const, kb_join, kb_mul,
@@ -312,6 +313,17 @@ class TestKnownBitsSolver:
 
 
 class TestDemandSolver:
+    def test_fact_rules_are_the_fact_opcodes(self):
+        """The rules that read forward facts are exactly those of AND,
+        OR, SHL, SHR, BEQZ and BNEZ."""
+        consulting = {op for op in Op
+                      if valueflow._SOURCE_RULES.get(op) in
+                      valueflow._FACT_RULES
+                      or valueflow._USE_RULES.get(op) in
+                      valueflow._FACT_RULES}
+        assert consulting == {Op.AND, Op.OR, Op.SHL, Op.SHR, Op.BEQZ,
+                              Op.BNEZ}
+
     def test_andi_masks_demand(self):
         liveness = solve_bit_liveness(cfg_of("andi-masks-demand"))
         # Before the andi (pc 1), only r1's low nibble is demanded.

@@ -18,11 +18,19 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cfg import CFG
-from repro.analysis.dataflow import solve_liveness, written_reg
+from repro.analysis.dataflow import solve_liveness
 from repro.analysis.valueflow import unpack
 from repro.isa.executor import alu_result
 from repro.isa.instructions import (NUM_ARCH_REGS, ZERO_REG, Instruction, Op)
 from repro.util.bits import MASK64, to_unsigned
+
+
+def written_reg(instr: Instruction) -> Optional[int]:
+    """The architectural register defined by ``instr`` (None if none):
+    ``repro.analysis.dataflow.written_reg`` as it stood beside this
+    solver."""
+    return instr.rd if instr.writes_reg else None
+
 
 ALL_BITS = MASK64
 
