@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from repro.harness.experiments import EXPERIMENT_REGISTRY as EXPERIMENTS
+from repro.harness.parallel import run_experiment_parallel
 from repro.harness.reporting import render_table
 from repro.harness.runner import Runner
 from repro.isa.profiles import SPEC95_NAMES
@@ -148,25 +149,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
         return cmd_list()
-    runner = Runner(instructions=args.instructions, warmup=args.warmup,
-                    seed=args.seed)
     try:
         if args.command == "run":
-            return cmd_run(args, runner)
+            return cmd_run(args, Runner(instructions=args.instructions,
+                                        warmup=args.warmup, seed=args.seed))
         if args.command not in EXPERIMENTS:
             print(f"unknown command {args.command!r}; try 'list'",
                   file=sys.stderr)
             return 2
         driver, _ = EXPERIMENTS[args.command]
-        if args.jobs > 1:
-            from repro.harness.parallel import run_experiment_parallel
-            result = run_experiment_parallel(
-                driver.__name__,
-                {"instructions": args.instructions, "warmup": args.warmup,
-                 "seed": args.seed},
-                jobs=args.jobs)
-        else:
-            result = driver(runner)
+        result = run_experiment_parallel(
+            driver.__name__,
+            {"instructions": args.instructions, "warmup": args.warmup,
+             "seed": args.seed},
+            jobs=args.jobs)
         print(render_table(result))
         return 0
     except (KeyError, ValueError) as error:

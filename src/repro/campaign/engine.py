@@ -1,72 +1,53 @@
 """Campaign engine: chunked parallel dispatch with resume and cancel.
 
 The engine is the bridge between the deterministic world (spec →
-task list → records) and the messy one (worker processes, timeouts,
-mid-run kills, service-layer cancellations):
-
-- ``jobs == 1`` executes in-process — no pool, no pickling, ideal for
-  tests and debugging, and by construction the reference output every
-  parallel run must match byte-for-byte;
-- ``jobs > 1`` fans chunks of tasks across a
-  :class:`concurrent.futures.ProcessPoolExecutor` with a bounded
-  submission window.  Results are consumed **in submission order**, so
-  records land in ``results.jsonl`` in canonical task order even though
-  chunks complete out of order — that ordering is what makes the
-  artifact byte-identical at any ``--jobs`` and makes resume's
-  completed-set a simple prefix.
+task list → records) and the messy one (worker processes, mid-run
+kills, service-layer cancellations).  It runs the remaining tasks
+through the shared chunked-pool runner
+(:func:`repro.harness.fanout.run_chunks`): in-process at ``jobs == 1``
+(the reference output every parallel run must match byte-for-byte),
+across a process pool above that.  Records come back **in submission
+order**, so they land in ``results.jsonl`` in canonical task order at
+any ``--jobs``, and resume's completed set is a simple prefix.
 
 Cooperative cancellation (``should_stop``): checked between chunks.
-Already-submitted chunks are drained in order (their records are kept —
-they were paid for), unstarted chunks are cancelled, and the artifact
-is left a valid canonical-order prefix that ``resume`` completes later.
+Chunks already running are drained in order (their records are kept;
+they were paid for), unstarted ones are cancelled, and the artifact is
+left a valid canonical-order prefix that ``resume`` completes later.
 The serve layer's job cancellation and SIGTERM drain both ride on this.
 
-Chunking amortizes per-task IPC and lets a worker reuse its generated
-benchmark across the chunk; the shared :mod:`repro.util.chunking`
-policy keeps at least ~4 chunks in flight per worker so the pool stays
-busy near the tail.
-
-Infrastructure-fault resilience: a crashed worker process breaks the
-whole :class:`~concurrent.futures.ProcessPoolExecutor`
-(``BrokenProcessPool``), which used to abort the campaign.  The engine
-now treats a pool break as an infrastructure event: it rebuilds the
-pool, reclaims every in-flight chunk (in canonical order, so the
-artifact stays byte-identical), and re-executes only the rows that
-never landed.  Because the culprit is unknowable from the break alone,
-the suspect head chunk is split to single tasks and re-run **alone**
-(probation) so blame lands precisely; a task whose chunk breaks the
-pool :data:`QUARANTINE_AFTER` consecutive times is quarantined as a
-structured ``infra-failure`` record — visible in ``campaign report`` —
-rather than aborting everything else.
+Infrastructure faults: the runner rebuilds a pool that a crashed
+worker broke and re-executes only the rows that never landed.  A task
+that breaks the pool :data:`~repro.harness.fanout.QUARANTINE_AFTER`
+consecutive times becomes a structured ``infra-failure`` record,
+visible in ``campaign report``, rather than aborting everything else.
+Every submission crosses the ``campaign.engine.submit`` chaos site,
+keyed by the chunk's first task and its attempt count.
 """
 
 import logging
 import time
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.sampler import InjectionTask, enumerate_tasks
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.campaign.worker import execute_chunk
 from repro.chaos import chaos_point
+from repro.harness.fanout import auto_chunk_size, run_chunks
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.util.chunking import auto_chunk_size
 
 run_log = logging.getLogger("repro.run")
 
 ProgressFn = Callable[[int, int], None]
 StopFn = Callable[[], bool]
 
-#: A task that breaks the pool this many consecutive times is recorded
-#: as an ``infra-failure`` row instead of being retried forever.
-QUARANTINE_AFTER = 3
-
 #: Outcome string of a quarantined task's structured record.
 INFRA_FAILURE_OUTCOME = "infra-failure"
 
-__all__ = ["CampaignEngine", "INFRA_FAILURE_OUTCOME", "QUARANTINE_AFTER",
-           "auto_chunk_size", "infra_failure_record", "run_campaign"]
+__all__ = ["CampaignEngine", "INFRA_FAILURE_OUTCOME", "auto_chunk_size",
+           "infra_failure_record", "run_campaign"]
 
 
 def infra_failure_record(task: Dict[str, object],
@@ -101,23 +82,9 @@ def infra_failure_record(task: Dict[str, object],
     return record
 
 
-def _chunks(tasks: List[InjectionTask], size: int,
-            config: Optional[Dict[str, object]],
-            timeout: int,
-            trace_carry: Optional[Dict[str, str]] = None
-            ) -> Iterator[Dict[str, object]]:
-    for start in range(0, len(tasks), size):
-        payload: Dict[str, object] = {
-            "tasks": [task.to_dict() for task in tasks[start:start + size]],
-            "config": config,
-            "timeout": timeout,
-        }
-        if trace_carry is not None:
-            # Cross-process span propagation: the worker adopts this
-            # carry so its chunk/task spans nest under the campaign.run
-            # root even across the pickle boundary.
-            payload["trace"] = trace_carry
-        yield payload
+def _quarantined(task: InjectionTask,
+                 pool_kills: int) -> List[Dict[str, object]]:
+    return [infra_failure_record(task.to_dict(), pool_kills)]
 
 
 class CampaignEngine:
@@ -125,14 +92,12 @@ class CampaignEngine:
 
     def __init__(self, spec: CampaignSpec, out_dir, jobs: int = 1,
                  task_timeout: int = 0,
-                 chunk_size: Optional[int] = None,
-                 quarantine_after: int = QUARANTINE_AFTER) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         self.spec = spec.validate()
         self.store = CampaignStore(out_dir)
         self.jobs = max(1, int(jobs))
         self.task_timeout = max(0, int(task_timeout))
         self.chunk_size = chunk_size
-        self.quarantine_after = max(1, int(quarantine_after))
         #: Infrastructure-event counters for this run (summary-only —
         #: stripped from cached serve payloads to keep them
         #: byte-identical across faulty and clean runs).
@@ -179,11 +144,30 @@ class CampaignEngine:
         with obs_trace.span("campaign.run",
                             key=self.spec.content_hash()[:12],
                             total=total):
-            payloads = _chunks(remaining, size, self.spec.config,
-                               self.task_timeout,
-                               trace_carry=obs_trace.carry())
+            carry = obs_trace.carry()
+
+            def prepare(tasks: Sequence[InjectionTask],
+                        attempt: int) -> Dict[str, object]:
+                chaos_point("campaign.engine.submit",
+                            key=tasks[0].task_id, attempt=attempt)
+                payload: Dict[str, object] = {
+                    "tasks": [task.to_dict() for task in tasks],
+                    "config": self.spec.config,
+                    "timeout": self.task_timeout,
+                    "attempt": attempt,
+                }
+                if carry is not None:
+                    # The worker adopts the carry, so its chunk and task
+                    # spans nest under campaign.run across the pickle.
+                    payload["trace"] = carry
+                return payload
+
             cancelled = False
-            for records in self._execute(payloads, should_stop):
+            for records in run_chunks(execute_chunk, remaining, size,
+                                      self.jobs, prepare, _quarantined,
+                                      name="campaign",
+                                      should_stop=should_stop,
+                                      stats=self.infra_stats):
                 self.store.append(records)
                 executed += len(records)
                 registry.counter("campaign.records").inc(len(records))
@@ -236,194 +220,6 @@ class CampaignEngine:
             "jobs": self.jobs,
             "elapsed_s": round(elapsed, 3),
         }
-
-    def _execute(self, payloads: Iterator[Dict[str, object]],
-                 should_stop: Optional[StopFn] = None
-                 ) -> Iterator[List[Dict[str, object]]]:
-        stopping = (should_stop if should_stop is not None
-                    else (lambda: False))
-        if self.jobs == 1:
-            for payload in payloads:
-                if stopping():
-                    return
-                chaos_point("campaign.engine.submit",
-                            key=payload["tasks"][0]["task_id"],
-                            attempt=int(payload.get("attempt") or 0))
-                yield execute_chunk(payload)
-            return
-        yield from self._execute_pooled(payloads, stopping)
-
-    def _execute_pooled(self, payloads: Iterator[Dict[str, object]],
-                        stopping: StopFn
-                        ) -> Iterator[List[Dict[str, object]]]:
-        """Windowed pool dispatch that survives broken pools.
-
-        Invariants:
-
-        - records are yielded in canonical (submission) order — the
-          backlog deque holds reclaimed payloads at its head, so a
-          rebuild never reorders the artifact;
-        - after a pool break the engine runs one chunk at a time
-          (*probation*) until a chunk completes, so the next break
-          definitively blames the chunk that was alone in flight;
-        - a suspect multi-task chunk is split to single-task chunks
-          before probation, so quarantine only ever removes one task;
-        - every resubmission bumps the payload's ``attempt`` counter so
-          first-attempt chaos rules do not re-fire forever.
-        """
-        # Lazy import: keep single-process campaigns importable on
-        # platforms with broken multiprocessing.
-        from collections import deque
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        # Bounded submission window: enough chunks in flight to keep
-        # every worker busy, few enough that a cancellation or a pool
-        # rebuild only has to reclaim a small suffix.
-        window = self.jobs * 4
-        backlog: Deque[Dict[str, object]] = deque()
-        pending: Deque[Tuple[Dict[str, object], object]] = deque()
-        kills: Dict[str, int] = {}  # task_id -> consecutive pool breaks
-        exhausted = False
-        probation = False
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        try:
-            while True:
-                limit = 1 if probation else window
-                broken_on_submit = False
-                while len(pending) < limit:
-                    if backlog:
-                        payload = backlog.popleft()
-                    elif not exhausted:
-                        try:
-                            payload = next(payloads)
-                        except StopIteration:
-                            exhausted = True
-                            break
-                    else:
-                        break
-                    chaos_point("campaign.engine.submit",
-                                key=payload["tasks"][0]["task_id"],
-                                attempt=int(payload.get("attempt") or 0))
-                    try:
-                        pending.append(
-                            (payload, pool.submit(execute_chunk, payload)))
-                    except BrokenExecutor:
-                        # The break raced ahead of the result we were
-                        # about to read; reclaim this payload with the
-                        # rest.
-                        backlog.appendleft(payload)
-                        broken_on_submit = True
-                        break
-                if broken_on_submit:
-                    pool = self._recover_pool(pool, None, pending, backlog)
-                    record = self._charge_backlog_head(backlog, kills)
-                    if record is not None:
-                        yield [record]
-                    probation = True
-                    continue
-                if not pending:
-                    return
-                # Futures resolve in submission order (canonical task
-                # order) even though chunks complete out of order —
-                # exactly the in-order flush the byte-identical
-                # artifact needs.
-                head_payload, future = pending.popleft()
-                try:
-                    records = future.result()
-                except BrokenExecutor:
-                    pool = self._recover_pool(pool, head_payload, pending,
-                                              backlog)
-                    record = self._charge_backlog_head(backlog, kills)
-                    if record is not None:
-                        yield [record]
-                    probation = True
-                    continue
-                probation = False
-                for task in head_payload["tasks"]:
-                    kills.pop(task["task_id"], None)
-                yield records
-                if stopping():
-                    # Drain the contiguous already-running prefix (the
-                    # pool starts futures in submission order, so the
-                    # cancellable ones form a suffix) and drop the rest.
-                    while pending:
-                        _, future = pending.popleft()
-                        if future.cancel():
-                            for _, rest in pending:
-                                rest.cancel()
-                            pending.clear()
-                            break
-                        try:
-                            yield future.result()
-                        except BrokenExecutor:
-                            # Cancelling anyway; the artifact stays a
-                            # valid canonical prefix for resume.
-                            break
-                    return
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _recover_pool(self, pool, head_payload: Optional[Dict[str, object]],
-                      pending: Deque[Tuple[Dict[str, object], object]],
-                      backlog: Deque[Dict[str, object]]):
-        """Rebuild a broken pool and reclaim every in-flight payload.
-
-        Reclaimed payloads go to the *front* of the backlog in their
-        original submission order with ``attempt`` bumped, so canonical
-        record order survives the rebuild and first-attempt chaos rules
-        stay quiet on the retry.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        reclaimed = (([head_payload] if head_payload is not None else [])
-                     + [payload for payload, _ in pending])
-        pending.clear()
-        for payload in reversed(reclaimed):
-            backlog.appendleft(
-                dict(payload, attempt=int(payload.get("attempt") or 0) + 1))
-        self.infra_stats["pool_rebuilds"] += 1
-        self.infra_stats["chunk_retries"] += len(reclaimed)
-        obs_metrics.registry().counter("campaign.pool.rebuilds").inc()
-        run_log.warning(
-            "campaign pool broken (worker died); rebuilt pool and "
-            "reclaimed %d in-flight chunk(s) for re-execution",
-            len(reclaimed))
-        pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _charge_backlog_head(self, backlog: Deque[Dict[str, object]],
-                             kills: Dict[str, int]
-                             ) -> Optional[Dict[str, object]]:
-        """Blame bookkeeping after a pool break.
-
-        The head of the backlog is the prime suspect (it was in flight
-        first).  A multi-task head is split into single-task payloads —
-        blame is ambiguous, nobody is charged, and the subsequent
-        probation run isolates the culprit.  A single-task head is
-        charged one kill; at :attr:`quarantine_after` consecutive kills
-        it is removed from the backlog and its structured
-        ``infra-failure`` record is returned for in-order emission.
-        """
-        if not backlog:
-            return None
-        head = backlog[0]
-        tasks = head["tasks"]
-        if len(tasks) > 1:
-            backlog.popleft()
-            for task in reversed(tasks):
-                backlog.appendleft(dict(head, tasks=[task]))
-            return None
-        task = tasks[0]
-        task_id = task["task_id"]
-        kills[task_id] = kills.get(task_id, 0) + 1
-        if kills[task_id] < self.quarantine_after:
-            return None
-        backlog.popleft()
-        self.infra_stats["quarantined"] += 1
-        obs_metrics.registry().counter("campaign.quarantined").inc()
-        run_log.warning(
-            "task %s killed the worker pool %d consecutive times; "
-            "quarantining it as an infra-failure record",
-            task_id, kills[task_id])
-        return infra_failure_record(task, kills.pop(task_id))
 
 
 def run_campaign(spec: CampaignSpec, out_dir, jobs: int = 1,

@@ -7,7 +7,10 @@ warmup, seed) recipe, runs the driver on a one-workload slice, and
 ships the resulting :class:`ExperimentResult` back to be merged in the
 original workload order.  Because the simulator is deterministic and a
 single-workload slice computes exactly the rows (and baselines) it
-needs, the merged table is identical to the sequential one.
+needs, the merged table is identical to the sequential one.  The
+slices run on the shared chunked-pool runner
+(:func:`repro.harness.fanout.run_chunks`), which rebuilds a pool that a
+dying worker broke and re-runs the lost slices.
 
 A driver is splittable when it takes one of the workload-list
 parameters (``benchmarks`` / ``workloads`` / ``pairs``); drivers that
@@ -22,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.harness import experiments
 from repro.harness.experiments import (ExperimentResult, fig8_default_pairs,
                                        fig11_default_workloads)
+from repro.harness.fanout import auto_chunk_size, run_chunks
 from repro.harness.runner import Runner
 from repro.isa.profiles import SPEC95_NAMES
-from repro.util.chunking import auto_chunk_size, chunked
 
 #: Parameter names (in priority order) through which a driver accepts
 #: its workload list.
@@ -99,13 +102,18 @@ def run_experiment_parallel(driver_name: str,
     items = default_items(driver) if param else None
     if jobs <= 1 or param is None or items is None or len(items) <= 1:
         return driver(Runner(**runner_kwargs))
-    # Shared fan-out policy (repro.util.chunking): one slice per item
-    # for the typical figure-sized lists, larger slices only when the
-    # item count dwarfs the worker pool.
+
+    def prepare(chunk: List[object], attempt: int):
+        return driver_name, runner_kwargs, param, chunk
+
+    def quarantine(item: object, kills: int) -> ExperimentResult:
+        # A figure has no failure row to stand in for a missing slice.
+        raise RuntimeError(f"{driver_name}: the worker running {item!r} "
+                           f"died {kills} consecutive times")
+
+    # One slice per item for the typical figure-sized lists, larger
+    # slices only when the item count dwarfs the worker pool.
     size = auto_chunk_size(len(items), jobs)
-    payloads = [(driver_name, runner_kwargs, param, chunk)
-                for chunk in chunked(items, size)]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        slices = list(pool.map(_run_slice, payloads))
-    return merge_results(slices)
+    return merge_results(list(run_chunks(
+        _run_slice, items, size, min(jobs, len(items)), prepare,
+        quarantine, name="experiment")))

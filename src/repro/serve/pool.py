@@ -7,11 +7,9 @@ process-pool fan-out and the resumable artifact store), an
 :func:`~repro.harness.parallel.run_experiment_parallel`, a ``run`` job
 drives :class:`~repro.harness.runner.Runner`, and ``avf`` / ``analyze``
 jobs drive the static analyzers.  The bridge's whole job is (a) to map
-a normalized :class:`JobSpec` onto those entry points, (b) to thread
-the scheduler's cooperative ``cancel`` event into the engine's
-``should_stop`` hook so a cancelled or timed-out job stops at the next
-chunk boundary, and (c) to return a JSON-able result payload the cache
-can seal.
+a normalized :class:`JobSpec` onto those entry points, (b) to stop a
+job whose scheduler ``cancel`` event is set, and (c) to return a
+JSON-able result payload the cache can seal.
 
 Where each job type runs is decided here, by :data:`PROCESS_HANDLERS`.
 ``run``, ``experiment``, ``avf`` and ``analyze`` jobs are CPU-bound
@@ -19,10 +17,13 @@ Python, so their handlers run in one of the pool's worker processes
 (:func:`run_job`), one per ``--max-running`` slot: two slots get two
 cores instead of taking turns under one interpreter lock, and the
 event loop no longer waits behind them.  The scheduler's executor
-thread only waits for the result.  ``campaign`` jobs stay on that
-thread: they stop at chunk boundaries on the scheduler's
-``threading.Event``, append to a store whose chaos points the daemon's
-plan arms, and already fan out through the engine's own process pool.
+thread only waits for the result, checking the job's cancel event
+every :data:`_CANCEL_POLL_S`: once it is set, the worker is killed with
+its process group (a figure fan-out pool included), and the slot's
+next job spawns a replacement.  ``campaign`` jobs stay on that thread:
+they stop at a chunk boundary on the cancel event, leaving a resumable
+artifact, append to a store whose chaos points the daemon's plan arms,
+and fan out through the engine's own process pool.
 
 Campaign artifacts live under ``<workdir>/artifacts/<cache-key>/`` —
 the same content-addressed key as the result cache — so a job that is
@@ -30,11 +31,13 @@ cancelled mid-flight leaves a valid resumable campaign directory, and
 resubmitting the identical spec *resumes* instead of restarting.
 """
 
+import os
 import signal
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.harness.fanout import pool_context
 from repro.obs import trace as obs_trace
 from repro.serve.jobs import JobSpec
 
@@ -47,7 +50,7 @@ _TIMING_KEYS = ("elapsed_s", "tasks_per_s", "infra", "unflushed_batches")
 
 
 class JobCancelled(Exception):
-    """The job observed its cancel event and stopped cooperatively."""
+    """The job's cancel event stopped it before it finished."""
 
 
 # -- process-job handlers: params in, JSON payload out ---------------------
@@ -64,7 +67,6 @@ def _run_run(params: Dict[str, object]) -> Dict[str, object]:
 def _run_experiment(params: Dict[str, object]) -> Dict[str, object]:
     from repro.harness.experiments import EXPERIMENT_REGISTRY
     from repro.harness.parallel import run_experiment_parallel
-    from repro.harness.runner import Runner
 
     driver, _ = EXPERIMENT_REGISTRY[params["experiment"]]
     runner_kwargs = {
@@ -72,13 +74,8 @@ def _run_experiment(params: Dict[str, object]) -> Dict[str, object]:
         "warmup": int(params["warmup"]),
         "seed": int(params["seed"]),
     }
-    jobs = int(params["jobs"])
-    if jobs > 1:
-        result = run_experiment_parallel(driver.__name__, runner_kwargs,
-                                         jobs=jobs)
-    else:
-        result = driver(Runner(**runner_kwargs))
-    return result.to_dict()
+    return run_experiment_parallel(driver.__name__, runner_kwargs,
+                                   jobs=int(params["jobs"])).to_dict()
 
 
 def _run_avf(params: Dict[str, object]) -> Dict[str, object]:
@@ -128,16 +125,19 @@ def run_job(job_type: str, params: Dict[str, object]) -> Dict[str, object]:
 #: Seconds a stopping worker gets to exit after its pipe closes.
 _STOP_S = 10.0
 
+#: Seconds between two checks of a running job's cancel event.
+_CANCEL_POLL_S = 0.1
+
 
 def _serve_jobs(conn) -> None:
     """Worker-process main loop: answer ``(type, params)`` requests on
     ``conn`` with ``(ok, payload or error)`` until the daemon closes it.
 
-    SIGINT is ignored: a terminal's Ctrl-C reaches the whole process
-    group, and the daemon's drain lets running jobs finish, then closes
-    the pipe.
+    The worker leads its own process group, so a cancel can kill it
+    together with any pool it forked, and a terminal's Ctrl-C, sent to
+    the daemon's group, does not reach it: the daemon's drain stops it.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.setpgid(0, 0)
     while True:
         try:
             job_type, params = conn.recv()
@@ -151,14 +151,15 @@ def _serve_jobs(conn) -> None:
 
 
 class _Worker:
-    """One spawned worker process and the daemon's end of its pipe."""
+    """One worker process and the daemon's end of its pipe."""
 
     def __init__(self) -> None:
         # Imported here, not at module level: daemon start-up stays as
         # fast as before, and only the first process job pays for it.
         import multiprocessing.util
 
-        context = multiprocessing.get_context("spawn")
+        # The daemon runs threads, so this is spawn.
+        context = pool_context()
         self.conn, child_conn = context.Pipe()
         self.process = context.Process(target=_serve_jobs,
                                        args=(child_conn,),
@@ -169,12 +170,25 @@ class _Worker:
         # closing the pipe first lets an undrained worker end its loop.
         multiprocessing.util.Finalize(self, self.conn.close,
                                       exitpriority=0)
+        #: Set once a cancel killed this worker.
+        self.cancelled = False
 
-    def call(self, job_type: str,
-             params: Dict[str, object]) -> Dict[str, object]:
-        """Run one job here; ``BrokenProcessPool`` if the worker died."""
+    def call(self, job_type: str, params: Dict[str, object],
+             cancel: threading.Event) -> Dict[str, object]:
+        """Run one job here; ``BrokenProcessPool`` if the worker died,
+        ``JobCancelled`` (the worker killed) once ``cancel`` is set."""
         try:
             self.conn.send((job_type, params))
+            while not self.conn.poll(_CANCEL_POLL_S):
+                if cancel.is_set():
+                    self.cancelled = True
+                    try:
+                        os.killpg(self.process.pid, signal.SIGKILL)
+                    except ProcessLookupError:  # not yet its group leader
+                        self.process.kill()
+                    self.process.join()
+                    raise JobCancelled(f"{job_type} job cancelled while "
+                                       f"running; its worker was killed")
             ok, value = self.conn.recv()
         except (EOFError, OSError) as error:
             from concurrent.futures.process import BrokenProcessPool
@@ -206,8 +220,9 @@ class WorkerPool:
     one job at a time over its own pipe, so only the thread holding a
     worker can see it die: that thread raises ``BrokenProcessPool`` (an
     infrastructure error the scheduler requeues) and frees the slot,
-    and the next job spawns the one replacement.  :meth:`shutdown` (the
-    drain path) stops the workers.
+    and the next job spawns the one replacement.  A cancel kills the
+    worker the same way, but it is not counted in :attr:`rebuilds`.
+    :meth:`shutdown` (the drain path) stops the idle workers.
 
     Concurrency:
         guarded-by _free: _idle, _live, rebuilds
@@ -235,24 +250,25 @@ class WorkerPool:
     def execute(self, spec: JobSpec,
                 cancel: Optional[threading.Event] = None
                 ) -> Dict[str, object]:
-        """Run one job to completion; raises JobCancelled if stopped."""
+        """Run one job to completion; raises JobCancelled if stopped.
+
+        A cancel that lands after the job's result is ready is too late
+        to save any work: the result is returned (and cached).
+        """
         cancel = cancel or threading.Event()
         if cancel.is_set():
             raise JobCancelled(f"{spec.type} job cancelled before start")
-        # A cancel that lands after the handler's last chunk is too
-        # late to save any work — the complete result is returned (and
-        # cached) rather than discarded; only the campaign handler can
-        # actually stop early, and it raises JobCancelled itself.
         with obs_trace.span(f"pool.{spec.type}",
                             key=spec.cache_key()[:16]):
             if spec.type in PROCESS_HANDLERS:
-                return self._in_worker(spec)
+                return self._in_worker(spec, cancel)
             return self._run_campaign(spec, cancel)
 
-    def _in_worker(self, spec: JobSpec) -> Dict[str, object]:
+    def _in_worker(self, spec: JobSpec,
+                   cancel: threading.Event) -> Dict[str, object]:
         worker = self._acquire()
         try:
-            return worker.call(spec.type, spec.params)
+            return worker.call(spec.type, spec.params, cancel)
         finally:
             self._release(worker)
 
@@ -270,9 +286,10 @@ class WorkerPool:
         with self._free:
             if worker.process.is_alive():
                 self._idle.append(worker)
-            else:  # it died: its slot goes to one replacement
+            else:  # dead or killed: its slot goes to one replacement
                 self._live -= 1
-                self.rebuilds += 1
+                if not worker.cancelled:
+                    self.rebuilds += 1
             self._free.notify()
 
     def shutdown(self) -> None:

@@ -34,13 +34,17 @@ Fair share: among queued jobs the dispatcher picks by (priority,
 fewest jobs already served for that client, arrival order), so one
 chatty client cannot starve the rest no matter how fast it submits.
 
-Cancellation is cooperative: a RUNNING job's ``threading.Event`` is
-observed by the campaign engine between chunk appends (and by every
-handler before/after its blocking section), so cancelled work stops at
-a chunk boundary and leaves a resumable artifact — never a torn one.
-``drain`` (SIGTERM) is cancel-everything + wait: queued jobs are
-cancelled outright, running jobs get their events set, and the call
-returns only when every in-flight chunk has been flushed.
+Cancelling a RUNNING job sets its ``threading.Event``.  A campaign
+observes it between chunk appends, so it stops at a chunk boundary and
+leaves a resumable artifact, never a torn one; every other job type's
+worker process is killed (see :mod:`repro.serve.pool`).  ``drain``
+(SIGTERM) is cancel-everything + wait: queued jobs are cancelled
+outright, running jobs get their events set, and the call returns once
+every one has settled.
+
+Retention: the scheduler remembers every queued and running job, and
+the last :data:`MAX_FINISHED_JOBS` finished ones.  An older job's id
+answers like an unknown one; its result stays in the disk cache.
 """
 
 import asyncio
@@ -72,6 +76,10 @@ DEFAULT_RETRY_AFTER = 2
 
 #: Observed-duration window for the Retry-After estimate.
 _DURATION_WINDOW = 32
+
+#: Finished jobs kept for status and result reads; the oldest-finished
+#: is forgotten first.
+MAX_FINISHED_JOBS = 256
 
 #: Per-job infrastructure retry budget: a job whose execution dies on
 #: an infrastructure error (disk fault, broken executor) is requeued
@@ -188,6 +196,7 @@ class Scheduler:
 
     Concurrency:
         loop-confined: jobs, _queued, _running, _by_key, _served
+        loop-confined: _finished
         loop-confined: _durations, _seq, _wake, _draining
         loop-confined: _dispatcher, _executor, infra_requeues
         unguarded-ok: pool, cache, max_queue, max_running
@@ -206,6 +215,7 @@ class Scheduler:
         self.infra_requeues = 0  # total across all jobs, for /metrics
         self.counters = obs_metrics.ServiceCounters()
         self.jobs: Dict[str, Job] = {}
+        self._finished: Deque[str] = deque()  # ids, oldest-finished first
         self._queued: List[Job] = []
         self._running: Dict[str, Job] = {}
         self._by_key: Dict[str, Job] = {}  # in-flight primary per key
@@ -327,9 +337,9 @@ class Scheduler:
 
         Queued jobs leave the queue immediately (promoting a coalesced
         follower, if any, so the shared computation survives).  Running
-        jobs get their cooperative event; the slot frees at the next
-        chunk boundary.  Followers detach without disturbing the
-        primary's computation.
+        jobs get their cancel event: a campaign frees its slot at the
+        next chunk boundary, any other job once its worker is killed.
+        Followers detach without disturbing the primary's computation.
         """
         job = self.jobs[job_id]
         if job.finished:
@@ -430,8 +440,7 @@ class Scheduler:
                     result = await asyncio.wait_for(
                         asyncio.shield(future), timeout)
                 except asyncio.TimeoutError:
-                    # The thread cannot be killed; ask it to stop at the
-                    # next chunk boundary and wait for the flush.
+                    # Stop the job as a cancel would, and wait for it.
                     timed_out = True
                     job.cancel_event.set()
                     result = await future
@@ -561,6 +570,9 @@ class Scheduler:
         elif state == CANCELLED:
             self.counters.add(cancelled=1)
         job.done_event.set()
+        self._finished.append(job.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self.jobs[self._finished.popleft()]
 
     # -- introspection -----------------------------------------------------
     def get(self, job_id: str) -> Job:

@@ -7,7 +7,6 @@ integer helpers.
 
 from repro.util.bits import MASK64, flip_bit, sign_extend, to_signed, to_unsigned
 from repro.util.canonical import canonical_json, content_hash, payload_digest
-from repro.util.chunking import auto_chunk_size, chunked
 from repro.util.delayline import DelayLine
 from repro.util.fifo import BoundedFifo, FifoFullError
 from repro.util.rng import DeterministicRng, seed_from
@@ -19,9 +18,7 @@ __all__ = [
     "DeterministicRng",
     "seed_from",
     "MASK64",
-    "auto_chunk_size",
     "canonical_json",
-    "chunked",
     "content_hash",
     "flip_bit",
     "payload_digest",

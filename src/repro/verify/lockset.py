@@ -83,6 +83,7 @@ LOCKSET_TARGETS = (
     "campaign/store.py",
     "campaign/engine.py",
     "campaign/worker.py",
+    "harness/fanout.py",
     "chaos/controller.py",
     "obs/metrics.py",
     "obs/trace.py",

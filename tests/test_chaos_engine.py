@@ -39,7 +39,7 @@ def test_worker_crashes_ride_out_byte_identical(tmp_path):
 
 def test_deterministic_killer_is_quarantined(tmp_path):
     """A task that kills its worker every time must not abort the
-    campaign: after quarantine_after consecutive kills it is recorded
+    campaign: after QUARANTINE_AFTER (3) consecutive kills it is recorded
     as a structured infra-failure row and the rest completes."""
     clean = run_campaign(SPEC, tmp_path / "clean", jobs=1)
     victim = CampaignStore(tmp_path / "clean").records()[3]["task_id"]

@@ -1,0 +1,96 @@
+"""The shared chunked-pool runner under the figure fan-out: a worker
+that dies mid-figure is replaced and its slice re-run, a slice that
+keeps killing its worker fails the figure, and the start method
+follows the caller's thread count."""
+
+import os
+import signal
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.harness import experiments, parallel
+from repro.harness.runner import Runner
+from repro.obs import metrics as obs_metrics
+
+RUNNER_KWARGS = {"instructions": 100, "warmup": 300, "seed": 0}
+
+#: Environment variable naming the marker file of a one-shot kill.
+KILL_MARKER = "REPRO_TEST_FANOUT_KILL_MARKER"
+
+VICTIM = "ijpeg"
+
+run_slice = parallel._run_slice
+
+
+def dying_slice(payload):
+    """``_run_slice`` whose worker dies on the victim's slice: once if
+    the marker file does not exist yet, every time without a marker."""
+    marker = os.environ.get(KILL_MARKER)
+    if VICTIM in payload[3]:
+        try:
+            if marker:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            os.kill(os.getpid(), signal.SIGKILL)
+        except FileExistsError:
+            pass
+    return run_slice(payload)
+
+
+def rebuilds():
+    return obs_metrics.registry().counter("experiment.pool.rebuilds").value
+
+
+class TestFigureFanOut:
+    def test_killed_slice_worker_is_replaced_and_rows_match(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel, "_run_slice", dying_slice)
+        monkeypatch.setenv(KILL_MARKER, str(tmp_path / "killed"))
+        before = rebuilds()
+        result = parallel.run_experiment_parallel("fig9_store_lifetime",
+                                                  RUNNER_KWARGS, jobs=2)
+        assert (tmp_path / "killed").exists(), "the victim never ran"
+        assert rebuilds() - before == 1
+        sequential = experiments.fig9_store_lifetime(Runner(**RUNNER_KWARGS))
+        assert result.rows == sequential.rows
+        assert list(result.rows) == list(sequential.rows)
+        assert result.summary == sequential.summary
+
+    def test_slice_that_always_kills_fails_the_figure(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_run_slice", dying_slice)
+        monkeypatch.delenv(KILL_MARKER, raising=False)
+        quarantined = obs_metrics.registry().counter("experiment.quarantined")
+        before = quarantined.value
+        with pytest.raises(RuntimeError, match=VICTIM):
+            parallel.run_experiment_parallel("fig9_store_lifetime",
+                                             RUNNER_KWARGS, jobs=2)
+        assert quarantined.value - before == 1
+
+
+#: Reads the start-method decision alone, beside a second thread, and
+#: alone again, in a process that starts with one thread.
+START_METHODS = """
+import threading
+from repro.harness.fanout import pool_context
+print(pool_context().get_start_method())
+release = threading.Event()
+other = threading.Thread(target=release.wait)
+other.start()
+print(pool_context().get_start_method())
+release.set()
+other.join()
+print(pool_context().get_start_method())
+"""
+
+
+class TestStartMethod:
+    def test_fork_from_one_thread_spawn_beside_another(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", START_METHODS],
+                             env=env, capture_output=True, text=True,
+                             timeout=60, check=True).stdout
+        assert out.split() == ["fork", "spawn", "fork"]

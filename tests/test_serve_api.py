@@ -18,7 +18,7 @@ from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import JobSpec
 from repro.serve.pool import JobCancelled
-from repro.serve.scheduler import Scheduler
+from repro.serve.scheduler import MAX_FINISHED_JOBS, Scheduler
 
 RUN_PARAMS = {"kind": "srt", "benchmarks": ["gcc"], "instructions": 250}
 
@@ -65,6 +65,19 @@ class TestLifecycle:
         with pytest.raises(ServeError) as exc:
             client.status("j999999")
         assert exc.value.status == 404
+
+    def test_forgotten_job_404_result_still_cached(self, server):
+        _, client = server
+        first = client.submit("run", RUN_PARAMS)["job"]
+        assert client.wait_for(first["id"], timeout=120)["job"]["state"] \
+            == "done"
+        for _ in range(MAX_FINISHED_JOBS):
+            assert client.submit("run", RUN_PARAMS)["job"]["cache_hit"]
+        with pytest.raises(ServeError) as exc:
+            client.status(first["id"])
+        assert exc.value.status == 404
+        assert len(client.jobs()["jobs"]) == MAX_FINISHED_JOBS
+        assert client.submit("run", RUN_PARAMS)["job"]["cache_hit"]
 
     def test_bad_spec_400(self, server):
         _, client = server

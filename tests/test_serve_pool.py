@@ -262,6 +262,127 @@ class TestPoolBreaks:
         assert not any(child.is_alive() for child in new_children(before))
 
 
+#: Process jobs that still run many seconds after they start.
+LONG_JOBS = [
+    ("run", {"kind": "srt", "benchmarks": ["gcc"],
+             "instructions": 200_000, "warmup": 1000, "seed": 11}),
+    ("avf", {"workload": "gcc", "steps": 2_000_000}),
+    # The worker forks a two-process figure pool into its group.
+    ("experiment", {"experiment": "fig9", "instructions": 20_000,
+                    "warmup": 0, "jobs": 2}),
+]
+
+#: A short job for the slot after a cancel.
+NEXT_JOB = ("analyze", {"workload": "li", "seed": 9})
+
+
+def group_members(pgid):
+    """Live (not zombie) processes of process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def wait_until(predicate, timeout, message):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, message
+        time.sleep(0.05)
+
+
+def running_worker(client, job, before, group_size=1):
+    """The new worker running ``job``, once its group has
+    ``group_size`` live processes."""
+    wait_until(lambda: client.status(job["id"])["job"]["state"]
+               == "running" and new_children(before), 60,
+               "the job never started in a worker")
+    (worker,) = new_children(before)
+    wait_until(lambda: len(group_members(worker.pid)) >= group_size, 60,
+               "the worker's group never grew")
+    return worker
+
+
+def assert_slot_serves_next_job(client):
+    job = client.submit(*NEXT_JOB)["job"]
+    final = client.wait_for(job["id"], timeout=120)["job"]
+    assert final["state"] == "done", final
+
+
+class TestCancelRunning:
+    """A cancelled or timed-out process job stops within seconds: its
+    worker's whole process group is killed, and the slot's next job
+    runs on a replacement worker.  (Campaigns stop at a chunk
+    boundary instead: tests/test_campaign_engine.py.)"""
+
+    @pytest.mark.parametrize("job_type,params", LONG_JOBS,
+                             ids=[job_type for job_type, _ in LONG_JOBS])
+    def test_cancel_kills_the_worker_group(self, tmp_path, job_type,
+                                           params):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with BackgroundServer(workdir=str(tmp_path / "serve"),
+                              max_running=1) as handle:
+            client = ServeClient(handle.url)
+            job = client.submit(job_type, params)["job"]
+            worker = running_worker(
+                client, job, before,
+                group_size=1 + params.get("jobs", 0))
+            time.sleep(0.5)  # into the job
+            cancelled_at = time.monotonic()
+            client.cancel(job["id"])
+            final = client.wait_for(job["id"], timeout=30)["job"]
+            assert final["state"] == "cancelled", final
+            assert time.monotonic() - cancelled_at < 5
+            wait_until(lambda: not group_members(worker.pid), 5,
+                       "a process of the worker's group survived")
+            assert_slot_serves_next_job(client)
+            assert handle.server.scheduler.pool.rebuilds == 0
+            counters = client.metrics()["counters"]
+            assert counters["cancelled"] == 1
+            assert counters["completed"] == 1
+
+    def test_cancel_queued(self, tmp_path):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with BackgroundServer(workdir=str(tmp_path / "serve"),
+                              max_running=1) as handle:
+            client = ServeClient(handle.url)
+            running = client.submit(*LONG_JOBS[0])["job"]
+            running_worker(client, running, before)
+            queued = client.submit(*NEXT_JOB)["job"]
+            assert queued["state"] == "queued"
+            assert client.cancel(queued["id"])["job"]["state"] \
+                == "cancelled"
+            client.cancel(running["id"])
+            assert client.wait_for(running["id"], timeout=30)["job"][
+                "state"] == "cancelled"
+            assert_slot_serves_next_job(client)
+            assert handle.server.scheduler.pool.rebuilds == 0
+
+    def test_job_timeout_kills_the_worker_group(self, tmp_path):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with BackgroundServer(workdir=str(tmp_path / "serve"),
+                              max_running=1, job_timeout=5) as handle:
+            client = ServeClient(handle.url)
+            job = client.submit(*LONG_JOBS[0])["job"]
+            worker = running_worker(client, job, before)
+            final = client.wait_for(job["id"], timeout=30)["job"]
+            assert final["state"] == "cancelled", final
+            assert final["error"] == "job timeout exceeded"
+            wait_until(lambda: not group_members(worker.pid), 5,
+                       "a process of the worker's group survived")
+            assert client.metrics()["counters"]["timeouts"] == 1
+            assert_slot_serves_next_job(client)
+            assert handle.server.scheduler.pool.rebuilds == 0
+
+
 class TestDrain:
     def test_no_worker_outlives_drain(self, tmp_path):
         before = {child.pid for child in multiprocessing.active_children()}

@@ -11,9 +11,9 @@ from repro.obs.metrics import ServiceCounters
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import JobSpec
 from repro.serve.pool import JobCancelled
-from repro.serve.scheduler import (CANCELLED, DONE, FAILED, QUEUED,
-                                   RUNNING, Draining, QueueFull,
-                                   Scheduler)
+from repro.serve.scheduler import (CANCELLED, DONE, FAILED,
+                                   MAX_FINISHED_JOBS, QUEUED, RUNNING,
+                                   Draining, QueueFull, Scheduler)
 
 
 def spec(tag=0, **overrides):
@@ -290,6 +290,42 @@ class TestCancellation:
             assert "timeout" in job.error
             assert scheduler.counters.timeouts == 1
             await scheduler.drain()
+
+        run(scenario())
+
+
+class TestRetention:
+    def test_oldest_finished_jobs_are_forgotten_first(self, tmp_path):
+        async def scenario():
+            scheduler, pool = make_scheduler(tmp_path)
+            gates = [pool.gate(spec(tag).cache_key()) for tag in (0, 1)]
+            scheduler.start()
+            try:
+                running = scheduler.submit(spec(0))
+                await wait_for(lambda: running.state == RUNNING)
+                queued = scheduler.submit(spec(1))
+                scheduler.cache.put(spec(2), {"echo": 302})
+                hits = [scheduler.submit(spec(2))
+                        for _ in range(MAX_FINISHED_JOBS + 5)]
+                assert all(hit.cache_hit for hit in hits)
+                assert set(scheduler.jobs) == (
+                    {running.job_id, queued.job_id}
+                    | {hit.job_id for hit in hits[5:]})
+                with pytest.raises(KeyError):
+                    scheduler.cancel(hits[0].job_id)
+                for gate in gates:
+                    gate.set()
+                await wait_for(lambda: queued.finished)
+                assert running.state == queued.state == DONE
+                # Each of them pushed out the oldest-finished job left.
+                assert {running.job_id, queued.job_id} <= set(scheduler.jobs)
+                assert hits[6].job_id not in scheduler.jobs
+                assert len(scheduler.jobs) == MAX_FINISHED_JOBS
+                assert scheduler.counters.consistent()
+            finally:
+                for gate in gates:
+                    gate.set()
+                await scheduler.drain()
 
         run(scenario())
 

@@ -1,11 +1,12 @@
-"""Shared chunking + canonical-hash helpers (repro.util)."""
+"""The fan-out chunk policy (repro.harness.fanout) and the
+canonical-hash helpers (repro.util)."""
 
 import json
 
 import pytest
 
-from repro.util import (auto_chunk_size, canonical_json, chunked,
-                        content_hash, payload_digest)
+from repro.harness.fanout import MAX_CHUNK_SIZE, auto_chunk_size, chunked
+from repro.util import canonical_json, content_hash, payload_digest
 
 
 class TestChunked:
@@ -39,7 +40,8 @@ class TestAutoChunkSize:
         assert auto_chunk_size(10_000, 4) == 16  # capped
 
     def test_respects_cap(self):
-        assert auto_chunk_size(10_000, 1, cap=7) == 7
+        for jobs in (1, 2, 8):
+            assert auto_chunk_size(10_000, jobs) == MAX_CHUNK_SIZE
 
     def test_min_chunks_per_worker(self):
         # 4 workers x 4 chunks each = 16 chunks minimum
