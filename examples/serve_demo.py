@@ -6,7 +6,7 @@ two concurrent identical campaign submissions (coalesced onto one
 execution), a paper figure, a cache-hit resubmission, a daemon
 restart answered from the disk cache — and prints the /metrics
 counters at each step. The complete lifecycle from `docs/SERVING.md`
-in one script, no sockets left behind.
+in one script, no sockets and no files left behind.
 
 Run:  python examples/serve_demo.py [workload] [injections]
 """
@@ -38,7 +38,12 @@ def show_counters(client: ServeClient, label: str) -> None:
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="repro-serve-demo-")
+    with tempfile.TemporaryDirectory(prefix="repro-serve-demo-") as workdir:
+        demo(workdir)
+    print(f"\ndrained cleanly; removed {workdir}")
+
+
+def demo(workdir: str) -> None:
     print(f"== serve demo (workdir {workdir}) ==\n")
 
     with BackgroundServer(workdir=workdir, max_running=2) as daemon:
@@ -83,8 +88,6 @@ def main() -> None:
               f"cache_hit={job['cache_hit']}")
         assert job["state"] == "done" and job["cache_hit"]
         show_counters(client, "fresh daemon")
-
-    print("\ndrained cleanly; artifacts + cache under", workdir)
 
 
 if __name__ == "__main__":

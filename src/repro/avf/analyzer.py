@@ -327,55 +327,54 @@ class ProgramAVF:
         One backward sweep per word over its access list keeps this
         linear in accesses instead of quadratic in steps: between two
         consecutive accesses the class of every bit is constant, so
-        intervals are weighted by their step count.
+        intervals are weighted by their step count.  The four class
+        masks and the per-class totals are plain ints; the component
+        is built once from the totals.
         """
-        component = ComponentAVF(name="memory")
         steps = self.trace.steps
         if steps == 0:
-            return component
+            return ComponentAVF(name="memory")
+        after = self.bitlive.after
+        dead_bits = overwritten_bits = no_output_bits = ace_bits = 0
         for word in self.trace.footprint:
-            accesses = self.trace.accesses.get(word, [])
             # Class masks for an injection in the interval *after* the
             # access currently being processed (backward walk).
-            masks = {"dead": MASK64, "overwritten": 0,
-                     "no-output": 0, ACE_CLASS: 0}
+            dead, overwritten, no_output, ace = MASK64, 0, 0, 0
             prev_step = steps  # exclusive upper bound of current interval
-            for access in reversed(accesses):
+            for access in reversed(self.trace.accesses.get(word, ())):
                 width = prev_step - (access.step + 1)
                 if width:
-                    for cls, mask in masks.items():
-                        if mask:
-                            component.add(cls, mask.bit_count() * width)
+                    dead_bits += dead.bit_count() * width
+                    overwritten_bits += overwritten.bit_count() * width
+                    no_output_bits += no_output.bit_count() * width
+                    ace_bits += ace.bit_count() * width
                 prev_step = access.step + 1
                 if access.kind == "st":
-                    masks = {"dead": 0, "overwritten": MASK64,
-                             "no-output": 0, ACE_CLASS: 0}
+                    dead, overwritten, no_output, ace = 0, MASK64, 0, 0
                 elif access.kind == "sth":
                     half = access.halfmask
-                    masks = {
-                        "dead": masks["dead"] & ~half,
-                        "overwritten": (masks["overwritten"] | half)
-                        & MASK64,
-                        "no-output": masks["no-output"] & ~half,
-                        ACE_CLASS: masks[ACE_CLASS] & ~half,
-                    }
+                    dead &= ~half
+                    overwritten = (overwritten | half) & MASK64
+                    no_output &= ~half
+                    ace &= ~half
                 else:  # ld
-                    if access.rd != ZERO_REG:
-                        demand = self.bitlive.after[access.pc][access.rd]
-                    else:
-                        demand = 0
-                    masks = {
-                        "dead": 0,
-                        "overwritten": masks["overwritten"] & ~demand,
-                        "no-output": ((masks["no-output"] | masks["dead"])
-                                      & ~demand) & MASK64,
-                        ACE_CLASS: (masks[ACE_CLASS] | demand) & MASK64,
-                    }
-            if prev_step:  # interval before the first access: [0, t0]
-                for cls, mask in masks.items():
-                    if mask:
-                        component.add(cls, mask.bit_count() * prev_step)
-        return component
+                    demand = (after[access.pc][access.rd]
+                              if access.rd != ZERO_REG else 0)
+                    no_output = (no_output | dead) & ~demand & MASK64
+                    dead = 0
+                    overwritten &= ~demand
+                    ace = (ace | demand) & MASK64
+            # The interval before the first access: [0, t0].
+            dead_bits += dead.bit_count() * prev_step
+            overwritten_bits += overwritten.bit_count() * prev_step
+            no_output_bits += no_output.bit_count() * prev_step
+            ace_bits += ace.bit_count() * prev_step
+        totals = {"dead": dead_bits, "overwritten": overwritten_bits,
+                  "no-output": no_output_bits, ACE_CLASS: ace_bits}
+        return ComponentAVF(
+            name="memory",
+            class_bits={cls: bits for cls, bits in totals.items() if bits},
+            total=sum(totals.values()))
 
     # -- summaries ---------------------------------------------------------
 

@@ -133,9 +133,9 @@ class TransientResultFault(Fault):
         core.result_corruptor = corrupt
 
     def _corrupt_uop(self, uop: Uop) -> bool:
-        if uop.instr.is_load and not self.target_loads:
+        if uop.info.is_load and not self.target_loads:
             return False
-        if uop.instr.is_store:
+        if uop.info.is_store:
             uop.store_value = flip_bit(uop.store_value, self.bit)
             return True
         if uop.result is not None:
@@ -165,7 +165,7 @@ class StuckFunctionalUnit(Fault):
                 previous(uop, now)
             if uop.fu != target:
                 return
-            if uop.instr.is_store and uop.store_value is not None:
+            if uop.info.is_store and uop.store_value is not None:
                 uop.store_value = flip_bit(uop.store_value, self.bit)
                 self.corrupted += 1
             elif uop.result is not None:

@@ -312,9 +312,14 @@ class Machine:
                 *(("commit", memory.tick) for memory in self.hierarchies),
                 ("verify", self._advance))
 
+    @cached_property
+    def _phase_calls(self) -> Tuple[Callable[[int], None], ...]:
+        """:attr:`phases` without the stage tags: what :meth:`step` calls."""
+        return tuple(phase for _, phase in self.phases)
+
     def step(self) -> None:
         now = self.now
-        for _, phase in self.phases:
+        for phase in self._phase_calls:
             phase(now)
 
     def _inject(self, now: int) -> None:

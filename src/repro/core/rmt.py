@@ -8,11 +8,12 @@ unit correspondence tracker used by the preferential-space-redundancy
 experiment.
 
 :class:`RmtController` implements :class:`~repro.pipeline.hooks.CoreHooks`
-and dispatches each hook to the right pair.
+and dispatches each hook to the calling thread's pair, which each of
+the two threads holds as ``thread.pair``.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.core.lpq import ChunkAggregator, LinePredictionQueue
@@ -48,7 +49,9 @@ class RmtController(CoreHooks):
         self.machine = machine
         self.config = config
         self.pairs: List[RedundantPair] = []
-        self._by_thread: Dict[int, RedundantPair] = {}  # id(thread) -> pair
+        #: Trailing threads fetch from the line prediction queue (else
+        #: through the predictors, the Section 4.4 alternative).
+        self._lpq_mode = config.trailing_fetch_mode == "lpq"
 
     # -- construction ------------------------------------------------------
     def create_pair(self, name: str, leading: HwThread, trailing: HwThread,
@@ -82,15 +85,9 @@ class RmtController(CoreHooks):
         pair = RedundantPair(name=name, leading=leading, trailing=trailing,
                              lvq=lvq, lpq=lpq, aggregator=aggregator,
                              comparator=comparator, sphere=sphere)
-        leading.partner = trailing
-        trailing.partner = leading
+        leading.pair = trailing.pair = pair
         self.pairs.append(pair)
-        self._by_thread[id(leading)] = pair
-        self._by_thread[id(trailing)] = pair
         return pair
-
-    def pair_of(self, thread: HwThread) -> Optional[RedundantPair]:
-        return self._by_thread.get(id(thread))
 
     # -- per-cycle work ----------------------------------------------------
     def tick(self, now: int) -> None:
@@ -115,43 +112,38 @@ class RmtController(CoreHooks):
         return (pair.leading.stats.retired
                 - pair.trailing.stats.retired) >= slack
 
-    @property
-    def _lpq_mode(self) -> bool:
-        return self.config.trailing_fetch_mode == "lpq"
-
     # -- retirement-side hooks ------------------------------------------------
     def on_uop_retired(self, core: "Core", thread: HwThread, uop: Uop,
                        now: int) -> None:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is None:
             return
         if thread is pair.leading:
             pair.tracker.leading_retired(uop.fu, uop.queue_half)
             if self._lpq_mode:
-                wrap = len(thread.program)
-                if uop.instr.is_control:
+                if uop.info.is_control:
                     next_pc = uop.actual_target
                 else:
-                    next_pc = (uop.pc + 1) % wrap
+                    next_pc = (uop.pc + 1) % thread.program_length
                 pair.aggregator.add(uop.pc, next_pc, uop.queue_half, now)
         else:
             pair.tracker.trailing_retired(uop.fu, uop.queue_half)
 
     def on_membar_blocked(self, core: "Core", thread: HwThread,
                           now: int) -> None:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is not None and thread is pair.leading:
             pair.aggregator.flush(now, reason="membar")
 
     def on_partial_store_block(self, core: "Core", thread: HwThread,
                                store_uop: Uop, now: int) -> None:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is not None and thread is pair.leading:
             pair.aggregator.flush(now, reason="partial-store")
 
     def can_retire_load(self, core: "Core", thread: HwThread, uop: Uop,
                         now: int) -> bool:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is None or thread is not pair.leading:
             return True
         # The LVQ entry is written at retirement; no room means stall.
@@ -161,7 +153,7 @@ class RmtController(CoreHooks):
 
     def on_load_retired(self, core: "Core", thread: HwThread, uop: Uop,
                         now: int) -> None:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is None or thread is not pair.leading:
             return
         pair.lvq.write(uop.load_index, uop.mem_addr, uop.result, now)
@@ -169,13 +161,13 @@ class RmtController(CoreHooks):
         thread.stats.lvq_writes += 1
 
     def store_needs_verification(self, thread: HwThread) -> bool:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         return (pair is not None and thread is pair.leading
                 and self.config.store_comparison)
 
     def on_store_retired(self, core: "Core", thread: HwThread, uop: Uop,
                          now: int) -> None:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is None or thread is not pair.trailing:
             return
         if self.config.store_comparison:
@@ -184,14 +176,14 @@ class RmtController(CoreHooks):
 
     def on_store_drained(self, core: "Core", thread: HwThread, uop: Uop,
                          now: int) -> None:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is not None and thread is pair.leading:
             pair.sphere.record_forwarded()
 
     # -- fetch-side hooks ----------------------------------------------------
     def trailing_fetch_ready(self, core: "Core", thread: HwThread,
                              now: int) -> bool:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         return (pair is not None
                 and self._slack_satisfied(pair)
                 and pair.lpq.peek_active(now) is not None)
@@ -199,12 +191,12 @@ class RmtController(CoreHooks):
     def trailing_may_fetch(self, core: "Core", thread: HwThread,
                            now: int) -> bool:
         """Predictor-mode trailing fetch gate: slack fetch only."""
-        pair = self.pair_of(thread)
+        pair = thread.pair
         return pair is None or self._slack_satisfied(pair)
 
     def trailing_peek_chunk(self, core: "Core", thread: HwThread,
                             now: int) -> Optional[tuple]:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is None:
             return None
         chunk = pair.lpq.peek_active(now)
@@ -214,35 +206,31 @@ class RmtController(CoreHooks):
 
     def trailing_ack_chunk(self, core: "Core", thread: HwThread,
                            now: int) -> None:
-        pair = self.pair_of(thread)
-        pair.lpq.ack()
+        thread.pair.lpq.ack()
 
     def trailing_commit_chunk(self, core: "Core", thread: HwThread,
                               now: int) -> None:
-        pair = self.pair_of(thread)
-        pair.lpq.commit()
+        thread.pair.lpq.commit()
 
     def trailing_rollback_chunk(self, core: "Core", thread: HwThread,
                                 now: int) -> None:
-        pair = self.pair_of(thread)
-        pair.lpq.rollback()
+        thread.pair.lpq.rollback()
 
     # -- execute-side hooks -----------------------------------------------------
     def trailing_load_probe(self, core: "Core", thread: HwThread, uop: Uop,
                             now: int) -> Optional[Tuple[int, int]]:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is None:
             return None
         return pair.lvq.probe(uop.load_index, now)
 
     def trailing_load_consume(self, core: "Core", thread: HwThread, uop: Uop,
                               now: int) -> None:
-        pair = self.pair_of(thread)
-        pair.lvq.consume(uop.load_index)
+        thread.pair.lvq.consume(uop.load_index)
 
     def on_trailing_divergence(self, core: "Core", thread: HwThread, uop: Uop,
                                kind: str, now: int) -> None:
-        pair = self.pair_of(thread)
+        pair = thread.pair
         if pair is not None and kind == "lvq-address-mismatch":
             pair.lvq.stats.address_mismatches += 1
         self.machine.report_fault(

@@ -83,7 +83,7 @@ class StoreComparator:
         matches = (entry.instr.op.name == record.op_name
                    and entry.mem_addr == record.addr
                    and entry.store_value == record.value
-                   and (not entry.instr.is_partial_store
+                   and (not entry.info.is_partial_store
                         or (entry.raw_addr & 4) == (record.raw_addr & 4)))
         entry.verified = True  # checked either way; fault is reported
         if not matches:

@@ -164,7 +164,10 @@ def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
                 run_log.warning(
                     "%s pool broken (worker died); rebuilt it and "
                     "reclaimed %d in-flight chunk(s)", name, len(reclaimed))
-                pool.shutdown(wait=False, cancel_futures=True)
+                # Join the broken pool's manager and queue-feeder
+                # threads: left running, they would make the caller's
+                # next pool_context() read two threads and spawn.
+                pool.shutdown(wait=True, cancel_futures=True)
                 pool = ProcessPoolExecutor(max_workers=jobs,
                                            mp_context=context)
                 probation = True

@@ -15,8 +15,8 @@ the machine-level phases:
 6. fetch delivery and fetch (IBOX) — fetch
 """
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.program import Program
@@ -37,6 +37,12 @@ from repro.util.delayline import DelayLine
 # Cycles between a result completing and the instruction becoming
 # retire-eligible ("additional cycles to retire beyond the MBOX").
 RETIRE_MARGIN = 2
+
+_RENAMED = UopState.RENAMED
+_ISSUED = UopState.ISSUED
+_EXECUTED = UopState.EXECUTED
+_RETIRED = UopState.RETIRED
+_SQUASHED = UopState.SQUASHED
 
 #: One entry of a cycle's phase table: (profiler stage, phase(now)).
 Phase = Tuple[str, Callable[[int], None]]
@@ -100,7 +106,9 @@ class Core:
         self.map_pipe: DelayLine[Tuple[int, List[Uop]]] = DelayLine(
             config.pbox_latency, "map-pipe")
 
-        self._events: List[Tuple[int, int, str, Uop]] = []
+        #: Heap of ``(cycle, seq, kind, uop)``: the QBOX pushes a
+        #: "bypass" and a "complete" event for every uop it issues.
+        self.events: List[Tuple[int, int, str, Uop]] = []
         #: When set (per thread id), retiring uops are appended for
         #: architectural cross-checking against the functional executor.
         self.retire_trace: Dict[int, List[Uop]] = {}
@@ -150,9 +158,6 @@ class Core:
         self._seq += 1
         return self._seq
 
-    def schedule(self, cycle: int, kind: str, uop: Uop) -> None:
-        heapq.heappush(self._events, (cycle, uop.seq, kind, uop))
-
     # -- main loop ----------------------------------------------------------
     def tick(self, now: int) -> None:
         for _, phase in self.phases:
@@ -160,32 +165,25 @@ class Core:
 
     # -- phase 1: writeback ----------------------------------------------------
     def _process_events(self, now: int) -> None:
-        while self._events and self._events[0][0] <= now:
-            _, _, kind, uop = heapq.heappop(self._events)
+        events = self.events
+        while events and events[0][0] <= now:
+            _, _, kind, uop = heappop(events)
+            if uop.state is not _ISSUED:
+                continue  # squashed while in flight
             if kind == "bypass":
-                self._bypass(uop, now)
-            elif kind == "complete":
-                self._complete(uop, now)
-
-    def _bypass(self, uop: Uop, now: int) -> None:
-        """Result available on the bypass network: wake dependents."""
-        if uop.state is not UopState.ISSUED:
-            return  # squashed while in flight
-        if uop.phys_dest is not None:
-            self.regfile.write(uop.phys_dest, uop.result or 0)
-            self.qbox.wake(uop.phys_dest)
-
-    def _complete(self, uop: Uop, now: int) -> None:
-        if uop.state is not UopState.ISSUED:
-            return  # squashed while in flight
-        uop.state = UopState.EXECUTED
-        uop.complete_cycle = now
-        thread = self.threads[uop.thread]
-        if uop.instr.is_control:
-            self._resolve_control(thread, uop, now)
+                # Result available on the bypass network: wake dependents.
+                dest = uop.phys_dest
+                if dest is not None:
+                    self.regfile.write(dest, uop.result or 0)
+                    self.qbox.wake(dest)
+            else:  # "complete"
+                uop.state = _EXECUTED
+                uop.complete_cycle = now
+                if uop.info.is_control:
+                    self._resolve_control(self.threads[uop.thread], uop, now)
 
     def _resolve_control(self, thread: HwThread, uop: Uop, now: int) -> None:
-        instr = uop.instr
+        info = uop.info
         mispredicted = uop.actual_target != uop.pred_target
         if not uop.outcome_known:
             # The LPQ carries the retired path, not taken bits (a JMP to
@@ -195,10 +193,10 @@ class Core:
         # Train predictors (LPQ-fed trailing threads train nothing: their
         # stream comes from the line prediction queue, not the predictors).
         if not (thread.is_trailing and thread.fetch_via_lpq):
-            if instr.is_conditional:
+            if info.is_conditional:
                 self.branch_predictor.update_conditional(
                     thread.tid, uop.pc, uop.actual_taken, uop.pred_taken)
-            elif instr.is_indirect and not instr.is_return:
+            elif info.is_indirect and not info.is_return:
                 self.jump_predictor.update(uop.pc, uop.actual_target,
                                            uop.pred_target)
         if not mispredicted:
@@ -215,50 +213,51 @@ class Core:
 
     # -- phase 2: retire ----------------------------------------------------------
     def _retire(self, now: int) -> None:
-        budget = self.config.retire_width
-        n = len(self.threads)
+        threads = self.threads
+        n = len(threads)
         if n == 0:
             return
-        self._retire_rotation = (self._retire_rotation + 1) % n
-        order = (self.threads[self._retire_rotation:]
-                 + self.threads[:self._retire_rotation])
-        for thread in order:
-            while budget > 0 and thread.rob:
-                uop = thread.rob[0]
+        budget = self.config.retire_width
+        first = self._retire_rotation = (self._retire_rotation + 1) % n
+        for index in range(first, first + n):
+            thread = threads[index % n]
+            rob = thread.rob
+            while budget > 0 and rob:
+                uop = rob[0]
                 if not self._retire_eligible(thread, uop, now):
                     break
                 self._do_retire(thread, uop, now)
                 budget -= 1
 
     def _retire_eligible(self, thread: HwThread, uop: Uop, now: int) -> bool:
-        if uop.state is not UopState.EXECUTED:
+        if uop.state is not _EXECUTED:
             return False
         if now < uop.complete_cycle + RETIRE_MARGIN:
             return False
-        instr = uop.instr
-        if instr.is_membar:
+        info = uop.info
+        if info.is_membar:
             # A barrier retires only once every *older* store has drained
             # (the store queue also holds younger, not-yet-retired stores).
             if thread.store_queue and thread.store_queue[0].seq < uop.seq:
                 thread.stats.membar_block_cycles += 1
                 self.hooks.on_membar_blocked(self, thread, now)
                 return False
-        if instr.is_store and now < uop.data_ready_cycle:
+        if info.is_store and now < uop.data_ready_cycle:
             return False
-        if instr.is_load and not thread.is_trailing:
+        if info.is_load and not thread.is_trailing:
             if not self.hooks.can_retire_load(self, thread, uop, now):
                 thread.stats.retire_stall_cycles += 1
                 return False
         return True
 
     def _do_retire(self, thread: HwThread, uop: Uop, now: int) -> None:
-        uop.state = UopState.RETIRED
+        uop.state = _RETIRED
         uop.retire_cycle = now
         thread.rob.popleft()
         if uop.prev_phys_dest is not None:
             self.regfile.release(uop.prev_phys_dest)
-        instr = uop.instr
-        if instr.is_load:
+        info = uop.info
+        if info.is_load:
             if thread.is_trailing:
                 # Input-replication cross-check and LVQ deallocation.
                 if (uop.lvq_addr_check is not None
@@ -270,34 +269,37 @@ class Core:
             else:
                 thread.load_queue.remove(uop)
                 self.hooks.on_load_retired(self, thread, uop, now)
-        elif instr.is_store:
+        elif info.is_store:
             if thread.is_trailing:
                 # Trailing stores exist only to be compared; they free
                 # their store-queue entry at retirement.
                 thread.store_queue.remove(uop)
             self.hooks.on_store_retired(self, thread, uop, now)
-        elif instr.is_halt:
+        elif info.is_halt:
             thread.done = True
         # Committed architectural view (checkpoint/forensics substrate).
-        if instr.writes_reg and uop.phys_dest is not None:
-            thread.arch_regs[instr.rd] = self.regfile.read(uop.phys_dest)
-        if instr.is_load:
+        # Rename gives a uop a destination exactly when it writes rd.
+        if uop.phys_dest is not None:
+            thread.arch_regs[uop.instr.rd] = self.regfile.values[uop.phys_dest]
+        if info.is_load:
             thread.committed_load_index = uop.load_index + 1
-        elif instr.is_store:
+        elif info.is_store:
             thread.committed_store_index = uop.store_index + 1
-        if instr.is_control:
+        if info.is_control:
             thread.committed_pc = uop.actual_target
         else:
-            thread.committed_pc = (uop.pc + 1) % len(thread.program)
-        trace = self.retire_trace.get(thread.tid)
-        if trace is not None:
-            trace.append(uop)
-        thread.stats.retired += 1
+            thread.committed_pc = (uop.pc + 1) % thread.program_length
+        if self.retire_trace:
+            trace = self.retire_trace.get(thread.tid)
+            if trace is not None:
+                trace.append(uop)
+        stats = thread.stats
+        stats.retired += 1
         self.stats.retired_total += 1
-        if (thread.target_instructions is not None
-                and thread.stats.retired >= thread.target_instructions
-                and thread.stats.done_cycle is None):
-            thread.stats.done_cycle = now
+        if (stats.done_cycle is None
+                and thread.target_instructions is not None
+                and stats.retired >= thread.target_instructions):
+            stats.done_cycle = now
         self.hooks.on_uop_retired(self, thread, uop, now)
 
     # -- phase 4: queue insertion ------------------------------------------------
@@ -307,13 +309,13 @@ class Core:
 
     # -- phase 5: rename ------------------------------------------------------------
     def _rename(self, now: int) -> None:
-        n = len(self.threads)
+        threads = self.threads
+        n = len(threads)
         if n == 0:
             return
-        self._rename_rotation = (self._rename_rotation + 1) % n
-        order = (self.threads[self._rename_rotation:]
-                 + self.threads[:self._rename_rotation])
-        for thread in order:
+        first = self._rename_rotation = (self._rename_rotation + 1) % n
+        for index in range(first, first + n):
+            thread = threads[index % n]
             chunk = thread.rmb.peek()
             if chunk is None:
                 continue
@@ -325,9 +327,12 @@ class Core:
 
     def _can_map(self, thread: HwThread, chunk: FetchChunk) -> bool:
         uops = chunk.uops
-        writes = sum(1 for u in uops if u.instr.writes_reg)
-        loads = sum(1 for u in uops if u.instr.is_load)
-        stores = sum(1 for u in uops if u.instr.is_store)
+        writes = loads = stores = 0
+        for uop in uops:
+            info = uop.info
+            writes += uop.instr.writes_reg
+            loads += info.is_load
+            stores += info.is_store
         if self.regfile.free_count < writes:
             self.stats.rename_stalls += 1
             return False
@@ -353,19 +358,23 @@ class Core:
 
     def _map_chunk(self, thread: HwThread, chunk: FetchChunk, now: int) -> None:
         live: List[Uop] = []
+        rename = thread.rename
+        rename_map = rename.map
+        rob = thread.rob
         for uop in chunk.uops:
-            if uop.state is UopState.SQUASHED:
+            if uop.state is _SQUASHED:
                 continue
             instr = uop.instr
-            uop.phys_srcs = [thread.rename.lookup(reg)
-                             for reg in instr.source_regs]
+            info = uop.info
+            sources = instr.source_regs
+            if sources:
+                uop.phys_srcs = [rename_map[reg] for reg in sources]
             if instr.writes_reg:
                 uop.phys_dest, uop.prev_phys_dest = (
-                    thread.rename.rename_dest(instr.rd))
-            uop.state = UopState.RENAMED
-            thread.rob.append(uop)
-            thread.iq_occupancy += 1
-            if instr.is_load:
+                    rename.rename_dest(instr.rd))
+            uop.state = _RENAMED
+            rob.append(uop)
+            if info.is_load:
                 uop.load_index = thread.next_load_index
                 thread.next_load_index += 1
                 if not thread.is_trailing:
@@ -374,13 +383,14 @@ class Core:
                     # only name an older store.
                     uop.memdep_seq = self.store_sets.load_dependence(
                         thread.tid, uop.pc)
-            elif instr.is_store:
+            elif info.is_store:
                 uop.store_index = thread.next_store_index
                 thread.next_store_index += 1
                 thread.store_queue.append(uop)
                 self.store_sets.store_dispatched(thread.tid, uop.pc, uop.seq)
             live.append(uop)
         if live:
+            thread.iq_occupancy += len(live)
             self.map_pipe.push((thread.tid, live), now)
 
     # -- phase 6: fetch delivery -----------------------------------------------------
@@ -402,23 +412,23 @@ class Core:
             if uop.phys_dest is not None:
                 thread.rename.undo_rename(uop.instr.rd, uop.phys_dest,
                                           uop.prev_phys_dest)
-            instr = uop.instr
-            if instr.is_load:
+            info = uop.info
+            if info.is_load:
                 thread.next_load_index = uop.load_index
                 if not thread.is_trailing and uop in thread.load_queue:
                     thread.load_queue.remove(uop)
-            elif instr.is_store:
+            elif info.is_store:
                 thread.next_store_index = uop.store_index
                 if uop in thread.store_queue:
                     thread.store_queue.remove(uop)
             if uop.state is UopState.QUEUED:
                 self.qbox.squash(uop)
                 thread.iq_occupancy -= 1
-            elif uop.state is UopState.RENAMED:
+            elif uop.state is _RENAMED:
                 thread.iq_occupancy -= 1
             if uop.ras_snapshot is not None:
                 ras_restore = uop.ras_snapshot
-            uop.state = UopState.SQUASHED
+            uop.state = _SQUASHED
             thread.stats.squashed_uops += 1
         if ras_restore is not None:
             self.ras[thread.tid]._stack = list(ras_restore)
@@ -428,7 +438,7 @@ class Core:
         thread.rmb_inflight -= removed
         for chunk in thread.rmb:
             for uop in chunk.uops:
-                uop.state = UopState.SQUASHED
+                uop.state = _SQUASHED
         thread.rmb.clear()
 
         thread.fetch_pc = redirect_pc

@@ -68,6 +68,8 @@ class IBox:
             if trailing:
                 candidates = trailing
         self._rotation += 1
+        if len(candidates) == 1:
+            return candidates[0]
         return min(candidates,
                    key=lambda t: (self._chooser_load(t),
                                   (t.tid + self._rotation) % len(threads)))
@@ -110,21 +112,21 @@ class IBox:
     def _build_chunk(self, thread: HwThread, pc: int, now: int) -> FetchChunk:
         """Fetch up to ``chunk_size`` instructions, stopping at the first
         predicted-taken control instruction (or HALT)."""
-        program = thread.program
-        wrap = len(program)
+        instructions = thread.program.instructions
+        wrap = thread.program_length
         core = self.core
+        tid = thread.tid
         uops: List[Uop] = []
         cur = pc % wrap
         next_pc = cur
         for _ in range(self.config.chunk_size):
-            instr = program.fetch(cur)
-            uop = Uop(seq=core.next_seq(), thread=thread.tid, pc=cur,
-                      instr=instr, fetch_cycle=now)
+            uop = Uop(core.next_seq(), tid, cur, instructions[cur], now)
+            info = uop.info
             taken = False
-            if instr.is_control:
+            if info.is_control:
                 taken = self._predict_control(thread, uop, cur)
             uops.append(uop)
-            if instr.is_halt:
+            if info.is_halt:
                 thread.fetch_halted = True
                 next_pc = cur
                 break
@@ -140,23 +142,24 @@ class IBox:
         """Fill the uop's prediction; returns predicted-taken."""
         core = self.core
         instr = uop.instr
-        wrap = len(thread.program)
+        info = uop.info
+        wrap = thread.program_length
         fallthrough = (pc + 1) % wrap
-        if instr.is_conditional:
+        if info.is_conditional:
             taken = core.branch_predictor.predict_conditional(thread.tid, pc)
             target = instr.target if taken else fallthrough
-        elif instr.is_call:
+        elif info.is_call:
             ras = core.ras[thread.tid]
             uop.ras_snapshot = list(ras._stack)
             ras.push(fallthrough)
             taken, target = True, instr.target
-        elif instr.is_return:
+        elif info.is_return:
             ras = core.ras[thread.tid]
             uop.ras_snapshot = list(ras._stack)
             predicted = ras.predict_pop()
             taken = True
             target = predicted if predicted is not None else fallthrough
-        elif instr.is_indirect:  # JMP
+        elif info.is_indirect:  # JMP
             predicted = core.jump_predictor.predict(pc)
             taken = True
             target = predicted if predicted is not None else fallthrough
@@ -198,20 +201,21 @@ class IBox:
                               half_hints: Optional[List[Optional[int]]],
                               now: int) -> FetchChunk:
         core = self.core
-        program = thread.program
+        instructions = thread.program.instructions
+        wrap = thread.program_length
+        tid = thread.tid
         uops: List[Uop] = []
         for position, pc in enumerate(pcs):
-            instr = program.fetch(pc)
-            uop = Uop(seq=core.next_seq(), thread=thread.tid, pc=pc,
-                      instr=instr, fetch_cycle=now, outcome_known=True)
-            if instr.is_control:
+            uop = Uop(core.next_seq(), tid, pc, instructions[pc], now, True)
+            info = uop.info
+            if info.is_control:
                 follower = (pcs[position + 1] if position + 1 < len(pcs)
                             else next_pc)
                 uop.pred_target = follower
-                uop.pred_taken = follower != (pc + 1) % len(program)
+                uop.pred_taken = follower != (pc + 1) % wrap
             if half_hints is not None:
                 uop.lpq_half_hint = half_hints[position]
-            if instr.is_halt:
+            if info.is_halt:
                 thread.fetch_halted = True
             uops.append(uop)
         return FetchChunk(thread=thread.tid, start_pc=start_pc, uops=uops,

@@ -44,7 +44,7 @@ class MBox:
 
     # -- address computation ------------------------------------------------
     def effective_address(self, uop: Uop) -> tuple:
-        base = self.core.regfile.read(uop.phys_srcs[0])
+        base = self.core.regfile.values[uop.phys_srcs[0]]
         raw = (base + uop.instr.imm) & MASK64
         return raw, align_word(raw)
 
@@ -71,7 +71,7 @@ class MBox:
                 continue  # unknown address: speculate past it
             if store.mem_addr != addr:
                 continue
-            if store.instr.is_partial_store:
+            if store.info.is_partial_store:
                 # Partial forwarding is not supported: the store must drain
                 # to the cache first (Section 4.4.2's chunk-termination case).
                 thread.stats.partial_store_block_cycles += 1
@@ -112,7 +112,7 @@ class MBox:
         raw, addr = self.effective_address(uop)
         uop.raw_addr = raw
         uop.mem_addr = addr
-        uop.store_value = self.core.regfile.read(uop.phys_srcs[1])
+        uop.store_value = self.core.regfile.values[uop.phys_srcs[1]]
         uop.data_ready_cycle = now + self.config.store_data_delay
         self.core.store_sets.store_completed(thread.tid, uop.pc, uop.seq)
         self._check_violations(thread, uop, now)
@@ -148,7 +148,7 @@ class MBox:
         if self.core.memory_journal is not None:
             # Undo log for SRTR rollback: old value (None = key absent).
             self.core.memory_journal(key, self.core.memory.get(key))
-        if uop.instr.is_partial_store:
+        if uop.info.is_partial_store:
             old = self.core.memory.get(key, 0)
             self.core.memory[key] = merge_partial_store(
                 uop.raw_addr, old, uop.store_value)

@@ -8,11 +8,12 @@ half opposite their leading counterparts (Section 4.5).
 
 Scheduling is wakeup/select.  At insertion a uop counts its sources
 whose physical registers are not yet ready and waits on each of them;
-the bypass that writes a register (``Core._bypass``) wakes its waiters,
-and a uop whose count reaches zero joins its half's ready list.  Select
-walks that list oldest insertion first, so it issues exactly the uops
-an in-order scan of the whole half would.  A squashed uop is never
-unregistered: waiters are checked for ``QUEUED`` when woken.
+the bypass event that writes a register (``Core._process_events``)
+wakes its waiters, and a uop whose count reaches zero joins its half's
+ready list.  Select walks that list oldest insertion first, so it
+issues exactly the uops an in-order scan of the whole half would.  A
+squashed uop is never unregistered: waiters are checked for ``QUEUED``
+when woken.
 
 A half's occupancy follows the hardware's entry valid bits: issued uops
 leave at the end of their half's select, squashed ones at the half's
@@ -23,6 +24,7 @@ loads and two stores (Section 3.4).
 """
 
 from bisect import insort
+from heapq import heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, List
 
@@ -34,6 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import Core
 
 _QUEUED = UopState.QUEUED
+_ISSUED = UopState.ISSUED
+_SQUASHED = UopState.SQUASHED
 _MEM = FuClass.MEM
 _insertion_order = attrgetter("queue_order")
 
@@ -65,13 +69,13 @@ class QBox:
 
     # -- insertion ---------------------------------------------------------
     def insert_chunk(self, thread: HwThread, uops: List[Uop], now: int) -> None:
-        ready_regs = self.core.regfile.ready
+        core = self.core
+        ready_regs = core.regfile.ready
+        queue_half_for = core.hooks.queue_half_for
         for position, uop in enumerate(uops):
-            if uop.state is UopState.SQUASHED:
+            if uop.state is _SQUASHED:
                 continue
-            default_half = position % 2
-            half = self.core.hooks.queue_half_for(
-                self.core, thread, uop, default_half)
+            half = queue_half_for(core, thread, uop, position % 2)
             if self.occupied[half] >= self.half_capacity:
                 half = 1 - half
             uop.queue_half = half
@@ -112,12 +116,16 @@ class QBox:
     def issue(self, now: int) -> None:
         core = self.core
         config = self.config
+        threads = core.threads
+        acquire = core.fus.acquire
         per_half = config.issue_width // 2
         earliest_queue_cycle = now - self.min_queue_wait
         mem_issued = loads_issued = stores_issued = 0
         for half in (0, 1):
             self.occupied[half] = self.queued[half]
             ready = self.ready[half]
+            if not ready:
+                continue
             issued_this_half = 0
             for uop in ready:
                 if issued_this_half >= per_half:
@@ -126,8 +134,7 @@ class QBox:
                     continue  # squashed since it became ready
                 if uop.queue_cycle > earliest_queue_cycle:
                     continue
-                instr = uop.instr
-                info = instr.op.info
+                info = uop.info
                 is_mem = info.fu_class is _MEM
                 if is_mem:
                     if mem_issued >= config.max_mem_issue:
@@ -136,13 +143,13 @@ class QBox:
                         continue
                     if info.is_store and stores_issued >= config.max_store_issue:
                         continue
-                thread = core.threads[uop.thread]
+                thread = threads[uop.thread]
                 plan = None
                 if info.is_load:
                     plan = core.mbox.plan_load(thread, uop, now)
                     if plan is None:
                         continue  # must wait; retries next cycle
-                fu = core.fus.acquire(info.fu_class, half, now)
+                fu = acquire(info.fu_class, half, now)
                 if fu is None:
                     continue  # structural hazard on this half's units
                 self._do_issue(thread, uop, fu, plan, now)
@@ -157,9 +164,8 @@ class QBox:
     # -- execution (value computation happens here; sources are final) ------
     def _do_issue(self, thread: HwThread, uop: Uop, fu: tuple, plan, now: int) -> None:
         core = self.core
-        instr = uop.instr
-        info = instr.op.info
-        uop.state = UopState.ISSUED
+        info = uop.info
+        uop.state = _ISSUED
         uop.issue_cycle = now
         uop.fu = fu
         thread.iq_occupancy -= 1
@@ -186,24 +192,32 @@ class QBox:
             bypass_latency = 1
         elif info.is_control:
             self._resolve_control_values(thread, uop)
-        elif instr.writes_reg:
-            operands = [core.regfile.read(reg) for reg in uop.phys_srcs]
-            operands += (0, 0, 0)[len(operands):]  # absent sources read 0
-            uop.result = info.alu(*operands, instr.imm)
+        elif uop.instr.writes_reg:
+            # Absent sources read 0.
+            values = core.regfile.values
+            sources = uop.phys_srcs
+            count = len(sources)
+            uop.result = info.alu(
+                values[sources[0]] if count else 0,
+                values[sources[1]] if count > 1 else 0,
+                values[sources[2]] if count > 2 else 0,
+                uop.instr.imm)
 
         if core.result_corruptor is not None:
             core.result_corruptor(uop, now)
-        core.schedule(now + bypass_latency, "bypass", uop)
-        core.schedule(now + bypass_latency + self.config.rbox_latency,
-                      "complete", uop)
+        events = core.events
+        seq = uop.seq
+        bypass_cycle = now + bypass_latency
+        heappush(events, (bypass_cycle, seq, "bypass", uop))
+        heappush(events, (bypass_cycle + self.config.rbox_latency, seq,
+                          "complete", uop))
 
     def _resolve_control_values(self, thread: HwThread, uop: Uop) -> None:
         """Compute a control uop's actual outcome from register values."""
-        core = self.core
         instr = uop.instr
-        info = instr.op.info
-        wrap = len(thread.program)
-        value = (core.regfile.read(uop.phys_srcs[0])
+        info = uop.info
+        wrap = thread.program_length
+        value = (self.core.regfile.values[uop.phys_srcs[0]]
                  if uop.phys_srcs else 0)
         taken = info.taken(value)
         if info.is_call:

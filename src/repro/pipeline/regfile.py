@@ -55,14 +55,12 @@ class RenameMap:
 
     def __init__(self, regfile: PhysicalRegisterFile) -> None:
         self.regfile = regfile
+        #: Per architectural register, its current physical register.
         self.map: List[int] = []
         for _ in range(NUM_ARCH_REGS):
             reg = regfile.allocate()
             regfile.write(reg, 0)
             self.map.append(reg)
-
-    def lookup(self, arch_reg: int) -> int:
-        return self.map[arch_reg]
 
     def rename_dest(self, arch_reg: int) -> tuple:
         """Allocate a new physical register for ``arch_reg``.

@@ -57,7 +57,12 @@ class HwThread:
                  sq_capacity: int = 64) -> None:
         self.tid = tid
         self.program = program
+        #: Instructions in ``program``: PCs wrap modulo this.
+        self.program_length = len(program)
         self.role = role
+        #: The role as flags, fixed at construction like the role itself.
+        self.is_trailing = role is ThreadRole.TRAILING
+        self.is_leading = role is ThreadRole.LEADING
         self.asid = asid
         # Distinct address spaces live in distinct high bits; the low-bit
         # stagger models physical-page placement so that co-scheduled
@@ -65,7 +70,10 @@ class HwThread:
         # same cache sets (without it, four programs fetching the same
         # virtual PC range livelock a 2-way L1I set).
         self.addr_offset = (asid << 33) + asid * 161 * 64
-        self.partner: Optional["HwThread"] = None  # redundant counterpart
+        #: The RMT redundant pair (:class:`repro.core.rmt.RedundantPair`)
+        #: holding this thread, set when the pair is wired; ``None`` on
+        #: machines without redundant threads.
+        self.pair = None
         self.core = None                           # owning Core (set on add)
         self.rename = RenameMap(regfile)
         self.stats = ThreadStats()
@@ -78,7 +86,7 @@ class HwThread:
         #: line prediction queue; clearing this reverts to the paper's
         #: rejected alternative (Section 4.4): the trailing thread fetches
         #: through the shared line/branch predictors like any other thread.
-        self.fetch_via_lpq = role is ThreadRole.TRAILING
+        self.fetch_via_lpq = self.is_trailing
         self.done = False
         self.target_instructions: Optional[int] = None
 
@@ -129,14 +137,6 @@ class HwThread:
         return [base + pc * INSTRUCTION_BYTES for pc in pcs]
 
     # -- helpers -----------------------------------------------------------
-    @property
-    def is_trailing(self) -> bool:
-        return self.role is ThreadRole.TRAILING
-
-    @property
-    def is_leading(self) -> bool:
-        return self.role is ThreadRole.LEADING
-
     def rmb_load(self) -> int:
         """Occupancy metric for the ICOUNT-like thread chooser."""
         return len(self.rmb) + self.rmb_inflight

@@ -1,10 +1,10 @@
 """Dynamic instructions (uops) and fetch chunks."""
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, OpInfo
 
 
 class UopState(enum.Enum):
@@ -17,19 +17,30 @@ class UopState(enum.Enum):
     SQUASHED = enum.auto()
 
 
+_FETCHED = UopState.FETCHED
+
+
 @dataclass(eq=False, slots=True)
 class Uop:
     """One dynamic instance of an instruction.
 
     Compared by identity: ``seq`` is unique per core, so the load and
     store queues' ``in`` / ``remove`` need nothing more.
+
+    ``info`` is the opcode's :class:`OpInfo`, taken once at fetch: the
+    pipeline reads its flags instead of the instruction's ``is_*``
+    properties.  The constructor is written out rather than generated,
+    since fetch builds one uop per instruction: it stores each default
+    below as a constant (``tests/test_pipeline_invariants.py`` holds
+    the two in step).
     """
 
     seq: int                     # core-wide age (rename order)
     thread: int                  # hardware thread context id
     pc: int
     instr: Instruction
-    state: UopState = UopState.FETCHED
+    info: OpInfo
+    state: UopState = _FETCHED
 
     # Control-flow prediction (filled at fetch).
     pred_taken: bool = False
@@ -39,7 +50,7 @@ class Uop:
     outcome_known: bool = False
 
     # Rename state.
-    phys_srcs: List[int] = field(default_factory=list)
+    phys_srcs: Sequence[int] = ()
     phys_dest: Optional[int] = None
     prev_phys_dest: Optional[int] = None
     ras_snapshot: Optional[list] = None
@@ -72,6 +83,45 @@ class Uop:
     issue_cycle: int = -1
     complete_cycle: int = -1
     retire_cycle: int = -1
+
+    def __init__(self, seq: int, thread: int, pc: int, instr: Instruction,
+                 fetch_cycle: int = -1, outcome_known: bool = False) -> None:
+        self.seq = seq
+        self.thread = thread
+        self.pc = pc
+        self.instr = instr
+        self.info = instr.op.info
+        self.state = _FETCHED
+        self.pred_taken = False
+        self.pred_target = None
+        self.outcome_known = outcome_known
+        self.phys_srcs = ()
+        self.phys_dest = None
+        self.prev_phys_dest = None
+        self.ras_snapshot = None
+        self.queue_half = None
+        self.queue_order = 0
+        self.waiting = 0
+        self.fu = None
+        self.result = None
+        self.actual_taken = False
+        self.actual_target = None
+        self.mem_addr = None
+        self.raw_addr = None
+        self.store_value = None
+        self.data_ready_cycle = -1
+        self.verified = False
+        self.forwarded_from = None
+        self.memdep_seq = None
+        self.load_index = None
+        self.lvq_addr_check = None
+        self.store_index = None
+        self.lpq_half_hint = None
+        self.fetch_cycle = fetch_cycle
+        self.queue_cycle = -1
+        self.issue_cycle = -1
+        self.complete_cycle = -1
+        self.retire_cycle = -1
 
     def __repr__(self) -> str:  # compact, for debugging traces
         return (f"<uop#{self.seq} t{self.thread} pc={self.pc} "

@@ -2,6 +2,7 @@
 
 import runpy
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -70,12 +71,14 @@ class TestExamples:
         assert "prefix matches fault-free run" in out
         assert "all three verdicts rendered as designed" in out
 
-    def test_serve_demo(self, capsys):
+    def test_serve_demo(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         run_example("serve_demo.py", ["m88ksim", "3"])
         out = capsys.readouterr().out
         assert "one execution, two answers" in out
         assert "cache_hit=True" in out
-        assert "drained cleanly" in out
+        assert f"drained cleanly; removed {tmp_path}" in out
+        assert list(tmp_path.iterdir()) == []  # the workdir is gone
 
     def test_chaos_demo(self, capsys):
         run_example("chaos_demo.py", ["6", "2"])

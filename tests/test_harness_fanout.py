@@ -85,12 +85,57 @@ print(pool_context().get_start_method())
 """
 
 
+#: Runs a figure whose victim slice always kills its worker, in a
+#: process that starts with one thread, and prints the thread count
+#: before and after and the start method the next fan-out would use.
+#: The pool's warnings stay unlogged: writing them to the captured
+#: stderr pipe gave a broken pool's threads time to finish before the
+#: count, which hid their leak.
+AFTER_BROKEN_POOLS = f"""
+import logging
+import os
+import signal
+import threading
+from repro.harness import parallel
+from repro.harness.fanout import pool_context
+
+run_slice = parallel._run_slice
+
+def dying_slice(payload):
+    if {VICTIM!r} in payload[3]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_slice(payload)
+
+parallel._run_slice = dying_slice
+logging.getLogger("repro.run").setLevel(logging.ERROR)
+before = threading.active_count()
+try:
+    parallel.run_experiment_parallel("fig9_store_lifetime",
+                                     {RUNNER_KWARGS!r}, jobs=2)
+except RuntimeError as error:
+    assert {VICTIM!r} in str(error), error
+else:
+    raise AssertionError("the figure did not fail")
+print(before, threading.active_count(), pool_context().get_start_method())
+"""
+
+
+def run_script(script):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True).stdout
+
+
 class TestStartMethod:
     def test_fork_from_one_thread_spawn_beside_another(self):
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", START_METHODS],
-                             env=env, capture_output=True, text=True,
-                             timeout=60, check=True).stdout
+        out = run_script(START_METHODS)
         assert out.split() == ["fork", "spawn", "fork"]
+
+    def test_broken_pools_leave_no_thread_behind(self):
+        """Each rebuild joins the broken pool's manager and feeder
+        threads, so the next fan-out still forks."""
+        out = run_script(AFTER_BROKEN_POOLS)
+        assert out.split() == ["1", "1", "fork"]

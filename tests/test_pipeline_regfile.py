@@ -41,10 +41,10 @@ class TestRenameMap:
     def test_rename_and_lookup(self):
         regfile = PhysicalRegisterFile(128)
         rmap = RenameMap(regfile)
-        old = rmap.lookup(5)
+        old = rmap.map[5]
         new, prev = rmap.rename_dest(5)
         assert prev == old
-        assert rmap.lookup(5) == new
+        assert rmap.map[5] == new
 
     def test_zero_reg_never_renamed(self):
         regfile = PhysicalRegisterFile(128)
@@ -55,10 +55,10 @@ class TestRenameMap:
     def test_undo_rename_restores(self):
         regfile = PhysicalRegisterFile(128)
         rmap = RenameMap(regfile)
-        old = rmap.lookup(7)
+        old = rmap.map[7]
         new, prev = rmap.rename_dest(7)
         rmap.undo_rename(7, new, prev)
-        assert rmap.lookup(7) == old
+        assert rmap.map[7] == old
         assert regfile.free_count == 64  # the new reg went back
 
     def test_undo_out_of_order_asserts(self):

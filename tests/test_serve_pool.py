@@ -181,7 +181,7 @@ class TestPoolBreaks:
     def test_killed_worker_requeues_and_is_replaced(self, tmp_path):
         # About 2 s of simulation: still running when the kill lands.
         params = {"kind": "srt", "benchmarks": ["gcc"],
-                  "instructions": 10_000, "warmup": 1000, "seed": 11}
+                  "instructions": 30_000, "warmup": 1000, "seed": 11}
         expected = run_job("run", JobSpec.build("run", params).params)
         before = {child.pid for child in multiprocessing.active_children()}
         with BackgroundServer(workdir=str(tmp_path / "serve"),

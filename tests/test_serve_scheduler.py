@@ -26,15 +26,33 @@ def spec(tag=0, **overrides):
 class FakePool:
     """Blocks each job on a gate the test releases; honors cancel."""
 
+    #: Every pool built in the running test; ``release_gates`` opens them.
+    built = []
+
     def __init__(self):
         self.gates = {}
         self.started = []
         self.executions = 0
         self.lock = threading.Lock()
+        self.released = False
+        FakePool.built.append(self)
 
     def gate(self, key):
         with self.lock:
-            return self.gates.setdefault(key, threading.Event())
+            gate = self.gates.get(key)
+            if gate is None:
+                gate = self.gates[key] = threading.Event()
+                if self.released:
+                    gate.set()
+            return gate
+
+    def release(self):
+        """Open every gate, now and later."""
+        with self.lock:
+            self.released = True
+            gates = list(self.gates.values())
+        for gate in gates:
+            gate.set()
 
     def execute(self, job_spec, cancel):
         with self.lock:
@@ -47,6 +65,17 @@ class FakePool:
         if cancel.is_set():
             raise JobCancelled("stopped at chunk boundary")
         return {"echo": job_spec.params["instructions"]}
+
+
+@pytest.fixture(autouse=True)
+def release_gates():
+    """Open every FakePool gate when the test ends.  A scenario that
+    fails before it opens its gates leaves the executor thread waiting
+    in ``FakePool.execute``; the interpreter joins that thread at exit,
+    so the run would hang there instead of reporting the failure."""
+    yield
+    while FakePool.built:
+        FakePool.built.pop().release()
 
 
 def make_scheduler(tmp_path, **kwargs):
