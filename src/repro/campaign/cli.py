@@ -285,28 +285,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _arm_chaos(path: str) -> int:
-    """Arm the chaos plan at ``path`` process-wide; returns exit code."""
-    from repro.chaos import ChaosPlan, ChaosPlanError, arm
-
-    try:
-        plan = ChaosPlan.load(path)
-    except (OSError, ChaosPlanError) as error:
-        print(f"error: bad chaos plan {path}: {error}", file=sys.stderr)
-        return 2
-    arm(plan)
-    print(f"chaos: armed {len(plan.rules)} rule(s) from {path} "
-          f"(seed {plan.seed})")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "resume": cmd_resume,
                 "status": cmd_status, "report": cmd_report,
                 "validate-avf": cmd_validate_avf}
     if getattr(args, "chaos", None):
-        code = _arm_chaos(args.chaos)
+        from repro.chaos import arm_file
+
+        code = arm_file(args.chaos)
         if code:
             return code
     try:

@@ -1,20 +1,21 @@
-"""Campaign engine: chunked parallel dispatch with resume and cancel.
+"""Campaign engine: chunked parallel dispatch with resume.
 
 The engine is the bridge between the deterministic world (spec →
 task list → records) and the messy one (worker processes, mid-run
-kills, service-layer cancellations).  It runs the remaining tasks
-through the shared chunked-pool runner
-(:func:`repro.harness.fanout.run_chunks`): in-process at ``jobs == 1``
-(the reference output every parallel run must match byte-for-byte),
-across a process pool above that.  Records come back **in submission
-order**, so they land in ``results.jsonl`` in canonical task order at
-any ``--jobs``, and resume's completed set is a simple prefix.
+kills).  It runs the remaining tasks through the shared chunked-pool
+runner (:func:`repro.harness.fanout.run_chunks`): in-process at
+``jobs == 1`` (the reference output every parallel run must match
+byte-for-byte), across a process pool above that.  Records come back
+**in submission order**, so they land in ``results.jsonl`` in
+canonical task order at any ``--jobs``, and resume's completed set is
+a simple prefix.
 
-Cooperative cancellation (``should_stop``): checked between chunks.
-Chunks already running are drained in order (their records are kept;
-they were paid for), unstarted ones are cancelled, and the artifact is
-left a valid canonical-order prefix that ``resume`` completes later.
-The serve layer's job cancellation and SIGTERM drain both ride on this.
+Stopping: a run ends early only when something kills it, or when an
+exception (a ``progress`` callback's, a Ctrl-C) leaves the loop.  The
+records of chunks in flight are then lost, and the artifact is a
+canonical-order prefix that ``resume`` completes later (a kill can
+tear the last line; the store drops it on load).  The serve layer
+stops a campaign job by killing its worker's process group.
 
 Infrastructure faults: the runner rebuilds a pool that a crashed
 worker broke and re-executes only the rows that never landed.  A task
@@ -41,7 +42,6 @@ from repro.obs import trace as obs_trace
 run_log = logging.getLogger("repro.run")
 
 ProgressFn = Callable[[int, int], None]
-StopFn = Callable[[], bool]
 
 #: Outcome string of a quarantined task's structured record.
 INFRA_FAILURE_OUTCOME = "infra-failure"
@@ -119,17 +119,12 @@ class CampaignEngine:
 
     # -- execution ---------------------------------------------------------
     def run(self, fresh: bool = False,
-            progress: Optional[ProgressFn] = None,
-            should_stop: Optional[StopFn] = None) -> Dict[str, object]:
+            progress: Optional[ProgressFn] = None) -> Dict[str, object]:
         """Execute every remaining task; returns a summary dict.
 
         Safe to invoke repeatedly: completed injections are never
         re-executed (their records are already in the store).
-
-        ``should_stop`` is polled between chunk appends; when it turns
-        true the engine stops feeding the pool, drains what was already
-        submitted, and returns a summary with ``cancelled: True``.  The
-        artifact stays a valid resume point.
+        ``progress(done, total)`` is called after every chunk append.
         """
         remaining = self.plan(fresh=fresh)
         total = self.spec.total_tasks()
@@ -162,11 +157,9 @@ class CampaignEngine:
                     payload["trace"] = carry
                 return payload
 
-            cancelled = False
             for records in run_chunks(execute_chunk, remaining, size,
                                       self.jobs, prepare, _quarantined,
                                       name="campaign",
-                                      should_stop=should_stop,
                                       stats=self.infra_stats):
                 self.store.append(records)
                 executed += len(records)
@@ -175,8 +168,6 @@ class CampaignEngine:
                     progress(done_before + executed, total)
                 self.store.write_progress(self._progress_snapshot(
                     done_before + executed, total, started))
-        if should_stop is not None and should_stop():
-            cancelled = done_before + executed < total
         flushed = self.store.flush()  # land any disk-error-deferred batches
         elapsed = time.monotonic() - started
         summary = {
@@ -184,7 +175,6 @@ class CampaignEngine:
             "total_tasks": total,
             "already_complete": done_before,
             "executed": executed,
-            "cancelled": cancelled,
             "jobs": self.jobs,
             "chunk_size": size,
             "elapsed_s": round(elapsed, 3),
@@ -192,15 +182,11 @@ class CampaignEngine:
         }
         if any(self.infra_stats.values()):
             summary["infra"] = dict(self.infra_stats)
-        summary["state"] = ("cancelled" if cancelled else
-                            "complete" if done_before + executed >= total
-                            else "partial")
+        # Unflushed records never reached disk; the artifact is then
+        # an honest resume point, not a complete one.
+        summary["state"] = "complete" if flushed else "partial"
         if not flushed:
-            # Executed records never reached disk; the artifact is an
-            # honest resume point, not a complete one.
             summary["unflushed_batches"] = self.store.pending_batches
-            if summary["state"] == "complete":
-                summary["state"] = "partial"
             run_log.warning(
                 "campaign finished computing but %d record batch(es) "
                 "could not be persisted; re-run resume once the disk "
@@ -225,10 +211,8 @@ class CampaignEngine:
 def run_campaign(spec: CampaignSpec, out_dir, jobs: int = 1,
                  task_timeout: int = 0, fresh: bool = False,
                  chunk_size: Optional[int] = None,
-                 progress: Optional[ProgressFn] = None,
-                 should_stop: Optional[StopFn] = None) -> Dict[str, object]:
+                 progress: Optional[ProgressFn] = None) -> Dict[str, object]:
     """One-call convenience wrapper around :class:`CampaignEngine`."""
     engine = CampaignEngine(spec, out_dir, jobs=jobs,
                             task_timeout=task_timeout, chunk_size=chunk_size)
-    return engine.run(fresh=fresh, progress=progress,
-                      should_stop=should_stop)
+    return engine.run(fresh=fresh, progress=progress)

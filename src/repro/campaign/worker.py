@@ -69,9 +69,8 @@ def program_for(workload: str, seed: int) -> Program:
 
     Every task of the process shares it, and with it the path it
     records (:meth:`Program.recorded_path`): tasks only read a program.
-    Threads that miss on one key at once (in-process campaigns on
-    serve executor threads) each generate it, and the programs they
-    get are equal.
+    Threads that miss on one key at once (in-process campaigns on two
+    threads) each generate it, and the programs they get are equal.
     """
     name, workload_seed = split_workload(workload)
     return generate_benchmark(name, seed=workload_seed + seed)
@@ -218,9 +217,8 @@ def execute_chunk(payload: Dict[str, object]) -> List[Dict[str, object]]:
     config = payload.get("config")
     timeout = int(payload.get("timeout") or 0)
     attempt = int(payload.get("attempt") or 0)
-    # SIGALRM can only be armed from the main thread; in-process
-    # execution on a serve executor thread silently loses the per-task
-    # timeout (the scheduler's job-level timeout still applies there).
+    # SIGALRM can only be armed from the main thread: an in-process
+    # campaign on any other thread runs without per-task timeouts.
     use_alarm = (timeout > 0 and hasattr(signal, "SIGALRM")
                  and threading.current_thread() is threading.main_thread())
     records: List[Dict[str, object]] = []

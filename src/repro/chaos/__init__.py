@@ -16,13 +16,14 @@ With no plan armed, :func:`chaos_point` is a two-instruction no-op.
 """
 
 from repro.chaos.controller import (ChaosController, ChaosEvent, armed,
-                                    arm, chaos_point, chaos_point_async,
-                                    controller, disarm)
+                                    arm, arm_file, chaos_point,
+                                    chaos_point_async, controller, disarm)
 from repro.chaos.plan import (FAULT_KINDS, ChaosPlan, ChaosPlanError,
                               ChaosRule, soak_plan)
 
 __all__ = [
     "FAULT_KINDS", "ChaosController", "ChaosEvent", "ChaosPlan",
-    "ChaosPlanError", "ChaosRule", "arm", "armed", "chaos_point",
+    "ChaosPlanError", "ChaosRule", "arm", "arm_file", "armed",
+    "chaos_point",
     "chaos_point_async", "controller", "disarm", "soak_plan",
 ]

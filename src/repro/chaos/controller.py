@@ -31,12 +31,13 @@ lazily re-arms from the environment on its first crossing).
 import asyncio
 import os
 import re
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.chaos.plan import FAULT_KINDS, ChaosPlan
+from repro.chaos.plan import FAULT_KINDS, ChaosPlan, ChaosPlanError
 
 #: Environment variable carrying the armed plan JSON into child
 #: processes (spawn-start pools re-arm from it lazily).
@@ -219,6 +220,24 @@ def _arm_from_env() -> Optional[ChaosController]:
         return None
     _CONTROLLER = ChaosController(ChaosPlan.from_json(text))
     return _CONTROLLER
+
+
+def arm_file(path: str) -> int:
+    """Arm the plan file at ``path`` for a command's ``--chaos`` flag.
+
+    Prints what it armed and returns 0, or prints ``error: bad chaos
+    plan ...`` to stderr and returns 2, the command's exit status.
+    """
+    try:
+        plan = ChaosPlan.load(path)
+    except (OSError, ChaosPlanError) as error:
+        print(f"error: bad chaos plan {path}: {error}", file=sys.stderr,
+              flush=True)
+        return 2
+    arm(plan)
+    print(f"chaos: armed {len(plan.rules)} rule(s) from {path} "
+          f"(seed {plan.seed})", flush=True)
+    return 0
 
 
 @contextmanager

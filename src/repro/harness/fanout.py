@@ -5,9 +5,10 @@ The campaign engine (fault-injection tasks) and the figure fan-out
 :func:`run_chunks`.  At ``jobs == 1`` it runs each chunk in-process: no
 pool, no pickling.  Above that it keeps a bounded window of chunks in
 flight and yields results **in submission order**, so the caller sees
-the sequential order at any ``jobs``.  It survives dying workers,
-stops between results on request, and picks the start method
-(:func:`pool_context`).
+the sequential order at any ``jobs``.  It survives dying workers and
+picks the start method (:func:`pool_context`).  A caller stops it by
+closing the generator (an exception in the loop over it) or by killing
+its process group.
 """
 
 import logging
@@ -27,8 +28,8 @@ R = TypeVar("R")
 #: near the tail when chunk runtimes are uneven.
 MIN_CHUNKS_PER_WORKER = 4
 
-#: Hard cap on units per chunk: bounds worker-side memory and how long
-#: a cooperative stop (which lands on a chunk boundary) waits.
+#: Hard cap on units per chunk: bounds worker-side memory and the work
+#: a broken pool or a stop throws away.
 MAX_CHUNK_SIZE = 16
 
 #: A unit whose chunk breaks the pool this many consecutive times is
@@ -78,15 +79,14 @@ class _Chunk(NamedTuple):
 def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
                jobs: int, prepare: Callable[[List, int], object],
                quarantine: Callable[[object, int], R], *, name: str,
-               should_stop: Optional[Callable[[], bool]] = None,
                stats: Optional[Dict[str, int]] = None) -> Iterator[R]:
     """Yield ``work(prepare(chunk, attempt))`` for each ``size``-unit
     chunk of ``units``, in order, over ``jobs`` worker processes.
 
     ``prepare`` runs right before each submission, so it is also where
-    a caller crosses a per-submission hook.  ``should_stop`` is polled
-    between results: chunks already running are drained in order,
-    unstarted ones are cancelled.
+    a caller crosses a per-submission hook.  Closing the generator
+    cancels the unstarted chunks and waits for the running ones, whose
+    results are dropped.
 
     A worker that dies breaks the whole pool.  The pool is rebuilt and
     every in-flight chunk is resubmitted in order with its ``attempt``
@@ -101,11 +101,8 @@ def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
     """
     chunks = (_Chunk(index * size, chunk, 0)
               for index, chunk in enumerate(chunked(units, size)))
-    stopping = should_stop or (lambda: False)
     if jobs <= 1:
         for chunk in chunks:
-            if stopping():
-                return
             yield work(prepare(chunk.units, 0))
         return
     # Imported on first use, like multiprocessing: loaded before a
@@ -119,7 +116,7 @@ def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
     registry = obs_metrics.registry()
     context = pool_context()
     # Enough chunks in flight to keep every worker busy, few enough that
-    # a stop or a rebuild only has to reclaim a short suffix.
+    # a rebuild only has to reclaim a short suffix.
     window = jobs * MIN_CHUNKS_PER_WORKER
     backlog: Deque[_Chunk] = deque()  # reclaimed chunks go first
     pending: Deque[Tuple[_Chunk, object]] = deque()  # (chunk, future)
@@ -194,19 +191,5 @@ def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
             for index in range(head.start, head.start + len(head.units)):
                 kills.pop(index, None)
             yield result
-            if stopping():
-                # The pool starts futures in submission order, so the
-                # cancellable ones form a suffix: drain the prefix.
-                while pending:
-                    _, future = pending.popleft()
-                    if future.cancel():
-                        for _, rest in pending:
-                            rest.cancel()
-                        break
-                    try:
-                        yield future.result()
-                    except BrokenExecutor:
-                        break  # stopping anyway
-                return
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

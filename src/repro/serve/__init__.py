@@ -11,8 +11,8 @@ single runs, AVF/static analyses — over a stdlib HTTP/JSON API, with:
 - admission control: a bounded queue that rejects overload with
   HTTP 429 + ``Retry-After`` instead of degrading;
 - per-client fair-share dispatch and priorities;
-- cooperative per-job cancellation and timeouts that stop campaigns at
-  a chunk boundary, leaving a valid resumable artifact.
+- per-job cancellation and timeouts that kill the job's worker
+  process group, leaving a campaign's artifact resumable.
 
 Module map: :mod:`jobs` (spec validation + cache keys), :mod:`cache`
 (sealed on-disk results), :mod:`scheduler` (queue/dispatch/lifecycle),

@@ -15,9 +15,8 @@ GET    /v1/jobs/<id>[?wait=S]       status; ``wait`` long-polls up to
                                     S seconds for completion
 GET    /v1/jobs/<id>/result         the sealed result payload (409
                                     until the job is done)
-DELETE /v1/jobs/<id>                cancel (queued: immediate; running
-                                    campaign: next chunk boundary; any
-                                    other running job: worker killed)
+DELETE /v1/jobs/<id>                cancel (queued: immediate;
+                                    running: its worker is killed)
 GET    /healthz                     liveness + drain state
 GET    /metrics                     served-job counters, queue depth,
                                     cache stats

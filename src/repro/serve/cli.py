@@ -74,13 +74,12 @@ def _build_serve_parser() -> argparse.ArgumentParser:
                         help="queued-job bound (admission control; "
                              "full queue → HTTP 429)")
     parser.add_argument("--max-running", type=int, default=2,
-                        help="concurrent jobs; run, analyze, avf and "
-                             "experiment jobs run in this many worker "
-                             "processes")
+                        help="concurrent jobs; each runs in one of "
+                             "this many worker processes")
     parser.add_argument("--job-timeout", type=float, default=0.0,
                         help="per-job wall-clock budget in seconds "
-                             "(0 = unlimited; timed-out jobs stop at "
-                             "the next chunk boundary)")
+                             "(0 = unlimited; a timed-out job's worker "
+                             "is killed, as on cancel)")
     parser.add_argument("--campaign-jobs", type=int, default=1,
                         help="default worker processes per campaign "
                              "job (a job's own `jobs` param wins)")
@@ -100,16 +99,11 @@ def cmd_serve(argv: List[str]) -> int:
 
     args = _build_serve_parser().parse_args(argv)
     if args.chaos:
-        from repro.chaos import ChaosPlan, ChaosPlanError, arm
-        try:
-            plan = ChaosPlan.load(args.chaos)
-        except (OSError, ChaosPlanError) as error:
-            print(f"error: bad chaos plan {args.chaos}: {error}",
-                  file=sys.stderr)
-            return 2
-        arm(plan)
-        print(f"chaos: armed {len(plan.rules)} rule(s) from "
-              f"{args.chaos} (seed {plan.seed})", flush=True)
+        from repro.chaos import arm_file
+
+        code = arm_file(args.chaos)
+        if code:
+            return code
     if args.trace:
         from pathlib import Path
 

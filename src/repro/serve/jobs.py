@@ -100,13 +100,25 @@ def _require(condition: bool, message: str) -> None:
         raise JobValidationError(message)
 
 
-def _validate_campaign(params: Dict[str, object]) -> None:
-    from repro.campaign.spec import CampaignConfigError, CampaignSpec
+#: Campaign params that steer execution; the rest name the campaign.
+#: ``artifact_dir`` is never submitted: the daemon adds it, and the
+#: resolved ``jobs``, to the params it sends a worker.
+_CAMPAIGN_KNOBS = ("jobs", "task_timeout", "chunk_size", "artifact_dir")
 
-    fields = {key: value for key, value in params.items()
-              if key not in ("jobs", "task_timeout", "chunk_size")}
+
+def campaign_spec(params: Dict[str, object]):
+    """The :class:`CampaignSpec` a campaign job's params name."""
+    from repro.campaign.spec import CampaignSpec
+
+    return CampaignSpec(**{key: value for key, value in params.items()
+                           if key not in _CAMPAIGN_KNOBS})
+
+
+def _validate_campaign(params: Dict[str, object]) -> None:
+    from repro.campaign.spec import CampaignConfigError
+
     try:
-        CampaignSpec(**fields).validate()
+        campaign_spec(params).validate()
     except CampaignConfigError as error:
         raise JobValidationError(f"campaign: {error}") from None
     _require(params["jobs"] is None or int(params["jobs"]) >= 1,

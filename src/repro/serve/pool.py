@@ -11,24 +11,23 @@ a normalized :class:`JobSpec` onto those entry points, (b) to stop a
 job whose scheduler ``cancel`` event is set, and (c) to return a
 JSON-able result payload the cache can seal.
 
-Where each job type runs is decided here, by :data:`PROCESS_HANDLERS`.
-``run``, ``experiment``, ``avf`` and ``analyze`` jobs are CPU-bound
-Python, so their handlers run in one of the pool's worker processes
-(:func:`run_job`), one per ``--max-running`` slot: two slots get two
+Every job type's handler is an entry of :data:`PROCESS_HANDLERS`, and
+runs in one of the pool's worker processes (:func:`run_job`), one per
+``--max-running`` slot.  Jobs are CPU-bound Python: two slots get two
 cores instead of taking turns under one interpreter lock, and the
-event loop no longer waits behind them.  The scheduler's executor
-thread only waits for the result, checking the job's cancel event
-every :data:`_CANCEL_POLL_S`: once it is set, the worker is killed with
-its process group (a figure fan-out pool included), and the slot's
-next job spawns a replacement.  ``campaign`` jobs stay on that thread:
-they stop at a chunk boundary on the cancel event, leaving a resumable
-artifact, append to a store whose chaos points the daemon's plan arms,
-and fan out through the engine's own process pool.
+event loop never waits behind them.  The scheduler's executor thread
+only waits for the result, checking the job's cancel event every
+:data:`_CANCEL_POLL_S`: once it is set, the worker is killed with its
+process group (a figure's or a campaign's pool included), and the
+slot's next job spawns a replacement.
 
 Campaign artifacts live under ``<workdir>/artifacts/<cache-key>/`` —
 the same content-addressed key as the result cache — so a job that is
-cancelled mid-flight leaves a valid resumable campaign directory, and
-resubmitting the identical spec *resumes* instead of restarting.
+cancelled mid-flight leaves a resumable campaign directory, and
+resubmitting the identical spec *resumes* instead of restarting.  The
+daemon resolves that directory and the job's ``jobs`` before it sends
+the params, and after a kill it counts the artifact's records, which
+drops a last line the kill tore.
 """
 
 import os
@@ -39,7 +38,7 @@ from typing import Dict, List, Optional
 
 from repro.harness.fanout import pool_context
 from repro.obs import trace as obs_trace
-from repro.serve.jobs import JobSpec
+from repro.serve.jobs import JobSpec, campaign_spec
 
 #: Keys of an engine summary that are wall-clock measurements or
 #: infrastructure-event counters; they are stripped from cached
@@ -107,13 +106,46 @@ def _run_analyze(params: Dict[str, object]) -> Dict[str, object]:
     return analysis_to_dict(report)
 
 
-#: Job types whose handler runs in a worker process.  Every other type
-#: (``campaign``) runs on the scheduler's executor thread.
+def _run_campaign(params: Dict[str, object]) -> Dict[str, object]:
+    from repro.campaign.engine import CampaignEngine
+    from repro.campaign.report import aggregate
+    from repro.campaign.store import CampaignStore
+
+    out_dir = Path(params["artifact_dir"])
+    engine = CampaignEngine(
+        campaign_spec(params), out_dir,
+        jobs=int(params["jobs"]),
+        task_timeout=int(params["task_timeout"]),
+        chunk_size=params["chunk_size"])
+    summary = engine.run()
+    for key in _TIMING_KEYS:
+        summary.pop(key, None)
+    records = CampaignStore(out_dir).records()
+    outcomes: Dict[str, Dict[str, object]] = {}
+    for (kind, workload), stats in sorted(aggregate(records).items()):
+        point, ci_low, ci_high = stats.coverage()
+        outcomes[f"{kind}/{workload}"] = {
+            "total": stats.total,
+            "by_outcome": dict(sorted(stats.outcomes.items())),
+            "detected": stats.detected,
+            "unmasked": stats.unmasked,
+            "coverage": point,
+            "coverage_ci": [ci_low, ci_high],
+        }
+    return {
+        "summary": summary,
+        "strata": outcomes,
+        "artifact_dir": str(out_dir),
+    }
+
+
+#: Every job type's handler; each runs in a worker process.
 PROCESS_HANDLERS = {
     "run": _run_run,
     "experiment": _run_experiment,
     "avf": _run_avf,
     "analyze": _run_analyze,
+    "campaign": _run_campaign,
 }
 
 
@@ -130,21 +162,26 @@ _CANCEL_POLL_S = 0.1
 
 
 def _serve_jobs(conn) -> None:
-    """Worker-process main loop: answer ``(type, params)`` requests on
-    ``conn`` with ``(ok, payload or error)`` until the daemon closes it.
+    """Worker-process main loop: answer ``(type, params, trace carry)``
+    requests on ``conn`` with ``(ok, payload or error)`` until the
+    daemon closes it.
 
     The worker leads its own process group, so a cancel can kill it
     together with any pool it forked, and a terminal's Ctrl-C, sent to
     the daemon's group, does not reach it: the daemon's drain stops it.
+    Its one thread runs every job, so a campaign's pool forks and its
+    per-task ``SIGALRM`` timeouts apply.
     """
     os.setpgid(0, 0)
     while True:
         try:
-            job_type, params = conn.recv()
+            job_type, params, carried = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, run_job(job_type, params))
+            # The job's spans nest under the daemon's pool.<type> span.
+            with obs_trace.adopt(carried):
+                reply = (True, run_job(job_type, params))
         except Exception as error:  # the job failed, not the worker
             reply = (False, error)
         conn.send(reply)
@@ -155,12 +192,16 @@ class _Worker:
 
     def __init__(self) -> None:
         # Imported here, not at module level: daemon start-up stays as
-        # fast as before, and only the first process job pays for it.
+        # fast as before, and only the first job pays for it.
         import multiprocessing.util
 
         # The daemon runs threads, so this is spawn.
         context = pool_context()
         self.conn, child_conn = context.Pipe()
+        # The worker reads EOF once every copy of the daemon's end is
+        # closed, so a forked worker (or pool) must close its copy.
+        multiprocessing.util.register_after_fork(self.conn,
+                                                 type(self.conn).close)
         self.process = context.Process(target=_serve_jobs,
                                        args=(child_conn,),
                                        name="repro-serve-worker")
@@ -178,28 +219,35 @@ class _Worker:
         """Run one job here; ``BrokenProcessPool`` if the worker died,
         ``JobCancelled`` (the worker killed) once ``cancel`` is set."""
         try:
-            self.conn.send((job_type, params))
+            self.conn.send((job_type, params, obs_trace.carry()))
             while not self.conn.poll(_CANCEL_POLL_S):
                 if cancel.is_set():
                     self.cancelled = True
-                    try:
-                        os.killpg(self.process.pid, signal.SIGKILL)
-                    except ProcessLookupError:  # not yet its group leader
-                        self.process.kill()
-                    self.process.join()
+                    self._kill()
                     raise JobCancelled(f"{job_type} job cancelled while "
                                        f"running; its worker was killed")
+                if not self.process.is_alive():
+                    # A pool it forked may hold the pipe open.
+                    raise EOFError
             ok, value = self.conn.recv()
         except (EOFError, OSError) as error:
             from concurrent.futures.process import BrokenProcessPool
 
-            self.process.join(_STOP_S)
+            self._kill()  # and any orphaned pool of its group
             raise BrokenProcessPool(
                 f"serve worker {self.process.pid} died mid-job (exit "
                 f"code {self.process.exitcode})") from error
         if not ok:
             raise value
         return value
+
+    def _kill(self) -> None:
+        """SIGKILL the worker's process group and reap the worker."""
+        try:
+            os.killpg(self.process.pid, signal.SIGKILL)
+        except ProcessLookupError:  # not yet its group leader
+            self.process.kill()
+        self.process.join()
 
     def stop(self) -> None:
         self.conn.close()  # the worker reads EOF and returns
@@ -214,7 +262,7 @@ class WorkerPool:
 
     One instance per daemon; ``execute`` runs on a scheduler executor
     thread (never the event loop) and may block for the whole job.
-    Process jobs borrow one of at most ``workers`` worker processes,
+    Every job borrows one of at most ``workers`` worker processes,
     spawned on first need rather than with the pool, so daemon
     readiness never waits for interpreter start-up.  Each worker serves
     one job at a time over its own pipe, so only the thread holding a
@@ -234,7 +282,7 @@ class WorkerPool:
         self.workdir = Path(workdir)
         #: Worker processes per campaign job unless the job says otherwise.
         self.campaign_jobs = max(1, int(campaign_jobs))
-        #: Worker processes for process jobs (the daemon's --max-running).
+        #: Worker processes (the daemon's --max-running).
         self.workers = max(1, int(workers))
         #: Notified whenever a worker is returned or a slot is freed.
         self._free = threading.Condition()
@@ -258,19 +306,29 @@ class WorkerPool:
         cancel = cancel or threading.Event()
         if cancel.is_set():
             raise JobCancelled(f"{spec.type} job cancelled before start")
+        params = spec.params
+        if spec.type == "campaign":
+            out_dir = self.artifact_dir(spec)
+            params = dict(params, artifact_dir=str(out_dir),
+                          jobs=params["jobs"] or self.campaign_jobs)
         with obs_trace.span(f"pool.{spec.type}",
                             key=spec.cache_key()[:16]):
-            if spec.type in PROCESS_HANDLERS:
-                return self._in_worker(spec, cancel)
-            return self._run_campaign(spec, cancel)
+            worker = self._acquire()
+            try:
+                return worker.call(spec.type, params, cancel)
+            except JobCancelled:
+                if spec.type != "campaign":
+                    raise
+                from repro.campaign.store import CampaignStore
 
-    def _in_worker(self, spec: JobSpec,
-                   cancel: threading.Event) -> Dict[str, object]:
-        worker = self._acquire()
-        try:
-            return worker.call(spec.type, spec.params, cancel)
-        finally:
-            self._release(worker)
+                # Counting the records drops a last line the kill tore.
+                done = CampaignStore(out_dir).completed_count()
+                raise JobCancelled(
+                    f"campaign stopped at {done}/"
+                    f"{campaign_spec(params).total_tasks()} injections "
+                    f"(artifact resumable at {out_dir})") from None
+            finally:
+                self._release(worker)
 
     def _acquire(self) -> _Worker:
         with self._free:
@@ -299,49 +357,3 @@ class WorkerPool:
             self._live -= len(workers)
         for worker in workers:
             worker.stop()
-
-    # -- the thread-side handler -------------------------------------------
-    def _run_campaign(self, spec: JobSpec,
-                      cancel: threading.Event) -> Dict[str, object]:
-        from repro.campaign.engine import CampaignEngine
-        from repro.campaign.report import aggregate
-        from repro.campaign.spec import CampaignSpec
-        from repro.campaign.store import CampaignStore
-
-        params = spec.params
-        fields = {key: value for key, value in params.items()
-                  if key not in ("jobs", "task_timeout", "chunk_size")}
-        campaign_spec = CampaignSpec(**fields)
-        out_dir = self.artifact_dir(spec)
-        jobs = (self.campaign_jobs if params["jobs"] is None
-                else int(params["jobs"]))
-        engine = CampaignEngine(
-            campaign_spec, out_dir,
-            jobs=jobs,
-            task_timeout=int(params["task_timeout"]),
-            chunk_size=params["chunk_size"])
-        summary = engine.run(should_stop=cancel.is_set)
-        if summary.get("cancelled"):
-            raise JobCancelled(
-                f"campaign stopped at {summary['already_complete'] + summary['executed']}"
-                f"/{summary['total_tasks']} injections (artifact resumable "
-                f"at {out_dir})")
-        for key in _TIMING_KEYS:
-            summary.pop(key, None)
-        records = CampaignStore(out_dir).records()
-        outcomes: Dict[str, Dict[str, object]] = {}
-        for (kind, workload), stats in sorted(aggregate(records).items()):
-            point, ci_low, ci_high = stats.coverage()
-            outcomes[f"{kind}/{workload}"] = {
-                "total": stats.total,
-                "by_outcome": dict(sorted(stats.outcomes.items())),
-                "detected": stats.detected,
-                "unmasked": stats.unmasked,
-                "coverage": point,
-                "coverage_ci": [ci_low, ci_high],
-            }
-        return {
-            "summary": summary,
-            "strata": outcomes,
-            "artifact_dir": str(out_dir),
-        }

@@ -4,10 +4,8 @@ Single-threaded asyncio core: ``submit``/``cancel``/status reads all
 run on the event loop, so there are no locks; only the blocking
 simulation work leaves the loop, onto a small
 :class:`~concurrent.futures.ThreadPoolExecutor` with one thread per
-slot.  A campaign job runs on its thread (and fans out further across
-the engine's own process pool); every other job's thread waits while
-the pool's worker process for that slot runs it (see
-:mod:`repro.serve.pool`).
+slot, which waits while the pool's worker process for that slot runs
+the job (see :mod:`repro.serve.pool`).
 
 Lifecycle::
 
@@ -34,13 +32,12 @@ Fair share: among queued jobs the dispatcher picks by (priority,
 fewest jobs already served for that client, arrival order), so one
 chatty client cannot starve the rest no matter how fast it submits.
 
-Cancelling a RUNNING job sets its ``threading.Event``.  A campaign
-observes it between chunk appends, so it stops at a chunk boundary and
-leaves a resumable artifact, never a torn one; every other job type's
-worker process is killed (see :mod:`repro.serve.pool`).  ``drain``
-(SIGTERM) is cancel-everything + wait: queued jobs are cancelled
-outright, running jobs get their events set, and the call returns once
-every one has settled.
+Cancelling a RUNNING job sets its ``threading.Event``, and the
+executor thread waiting on the job kills its worker's process group
+(see :mod:`repro.serve.pool`); a campaign leaves a resumable artifact,
+never a torn one.  ``drain`` (SIGTERM) is cancel-everything + wait:
+queued jobs are cancelled outright, running jobs get their events set,
+and the call returns once every one has settled.
 
 Retention: the scheduler remembers every queued and running job, and
 the last :data:`MAX_FINISHED_JOBS` finished ones.  An older job's id
@@ -110,8 +107,8 @@ class Job:
     Every lifecycle field is written by the scheduler on the event
     loop; the one deliberate exception is ``cancel_event``, a
     ``threading.Event`` whose *set* side stays on the loop while the
-    executor thread polls ``is_set()`` between chunk boundaries —
-    Event is internally locked, so it needs no guard here.
+    executor thread polls ``is_set()`` as it waits for the job's
+    worker — Event is internally locked, so it needs no guard here.
     ``done_event`` is an ``asyncio.Event``: strictly loop-side.
 
     Concurrency:
@@ -337,8 +334,8 @@ class Scheduler:
 
         Queued jobs leave the queue immediately (promoting a coalesced
         follower, if any, so the shared computation survives).  Running
-        jobs get their cancel event: a campaign frees its slot at the
-        next chunk boundary, any other job once its worker is killed.
+        jobs get their cancel event, and free their slot once their
+        worker is killed.
         Followers detach without disturbing the primary's computation.
         """
         job = self.jobs[job_id]
@@ -478,7 +475,7 @@ class Scheduler:
             self._settle(self._owner(job), FAILED,
                          error=f"{type(error).__name__}: {error}")
             return
-        # A cancel/timeout that landed after the last chunk still
+        # A cancel/timeout that landed after the worker replied still
         # yields a whole result — seal and serve it.  The seal is a
         # write + fsync + rename: off-loop, like every other disk
         # touch on the serving path.
@@ -494,9 +491,9 @@ class Scheduler:
         (``attempt`` is the loop-confined retry count, captured on the
         loop at dispatch).  The root span's trace id derives from the
         job's cache key, so an identical resubmission — or a
-        chaos-requeued retry — lands in the same trace, and the
-        campaign engine's child spans nest under it via the ambient
-        context of this executor thread.
+        chaos-requeued retry — lands in the same trace; the pool's span
+        nests under it via the ambient context of this executor thread,
+        and the job's own spans under that one, in the worker.
         """
         short_key = job.key[:16]
         with obs_trace.span(f"serve.job.{job.spec.type}", key=short_key,

@@ -1,6 +1,9 @@
 """Engine integration: execution, cross-process determinism, resume,
 and the program a worker process shares between its tasks."""
 
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -107,50 +110,76 @@ class TestWorker:
                        if key != "timed_out")
 
 
+class Stop(Exception):
+    """Raised by a progress callback to end a campaign run early."""
+
+
+def stop_after(n):
+    """A progress callback that raises :class:`Stop` once ``n`` records
+    are stored (a fresh store, one task per chunk)."""
+    def progress(done, total):
+        if done == n:
+            raise Stop()
+
+    return progress
+
+
+#: Enough tasks that the bounded submission window (jobs*4) cannot
+#: swallow the whole campaign before a stop lands.
+BIG = CampaignSpec(kinds=("base", "srt"), workloads=("m88ksim",),
+                   models=("transient-result",), injections=12,
+                   instructions=150, warmup=400)
+
+
+def killed_campaign(out, n):
+    """Forked-child body: lead a process group, run a jobs=2 campaign,
+    and SIGKILL the group (this process and its pool) once ``n``
+    records are stored."""
+    os.setpgid(0, 0)
+
+    def progress(done, total):
+        if done == n:
+            os.killpg(0, signal.SIGKILL)
+
+    CampaignEngine(BIG, out, jobs=2, chunk_size=1).run(progress=progress)
+
+
+def assert_canonical_prefix(out, spec):
+    records = CampaignStore(out).records()
+    assert 0 < len(records) < spec.total_tasks()
+    # The stored prefix is exactly canonical order: resumable.
+    assert [r["index"] for r in records] == list(range(len(records)))
+
+
 class TestCancellation:
-    """Cooperative should_stop: clean prefix, resumable, both modes."""
-
-    def stop_after(self, n):
-        calls = {"count": 0}
-
-        def should_stop():
-            calls["count"] += 1
-            return calls["count"] > n
-
-        return should_stop
+    """A run stopped by an exception or a kill leaves a canonical
+    prefix that resumes to the bytes of an uninterrupted run."""
 
     def test_serial_stop_leaves_canonical_prefix(self, tmp_path):
         out = tmp_path / "c"
         engine = CampaignEngine(SPEC, out, jobs=1, chunk_size=1)
-        summary = engine.run(should_stop=self.stop_after(2))
-        assert summary["cancelled"] is True
-        assert summary["state"] == "cancelled"
-        records = CampaignStore(out).records()
-        assert 0 < len(records) < SPEC.total_tasks()
-        # The stored prefix is exactly canonical order: resumable.
-        assert [r["index"] for r in records] == list(range(len(records)))
+        with pytest.raises(Stop):
+            engine.run(progress=stop_after(2))
+        assert len(CampaignStore(out).records()) == 2
+        assert_canonical_prefix(out, SPEC)
 
     def test_parallel_stop_leaves_canonical_prefix(self, tmp_path):
-        # Enough tasks that the bounded submission window (jobs*4)
-        # cannot swallow the whole campaign before the stop lands.
-        big = CampaignSpec(kinds=("base", "srt"), workloads=("m88ksim",),
-                           models=("transient-result",), injections=12,
-                           instructions=150, warmup=400)
         out = tmp_path / "c"
-        engine = CampaignEngine(big, out, jobs=2, chunk_size=1)
-        summary = engine.run(should_stop=self.stop_after(2))
-        assert summary["cancelled"] is True
-        records = CampaignStore(out).records()
-        assert 0 < len(records) < big.total_tasks()
-        assert [r["index"] for r in records] == list(range(len(records)))
+        engine = CampaignEngine(BIG, out, jobs=2, chunk_size=1)
+        with pytest.raises(Stop):
+            engine.run(progress=stop_after(2))
+        # The chunks still in flight were lost, not appended.
+        assert len(CampaignStore(out).records()) == 2
+        assert_canonical_prefix(out, BIG)
 
     def test_cancelled_campaign_resumes_to_completion(self, tmp_path):
         out = tmp_path / "c"
-        CampaignEngine(SPEC, out, jobs=1, chunk_size=1).run(
-            should_stop=self.stop_after(2))
-        # Second run, no stop: picks up where the cancel left off.
+        with pytest.raises(Stop):
+            CampaignEngine(SPEC, out, jobs=2, chunk_size=1).run(
+                progress=stop_after(2))
+        # Second run, no stop: picks up where the stop left off.
         summary = CampaignEngine(SPEC, out, jobs=1).run()
-        assert summary["cancelled"] is False
+        assert summary["already_complete"] == 2
         assert summary["state"] == "complete"
         records = CampaignStore(out).records()
         assert len(records) == SPEC.total_tasks()
@@ -158,40 +187,40 @@ class TestCancellation:
             == list(range(SPEC.total_tasks()))
 
     def test_cancelled_matches_uncancelled_prefix(self, tmp_path):
-        # Determinism: a cancelled-then-resumed campaign is record-for-
+        # Determinism: a killed-then-resumed campaign is record-for-
         # record identical to one that never stopped.
         stopped = tmp_path / "stopped"
-        CampaignEngine(SPEC, stopped, jobs=1, chunk_size=1).run(
-            should_stop=self.stop_after(2))
-        CampaignEngine(SPEC, stopped, jobs=1).run()
+        process = multiprocessing.get_context("fork").Process(
+            target=killed_campaign, args=(stopped, 3))
+        process.start()
+        process.join(timeout=120)
+        assert process.exitcode == -signal.SIGKILL
+        assert_canonical_prefix(stopped, BIG)
+        CampaignEngine(BIG, stopped, jobs=1).run()
         straight = tmp_path / "straight"
-        CampaignEngine(SPEC, straight, jobs=1).run()
+        CampaignEngine(BIG, straight, jobs=1).run()
         assert (CampaignStore(stopped).results_path.read_text()
                 == CampaignStore(straight).results_path.read_text())
 
     def test_never_stopping_is_not_cancelled(self, tmp_path):
         out, summary = run_into(tmp_path, "c", jobs=1)
-        assert summary["cancelled"] is False
         assert summary["state"] == "complete"
+        assert summary["executed"] == SPEC.total_tasks()
 
     def test_progress_sidecar_live_during_run(self, tmp_path):
         # The engine writes the sidecar after every chunk, so an
         # observer (campaign status) sees live progress mid-run.
         out = tmp_path / "c"
         seen = []
-        store_holder = {}
+        store = CampaignStore(out)
 
-        def spy_stop():
-            store = store_holder.get("store")
-            if store is not None:
-                progress = store.load_progress()
-                if progress is not None:
-                    seen.append(progress["done"])
-            return False
+        def spy(done, total):
+            progress = store.load_progress()
+            if progress is not None and progress["state"] == "running":
+                seen.append(progress["done"])
 
         engine = CampaignEngine(SPEC, out, jobs=1, chunk_size=1)
-        store_holder["store"] = CampaignStore(out)
-        engine.run(should_stop=spy_stop)
+        engine.run(progress=spy)
         assert seen  # sidecar observable while running
         assert seen == sorted(seen)
         final = CampaignStore(out).load_progress()
@@ -282,8 +311,9 @@ class TestProgramSharing:
         assert len(calls) == bound + 3
 
     def test_concurrent_in_process_campaigns_agree(self):
-        """Serve executor threads may generate and record one program at
-        once: every thread still gets the serial records."""
+        """In-process campaigns on several threads may generate and
+        record one program at once: every thread still gets the serial
+        records."""
         tasks = [task.to_dict() for task in enumerate_tasks(self.SPEC)]
         reference = execute_chunk({"tasks": tasks, "config": None})
         worker.program_for.cache_clear()

@@ -285,6 +285,26 @@ class TestWorkerPoolSpans:
             assert child["parent"] == root["span"]
             assert root["ok"] and child["ok"]
 
+    def test_campaign_run_span_parents_under_pool_span(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        params = {"kinds": ["srt"], "workloads": ["gcc"],
+                  "models": ["transient-result"], "injections": 3,
+                  "instructions": 150, "warmup": 300}
+        with obs_trace.traced(path):
+            with BackgroundServer(workdir=str(tmp_path / "serve")) as handle:
+                client = ServeClient(handle.url)
+                job = client.submit("campaign", params)["job"]
+                final = client.wait_for(job["id"], timeout=120)["job"]
+                assert final["state"] == "done"
+        records = obs_trace.read_spans(path)
+        (pool_span,) = [r for r in records if r["name"] == "pool.campaign"]
+        (run_span,) = [r for r in records if r["name"] == "campaign.run"]
+        assert run_span["parent"] == pool_span["span"]
+        assert run_span["trace"] == pool_span["trace"]
+        tasks = [r for r in records if r["name"] == "campaign.task"]
+        assert len(tasks) == 3
+        assert {r["trace"] for r in tasks} == {pool_span["trace"]}
+
 
 class TestCampaignCancel:
     def test_cancel_stops_running_campaign_at_chunk_boundary(

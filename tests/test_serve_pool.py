@@ -1,11 +1,13 @@
 """WorkerPool: execution-knob resolution onto the campaign engine, and
-the worker processes that run every other job type."""
+the worker processes that run every job type."""
 
 import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -13,15 +15,17 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro
 from repro.analysis import checks
 from repro.analysis.report import analysis_to_dict
+from repro.chaos import ChaosPlan, ChaosRule
 from repro.core.machine import Machine
 from repro.isa import generator
 from repro.isa.assembler import assemble
 from repro.serve.api import BackgroundServer
 from repro.serve.client import ServeClient
 from repro.serve.jobs import JobSpec
-from repro.serve.pool import PROCESS_HANDLERS, WorkerPool, run_job
+from repro.serve.pool import WorkerPool, run_job
 
 CAMPAIGN = {"kinds": ["srt"], "workloads": ["gcc"],
             "models": ["transient-result"], "injections": 4,
@@ -61,13 +65,19 @@ class TestCampaignJobsDefault:
         spec = JobSpec.build("campaign", CAMPAIGN)
         assert spec.params["jobs"] is None  # "let the daemon decide"
         pool = WorkerPool(tmp_path, campaign_jobs=2)
-        result = pool.execute(spec)
+        try:
+            result = pool.execute(spec)
+        finally:
+            pool.shutdown()
         assert result["summary"]["jobs"] == 2
 
     def test_explicit_jobs_overrides_daemon_default(self, tmp_path):
         spec = JobSpec.build("campaign", dict(CAMPAIGN, jobs=1))
         pool = WorkerPool(tmp_path, campaign_jobs=2)
-        result = pool.execute(spec)
+        try:
+            result = pool.execute(spec)
+        finally:
+            pool.shutdown()
         assert result["summary"]["jobs"] == 1
 
     def test_explicit_jobs_keys_differently_from_omitted(self):
@@ -76,12 +86,22 @@ class TestCampaignJobsDefault:
         explicit = JobSpec.build("campaign", dict(CAMPAIGN, jobs=1))
         assert omitted.cache_key() != explicit.cache_key()
 
-    def test_campaign_runs_on_the_calling_thread(self, tmp_path):
-        assert "campaign" not in PROCESS_HANDLERS
+    def test_campaign_runs_on_the_calling_thread(self, tmp_path,
+                                                 monkeypatch):
+        """At jobs=1 the handler runs on its caller's thread, which in
+        the daemon is a worker's main thread: each task arms its
+        ``SIGALRM`` timeout there."""
+        alarms = []
+        monkeypatch.setattr(signal, "alarm",
+                            lambda seconds: alarms.append(seconds) or 0)
+        spec = JobSpec.build("campaign",
+                             dict(CAMPAIGN, jobs=1, task_timeout=60))
         before = {child.pid for child in multiprocessing.active_children()}
-        pool = WorkerPool(tmp_path)
-        pool.execute(JobSpec.build("campaign", dict(CAMPAIGN, jobs=1)))
+        result = run_job("campaign", dict(
+            spec.params, artifact_dir=str(tmp_path / "artifact")))
         assert new_children(before) == []
+        assert result["summary"]["state"] == "complete"
+        assert alarms.count(60) == CAMPAIGN["injections"]
 
 
 @pytest.fixture(scope="module")
@@ -179,21 +199,19 @@ class TestAnalyzeGate:
 
 class TestPoolBreaks:
     def test_killed_worker_requeues_and_is_replaced(self, tmp_path):
-        # About 2 s of simulation: still running when the kill lands.
         params = {"kind": "srt", "benchmarks": ["gcc"],
                   "instructions": 30_000, "warmup": 1000, "seed": 11}
+        started = time.monotonic()
         expected = run_job("run", JobSpec.build("run", params).params)
+        duration = time.monotonic() - started
         before = {child.pid for child in multiprocessing.active_children()}
         with BackgroundServer(workdir=str(tmp_path / "serve"),
                               max_running=1) as handle:
             client = ServeClient(handle.url)
             job = client.submit("run", params)["job"]
-            deadline = time.monotonic() + 60
-            while not new_children(before):
-                assert time.monotonic() < deadline, "no worker spawned"
-                time.sleep(0.05)
-            (worker,) = new_children(before)
-            time.sleep(1.0)  # past start-up, into the job
+            worker = running_worker(client, job, before)
+            # The worker still has to start up and run the whole job.
+            time.sleep(duration / 2)
             os.kill(worker.pid, signal.SIGKILL)
             final = client.wait_for(job["id"], timeout=120)["job"]
             assert final["state"] == "done", final
@@ -208,6 +226,59 @@ class TestPoolBreaks:
             assert final["state"] == "done", final
             assert "failure_chain" not in final
             assert handle.server.scheduler.pool.rebuilds == 1
+
+    @pytest.mark.parametrize("site,jobs", [
+        ("campaign.worker.task", 1),
+        # The worker dies beside the pool it forked, which holds the
+        # worker's pipe open: the daemon must not wait for EOF.
+        ("campaign.store.append", 2),
+    ])
+    def test_campaign_crash_fails_the_job_not_the_daemon(self, tmp_path,
+                                                         site, jobs):
+        """A chaos crash in a served campaign's own process kills its
+        worker, never the daemon: the job fails once its infra retries
+        are spent, and the next job runs."""
+        plan = tmp_path / "plan.json"
+        ChaosPlan(seed=0, rules=(ChaosRule(site, "crash", p=1.0),)).save(
+            plan)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        # A log file, not a pipe: processes the daemon's crash orphans
+        # would hold a pipe open.
+        log = tmp_path / "serve.log"
+        with open(log, "w") as sink:
+            daemon = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--workdir", str(tmp_path / "serve"),
+                 "--max-running", "1", "--chaos", str(plan)],
+                stdout=sink, env=env)
+        try:
+            wait_until(lambda: "listening on" in log.read_text(), 60,
+                       "the daemon never listened")
+            started = log.read_text()
+            assert f"chaos: armed 1 rule(s) from {plan}" in started
+            client = ServeClient(
+                re.search(r"listening on (\S+)", started).group(1))
+            job = client.submit("campaign", dict(CAMPAIGN, jobs=jobs))["job"]
+            final = client.wait_for(job["id"], timeout=120)["job"]
+            assert daemon.poll() is None, "the crash ended the daemon"
+            assert final["state"] == "failed", final
+            assert final["infra_retries"] == 2
+            assert len(final["failure_chain"]) == 3
+            assert all("BrokenProcessPool" in failure
+                       for failure in final["failure_chain"])
+            assert_slot_serves_next_job(client)
+        finally:
+            daemon.send_signal(signal.SIGTERM)  # its drain stops workers
+            try:
+                daemon.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                daemon.kill()
+                daemon.wait()
+                raise
+        assert daemon.returncode == 0
+        assert "drained cleanly" in log.read_text()
 
     def test_concurrent_breaks_replace_each_dead_worker_once(
             self, tmp_path):
@@ -270,6 +341,10 @@ LONG_JOBS = [
     # The worker forks a two-process figure pool into its group.
     ("experiment", {"experiment": "fig9", "instructions": 20_000,
                     "warmup": 0, "jobs": 2}),
+    # ... or a two-process campaign pool.
+    ("campaign", {"kinds": ["srt"], "workloads": ["gcc"],
+                  "models": ["transient-result"], "injections": 200,
+                  "instructions": 6000, "jobs": 2}),
 ]
 
 #: A short job for the slot after a cancel.
@@ -318,10 +393,9 @@ def assert_slot_serves_next_job(client):
 
 
 class TestCancelRunning:
-    """A cancelled or timed-out process job stops within seconds: its
-    worker's whole process group is killed, and the slot's next job
-    runs on a replacement worker.  (Campaigns stop at a chunk
-    boundary instead: tests/test_campaign_engine.py.)"""
+    """A cancelled or timed-out job stops within seconds: its worker's
+    whole process group is killed, and the slot's next job runs on a
+    replacement worker."""
 
     @pytest.mark.parametrize("job_type,params", LONG_JOBS,
                              ids=[job_type for job_type, _ in LONG_JOBS])
