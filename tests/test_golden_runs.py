@@ -63,6 +63,7 @@ from repro.harness.tracing import OccupancySampler
 from repro.isa.generator import generate_benchmark
 from repro.isa.profiles import SPEC95_NAMES
 from repro.obs.profile import StageProfiler
+from repro.pipeline.config import CoreConfig
 from repro.util.canonical import content_hash
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_runs.json"
@@ -89,6 +90,14 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, object], Dict[str, object]]] = {
     "srt+recovery": ("srt", {"recovery_enabled": True}, {}),
     "lockstep": ("lockstep", {}, {}),
     "crt": ("crt", {}, {}),
+    # Zero latencies: a load's bypass event, and with ``rbox_latency=0``
+    # a uop's complete event too, falls due in the cycle that issues it.
+    "base+mbox0": ("base", {"core": CoreConfig(mbox_latency=0)}, {}),
+    "srt+mbox0": ("srt", {"core": CoreConfig(mbox_latency=0)}, {}),
+    "crt+mbox0": ("crt", {"core": CoreConfig(mbox_latency=0)}, {}),
+    "lockstep+mbox0": ("lockstep", {"core": CoreConfig(mbox_latency=0)}, {}),
+    "srt+mbox0+rbox0": ("srt", {"core": CoreConfig(mbox_latency=0,
+                                                   rbox_latency=0)}, {}),
 }
 PROGRAMS = ("gcc", "m88ksim")
 #: CRT also runs a partner program so both cores lead one thread.
