@@ -8,11 +8,14 @@ flight and yields results **in submission order**, so the caller sees
 the sequential order at any ``jobs``.  It survives dying workers and
 picks the start method (:func:`pool_context`).  A caller stops it by
 closing the generator (an exception in the loop over it) or by killing
-its process group.
+its process group; a worker whose starting process is killed alone
+exits by itself (:func:`_exit_with_parent`).
 """
 
 import logging
+import os
 import threading
+import time
 from collections import deque
 from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple, TypeVar)
@@ -35,6 +38,10 @@ MAX_CHUNK_SIZE = 16
 #: A unit whose chunk breaks the pool this many consecutive times is
 #: quarantined instead of being retried forever.
 QUARANTINE_AFTER = 3
+
+#: Seconds between a pool worker's checks that its starting process is
+#: still alive.
+PARENT_POLL_S = 0.5
 
 
 def auto_chunk_size(total: int, jobs: int) -> int:
@@ -68,6 +75,21 @@ def pool_context():
 
     method = "fork" if threading.active_count() == 1 else "spawn"
     return multiprocessing.get_context(method)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: a daemon thread ends this worker once ``parent``,
+    the process that started it, is gone (the worker was re-parented).
+    Without it, a worker of a pool whose process was killed alone stays
+    blocked on the call queue forever."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="pool-parent-watch",
+                     daemon=True).start()
 
 
 class _Chunk(NamedTuple):
@@ -115,6 +137,12 @@ def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
         stats.setdefault(key, 0)
     registry = obs_metrics.registry()
     context = pool_context()
+
+    def new_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=jobs, mp_context=context,
+                                   initializer=_exit_with_parent,
+                                   initargs=(os.getpid(),))
+
     # Enough chunks in flight to keep every worker busy, few enough that
     # a rebuild only has to reclaim a short suffix.
     window = jobs * MIN_CHUNKS_PER_WORKER
@@ -122,7 +150,7 @@ def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
     pending: Deque[Tuple[_Chunk, object]] = deque()  # (chunk, future)
     kills: Dict[int, int] = {}  # unit index -> consecutive pool breaks
     probation = False
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+    pool = new_pool()
     try:
         while True:
             head: Optional[_Chunk] = None
@@ -165,8 +193,7 @@ def run_chunks(work: Callable[[object], R], units: Sequence, size: int,
                 # threads: left running, they would make the caller's
                 # next pool_context() read two threads and spawn.
                 pool.shutdown(wait=True, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=jobs,
-                                           mp_context=context)
+                pool = new_pool()
                 probation = True
                 suspect = backlog.popleft()
                 if len(suspect.units) > 1:

@@ -139,3 +139,58 @@ class TestStartMethod:
         threads, so the next fan-out still forks."""
         out = run_script(AFTER_BROKEN_POOLS)
         assert out.split() == ["1", "1", "fork"]
+
+
+#: Starts a jobs=2 pool in a forked child whose tasks report their pids
+#: and sleep, SIGKILLs that child alone, and prints how many of the
+#: pool's workers are still alive (not gone, not a zombie) 5 s later.
+#: Survivors are killed before the script exits.
+ORPHANED_POOL = """
+import os
+import signal
+import time
+from repro.harness.fanout import run_chunks
+
+reports, report = os.pipe()
+
+def work(payload):
+    os.write(report, b"%d\\n" % os.getpid())
+    time.sleep(60)
+    return payload
+
+def alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+owner = os.fork()
+if owner == 0:
+    os.close(reports)
+    list(run_chunks(work, list(range(4)), 1, 2,
+                    lambda chunk, attempt: chunk, None, name="orphans"))
+    os._exit(0)
+os.close(report)
+pids = set()
+with os.fdopen(reports) as lines:
+    while len(pids) < 2:
+        pids.add(int(lines.readline()))
+os.kill(owner, signal.SIGKILL)
+os.waitpid(owner, 0)
+deadline = time.monotonic() + 5
+while any(map(alive, pids)) and time.monotonic() < deadline:
+    time.sleep(0.05)
+survivors = [pid for pid in pids if alive(pid)]
+for pid in survivors:
+    os.kill(pid, signal.SIGKILL)
+print(len(pids), len(survivors))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+class TestOrphanedPool:
+    def test_workers_exit_when_their_pool_process_is_killed(self):
+        out = run_script(ORPHANED_POOL)
+        assert out.split() == ["2", "0"]
