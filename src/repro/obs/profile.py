@@ -12,12 +12,16 @@ profiled run returns the identical :class:`RunResult` by construction
 (pinned by ``tests/test_obs_profile.py`` and
 ``tests/test_golden_runs.py``).
 
-Each phase is charged to the stage the table tags it with (the paper's
-pipeline vocabulary): ``fetch`` — instruction supply; ``queue`` —
-writeback, issue, queue insert, rename and the fault injector;
-``verify`` — RMT output comparison, recovery, and advancing the cycle
-under the watchdog; ``commit`` — retirement, store drain and the
-memory hierarchy.  ``total_s`` spans the whole ``Machine.run`` call
+Time is kept per phase, each named after its method (:func:`phase_name`)
+and summed over cores: ``inject``, ``writeback``, ``retire``,
+``drain``, ``issue``, ``insert``, ``rename``, ``deliver``, ``fetch``,
+``verify``, ``tick`` (the memory hierarchy) and ``advance``.  Each
+stage's time is the sum of the phases the table tags with it (the
+paper's pipeline vocabulary): ``fetch`` — instruction supply;
+``queue`` — writeback, issue, queue insert, rename and the fault
+injector; ``verify`` — RMT output comparison, recovery, and advancing
+the cycle under the watchdog; ``commit`` — retirement, store drain and
+the memory hierarchy.  ``total_s`` spans the whole ``Machine.run`` call
 after warm-up, including the post-halt drain, which runs unprofiled.
 """
 
@@ -30,8 +34,16 @@ from repro.core.metrics import RunResult
 STAGES = ("fetch", "queue", "verify", "commit")
 
 
+def phase_name(phase: Callable[[int], None]) -> str:
+    """A phase's row: its method's name without leading underscores
+    (``Core._writeback`` is ``writeback``, ``MemoryHierarchy.tick``
+    is ``tick``)."""
+    return phase.__name__.lstrip("_")
+
+
 class StageProfiler:
-    """Observes a machine's run loop, attributing time to pipeline stages.
+    """Observes a machine's run loop, attributing time to its phases and
+    pipeline stages.
 
     Usage::
 
@@ -39,14 +51,17 @@ class StageProfiler:
         result = profiler.run(machine, max_instructions=2000, warmup=500)
         print(profiler.report())
 
-    ``seconds`` maps each stage to attributed wall time; ``cycles`` is
-    the number of profiled cycles; ``overhead_s`` is run time not
-    attributed to any stage (the fences themselves, loop control, and
-    arming and finishing the run).
+    ``phase_seconds`` maps each phase name to attributed wall time,
+    summed over cores, and ``seconds`` each stage to the sum of its
+    phases; ``cycles`` is the number of profiled cycles; ``overhead_s``
+    is run time not attributed to any phase (the fences themselves,
+    loop control, and arming and finishing the run).
     """
 
     def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {stage: 0.0 for stage in STAGES}
+        self.phase_seconds: Dict[str, float] = {}
+        #: The stage each phase name is charged to.
+        self.phase_stages: Dict[str, str] = {}
         self.cycles = 0
         self.total_s = 0.0
 
@@ -54,28 +69,40 @@ class StageProfiler:
     def run(self, machine, max_instructions: int = 10_000,
             max_cycles: Optional[int] = None,
             warmup: int = 0) -> RunResult:
-        """``machine.run`` with per-stage timing; identical result."""
+        """``machine.run`` with per-phase timing; identical result."""
         if warmup:
             machine.warm(warmup)
+        phases = machine.phases
+        names = [phase_name(phase) for _, phase in phases]
+        for (stage, _), name in zip(phases, names):
+            if self.phase_stages.setdefault(name, stage) != stage:
+                raise ValueError(f"phase {name!r} is tagged both "
+                                 f"{self.phase_stages[name]!r} and "
+                                 f"{stage!r}")
+        spent = [0.0] * len(phases)
         start = time.perf_counter()
         result = machine.run(max_instructions, max_cycles,
-                             step=self._timed_step(machine))
+                             step=self._timed_step(machine, spent))
         self.total_s += time.perf_counter() - start
+        for name, seconds in zip(names, spent):
+            self.phase_seconds[name] = (self.phase_seconds.get(name, 0.0)
+                                        + seconds)
         return result
 
-    def _timed_step(self, machine) -> Callable[[], None]:
-        """``machine.step`` with a fence after every phase."""
-        phases = machine.phases
-        seconds = self.seconds
+    def _timed_step(self, machine,
+                    spent: List[float]) -> Callable[[], None]:
+        """``machine.step`` with a fence after every phase, adding each
+        phase's time to ``spent`` at its position in the table."""
+        calls = tuple(enumerate(phase for _, phase in machine.phases))
         clock = time.perf_counter
 
         def step() -> None:
             now = machine.now
             last = clock()
-            for stage, phase in phases:
+            for index, phase in calls:
                 phase(now)
                 fence = clock()
-                seconds[stage] += fence - last
+                spent[index] += fence - last
                 last = fence
             self.cycles += 1
 
@@ -83,28 +110,45 @@ class StageProfiler:
 
     # -- reporting ---------------------------------------------------------
     @property
+    def seconds(self) -> Dict[str, float]:
+        """Per-stage attributed time: the sum of its phases' times."""
+        seconds = dict.fromkeys(STAGES, 0.0)
+        for name, spent in self.phase_seconds.items():
+            seconds[self.phase_stages[name]] += spent
+        return seconds
+
+    @property
     def attributed_s(self) -> float:
-        return sum(self.seconds.values())
+        return sum(self.phase_seconds.values())
 
     @property
     def overhead_s(self) -> float:
-        """Run time not attributed to a stage (fences, loop control)."""
+        """Run time not attributed to a phase (fences, loop control)."""
         return max(0.0, self.total_s - self.attributed_s)
 
     def shares(self) -> Dict[str, float]:
         """Per-stage fraction of attributed time (sums to ~1.0)."""
         total = self.attributed_s
+        seconds = self.seconds
         if not total:
             return {stage: 0.0 for stage in STAGES}
-        return {stage: self.seconds[stage] / total for stage in STAGES}
+        return {stage: seconds[stage] / total for stage in STAGES}
 
     def rows(self) -> List[Tuple[str, float, float, float]]:
         """(stage, seconds, share, ns/cycle) rows, presentation order."""
-        shares = self.shares()
+        return self._rows(self.seconds)
+
+    def phase_rows(self) -> List[Tuple[str, float, float, float]]:
+        """(phase, seconds, share, ns/cycle) rows, in the order of the
+        first profiled run's phase table."""
+        return self._rows(self.phase_seconds)
+
+    def _rows(self, seconds: Dict[str, float]
+              ) -> List[Tuple[str, float, float, float]]:
+        total = self.attributed_s or 1.0
         per_cycle = self.cycles or 1
-        return [(stage, self.seconds[stage], shares[stage],
-                 self.seconds[stage] / per_cycle * 1e9)
-                for stage in STAGES]
+        return [(name, spent, spent / total, spent / per_cycle * 1e9)
+                for name, spent in seconds.items()]
 
     def report(self) -> str:
         lines = [f"stage profile: {self.cycles} cycles, "
@@ -113,14 +157,23 @@ class StageProfiler:
         for stage, seconds, share, ns in self.rows():
             lines.append(f"  {stage:<7s} {seconds * 1e3:9.2f} ms  "
                          f"{share * 100:5.1f}%  {ns:8.0f} ns/cycle")
+        lines.append("phase profile (summed over cores):")
+        for name, seconds, share, ns in self.phase_rows():
+            lines.append(f"  {name:<9s} {self.phase_stages[name]:<6s} "
+                         f"{seconds * 1e3:9.2f} ms  {share * 100:5.1f}%  "
+                         f"{ns:8.0f} ns/cycle")
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
+        seconds = self.seconds
         return {
             "cycles": self.cycles,
-            "seconds": {stage: round(self.seconds[stage], 9)
+            "seconds": {stage: round(seconds[stage], 9)
                         for stage in STAGES},
             "shares": {stage: round(share, 6)
                        for stage, share in self.shares().items()},
+            "phases": {name: {"stage": self.phase_stages[name],
+                              "seconds": round(spent, 9)}
+                       for name, spent in self.phase_seconds.items()},
             "overhead_s": round(self.overhead_s, 9),
         }

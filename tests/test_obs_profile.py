@@ -8,7 +8,11 @@ from repro.core.config import MachineConfig
 from repro.core.machine import make_machine
 from repro.isa.generator import generate_benchmark
 from repro.isa.profiles import split_workload
-from repro.obs.profile import STAGES, StageProfiler
+from repro.obs.profile import STAGES, StageProfiler, phase_name
+
+#: Every machine's phases, each named after its method.
+PHASES = {"inject", "writeback", "retire", "drain", "issue", "insert",
+          "rename", "deliver", "fetch", "verify", "tick", "advance"}
 
 
 def program_for(workload):
@@ -65,10 +69,53 @@ def test_report_and_to_dict():
     for stage in STAGES:
         assert stage in text
 
+    assert "phase profile" in text
+    for name in PHASES:
+        assert f"  {name} " in text
+
     payload = profiler.to_dict()
     assert payload["cycles"] == profiler.cycles
     assert set(payload["seconds"]) == set(STAGES)
+    assert set(payload["phases"]) == PHASES
+    assert payload["phases"]["retire"]["stage"] == "commit"
     assert payload["overhead_s"] >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["base", "srt", "crt"])
+def test_phase_times_sum_to_stage_times(kind):
+    """One row per phase name, summed over cores, and each stage's time
+    is the sum of its phases' times."""
+    programs = [program_for("gcc")]
+    if kind == "crt":
+        programs.append(program_for("swim"))
+    machine = make_machine(kind, MachineConfig(), programs)
+    profiler = StageProfiler()
+    profiler.run(machine, max_instructions=200, warmup=20)
+
+    assert set(profiler.phase_seconds) == PHASES
+    assert {phase_name(phase) for _, phase in machine.phases} == PHASES
+    for stage in STAGES:
+        assert profiler.seconds[stage] == pytest.approx(sum(
+            seconds for name, seconds in profiler.phase_seconds.items()
+            if profiler.phase_stages[name] == stage))
+    assert profiler.attributed_s == pytest.approx(
+        sum(profiler.seconds.values()))
+    assert [row[0] for row in profiler.phase_rows()] == list(
+        profiler.phase_seconds)
+
+
+def test_phases_accumulate_over_runs():
+    profiler = StageProfiler()
+    totals = []
+    for _ in range(2):
+        machine = make_machine("base", MachineConfig(),
+                               [program_for("compress")])
+        profiler.run(machine, max_instructions=100)
+        totals.append(dict(profiler.phase_seconds))
+    first, both = totals
+    assert set(first) == set(both) == PHASES
+    assert all(both[name] >= first[name] for name in PHASES)
+    assert profiler.total_s >= profiler.attributed_s
 
 
 def test_empty_profiler_shares_are_zero():
