@@ -207,8 +207,10 @@ class Machine:
             return True
         if self.watchdog is not None and self.watchdog.verdict is not None:
             return True
-        return all(t.stats.done_cycle is not None or t.done
-                   for t in self._measured.values())
+        for thread in self._measured.values():
+            if thread.stats.done_cycle is None and not thread.done:
+                return False
+        return True
 
     def _finish(self, max_instructions: int, max_cycles: int) -> RunResult:
         """Drain, resolve the termination verdict, and collect results."""

@@ -92,13 +92,16 @@ class RmtController(CoreHooks):
     # -- per-cycle work ----------------------------------------------------
     def tick(self, now: int) -> None:
         for pair in self.pairs:
-            pair.aggregator.tick(now)
+            aggregator = pair.aggregator
+            aggregator.tick(now)
             pair.comparator.tick(now)
             # Store-queue pressure: if the leading thread's store queue is
             # nearly exhausted by unverified stores, push the partial chunk
             # so the trailing thread can catch up and verify them.
-            if pair.leading.sq_free() == 0 and len(pair.aggregator):
-                pair.aggregator.flush(now, reason="pressure")
+            leading = pair.leading
+            if (len(leading.store_queue) >= leading.sq_capacity
+                    and len(aggregator)):
+                aggregator.flush(now, reason="pressure")
 
     def _slack_satisfied(self, pair: RedundantPair) -> bool:
         slack = self.config.srt_slack_instructions
@@ -239,7 +242,8 @@ class RmtController(CoreHooks):
 
     def queue_half_for(self, core: "Core", thread: HwThread, uop: Uop,
                        default_half: int) -> int:
+        # Asked for trailing uops only; a leading uop has no hint anyway.
         if (not self.config.preferential_space_redundancy
-                or not thread.is_trailing or uop.lpq_half_hint is None):
+                or uop.lpq_half_hint is None):
             return default_half
         return 1 - uop.lpq_half_hint

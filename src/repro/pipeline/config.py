@@ -55,3 +55,7 @@ class CoreConfig:
             raise ValueError("instruction queue must split into two halves")
         if self.max_load_issue + self.max_store_issue < self.max_mem_issue - 1:
             raise ValueError("memory issue limits inconsistent")
+        if min(self.rbox_latency, self.mbox_latency) < 0:
+            # A writeback event falls due no earlier than the cycle that
+            # issues it (Core._writeback).
+            raise ValueError("rbox_latency and mbox_latency must be >= 0")

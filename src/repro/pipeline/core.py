@@ -4,8 +4,7 @@ retirement, and squash.
 Cycle phases, youngest-information-first so each phase sees the machine
 state its hardware counterpart would.  ``Core.phases`` lists them once,
 in this order, each tagged with the profiler stage it is charged to;
-``tick`` walks that table, and ``Machine.step`` walks it flattened with
-the machine-level phases:
+``Machine.step`` walks it flattened with the machine-level phases:
 
 1. writeback/complete events (EBOX results, branch resolution) — queue
 2. retirement (QBOX completion unit) and store drain (MBOX) — commit
@@ -13,20 +12,24 @@ the machine-level phases:
 4. instruction-queue insertion (PBOX output pipe) — queue
 5. rename/map (PBOX; one chunk per cycle) — queue
 6. fetch delivery and fetch (IBOX) — fetch
+
+Rename, writeback and retirement do the register-file bookkeeping
+inline (:mod:`repro.pipeline.regfile` holds the reference methods), and
+fetch numbers uops from ``last_seq`` inline.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heappop
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, DefaultDict, Dict, List, Optional, Tuple
 
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.ebox import FunctionalUnitPools
-from repro.pipeline.hooks import CoreHooks
+from repro.pipeline.hooks import CoreHooks, acting
 from repro.pipeline.ibox import IBox
 from repro.pipeline.mbox import MBox
-from repro.pipeline.qbox import QBox
+from repro.pipeline.qbox import BYPASS, QBox
 from repro.pipeline.regfile import PhysicalRegisterFile
 from repro.pipeline.thread import HwThread, ThreadRole
 from repro.pipeline.uop import FetchChunk, Uop, UopState
@@ -65,6 +68,11 @@ class Core:
         self.hierarchy = hierarchy
         self.memory = memory
         self.hooks = hooks or CoreHooks()
+        #: The hooks object the per-uop hooks below were bound from
+        #: (:meth:`_bind_hooks`); ``hooks`` may be replaced at any time.
+        self._bound_hooks: Optional[CoreHooks] = None
+        self._on_uop_retired = self._can_retire_load = None
+        self._on_load_retired = self._on_store_retired = None
         self.trailing_priority = trailing_priority
 
         self.regfile = PhysicalRegisterFile(config.physical_registers)
@@ -106,30 +114,43 @@ class Core:
         self.map_pipe: DelayLine[Tuple[int, List[Uop]]] = DelayLine(
             config.pbox_latency, "map-pipe")
 
-        #: Heap of ``(cycle, seq, kind, uop)``: the QBOX pushes a
-        #: "bypass" and a "complete" event for every uop it issues.
-        self.events: List[Tuple[int, int, str, Uop]] = []
+        #: Writeback events by due cycle, each ``(seq, kind, uop)``: the
+        #: QBOX schedules a ``COMPLETE`` event for every uop it issues,
+        #: and a ``BYPASS`` event before it for one with a destination
+        #: register (their order: :meth:`_writeback`).
+        self.events: DefaultDict[int, List[Tuple[int, int, Uop]]] = (
+            defaultdict(list))
         #: When set (per thread id), retiring uops are appended for
         #: architectural cross-checking against the functional executor.
         self.retire_trace: Dict[int, List[Uop]] = {}
         #: When set (per thread id), draining stores are appended as
         #: (op name, address, value) — the stream leaving the sphere.
         self.drain_log: Dict[int, List[Tuple[str, int, int]]] = {}
-        self._seq = 0
+        #: Sequence number of the newest uop: fetch numbers uops from it.
+        self.last_seq = 0
         self._rename_rotation = 0
         self._retire_rotation = 0
         self.stats = CoreStats()
         #: One cycle of this core, in the order of the module docstring.
         self.phases: Tuple[Phase, ...] = (
-            ("queue", self._process_events),
+            ("queue", self._writeback),
             ("commit", self._retire),
-            ("commit", self.mbox.drain_stores),
+            ("commit", self.mbox.drain),
             ("queue", self.qbox.issue),
-            ("queue", self._insert_queue),
+            ("queue", self._insert),
             ("queue", self._rename),
-            ("fetch", self._deliver_fetch),
+            ("fetch", self._deliver),
             ("fetch", self.ibox.fetch),
         )
+
+    def _bind_hooks(self) -> None:
+        """Bind the per-uop retirement hooks of ``hooks``: one left at
+        its :class:`CoreHooks` default is ``None``, and is skipped."""
+        hooks = self._bound_hooks = self.hooks
+        self._on_uop_retired = acting(hooks, "on_uop_retired")
+        self._can_retire_load = acting(hooks, "can_retire_load")
+        self._on_load_retired = acting(hooks, "on_load_retired")
+        self._on_store_retired = acting(hooks, "on_store_retired")
 
     # -- setup -----------------------------------------------------------
     def add_thread(self, program: Program, role: ThreadRole = ThreadRole.SINGLE,
@@ -154,29 +175,45 @@ class Core:
                            if offset else image)
         return thread
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    # -- main loop ----------------------------------------------------------
-    def tick(self, now: int) -> None:
-        for _, phase in self.phases:
-            phase(now)
-
     # -- phase 1: writeback ----------------------------------------------------
-    def _process_events(self, now: int) -> None:
+    def _writeback(self, now: int) -> None:
+        """Run the events due by ``now`` in (due cycle, seq, kind) order.
+
+        Events issued at a cycle's issue phase with a zero latency (a
+        load at ``mbox_latency=0``; a complete at ``rbox_latency=0``)
+        fall due in that cycle, after its writeback: they run here
+        first, before this cycle's own.  A bucket is sorted only when it
+        holds more than one event.
+        """
         events = self.events
-        while events and events[0][0] <= now:
-            _, _, kind, uop = heappop(events)
+        bucket = events.pop(now, None)
+        late = events.pop(now - 1, None)
+        if late is not None:
+            late.sort()
+            if bucket is not None:
+                bucket.sort()
+                late += bucket
+            bucket = late
+        elif bucket is None:
+            return
+        elif len(bucket) > 1:
+            bucket.sort()
+        regfile = self.regfile
+        values = regfile.values
+        ready = regfile.ready
+        waiters = self.qbox.waiters
+        for _, kind, uop in bucket:
             if uop.state is not _ISSUED:
                 continue  # squashed while in flight
-            if kind == "bypass":
-                # Result available on the bypass network: wake dependents.
+            if kind == BYPASS:
+                # Result available on the bypass network: write the
+                # destination register and wake its dependents.
                 dest = uop.phys_dest
-                if dest is not None:
-                    self.regfile.write(dest, uop.result or 0)
+                values[dest] = uop.result or 0
+                ready[dest] = True
+                if waiters[dest]:
                     self.qbox.wake(dest)
-            else:  # "complete"
+            else:
                 uop.state = _EXECUTED
                 uop.complete_cycle = now
                 if uop.info.is_control:
@@ -213,97 +250,118 @@ class Core:
 
     # -- phase 2: retire ----------------------------------------------------------
     def _retire(self, now: int) -> None:
+        """Retire up to ``retire_width`` uops, thread heads in rotation.
+
+        A head retires once executed and ``RETIRE_MARGIN`` cycles past
+        its completion; a load also needs the hooks' consent (leading
+        threads), a store its data, and a barrier every older store
+        drained.
+        """
         threads = self.threads
         n = len(threads)
         if n == 0:
             return
-        budget = self.config.retire_width
+        width = budget = self.config.retire_width
         first = self._retire_rotation = (self._retire_rotation + 1) % n
+        hooks = self.hooks
+        if hooks is not self._bound_hooks:
+            self._bind_hooks()
+        can_retire_load = self._can_retire_load
+        on_load_retired = self._on_load_retired
+        on_store_retired = self._on_store_retired
+        on_uop_retired = self._on_uop_retired
+        regfile = self.regfile
+        values = regfile.values
+        ready = regfile.ready
+        free = regfile.free
+        retire_trace = self.retire_trace
         for index in range(first, first + n):
             thread = threads[index % n]
             rob = thread.rob
+            before = budget
             while budget > 0 and rob:
                 uop = rob[0]
-                if not self._retire_eligible(thread, uop, now):
+                if (uop.state is not _EXECUTED
+                        or now < uop.complete_cycle + RETIRE_MARGIN):
                     break
-                self._do_retire(thread, uop, now)
+                info = uop.info
+                if info.is_load:
+                    if (can_retire_load is not None and not thread.is_trailing
+                            and not can_retire_load(self, thread, uop, now)):
+                        thread.stats.retire_stall_cycles += 1
+                        break
+                elif info.is_store:
+                    if now < uop.data_ready_cycle:
+                        break
+                elif info.is_membar:
+                    # A barrier retires only once every *older* store has
+                    # drained (the store queue also holds younger ones).
+                    store_queue = thread.store_queue
+                    if store_queue and store_queue[0].seq < uop.seq:
+                        thread.stats.membar_block_cycles += 1
+                        hooks.on_membar_blocked(self, thread, now)
+                        break
                 budget -= 1
-
-    def _retire_eligible(self, thread: HwThread, uop: Uop, now: int) -> bool:
-        if uop.state is not _EXECUTED:
-            return False
-        if now < uop.complete_cycle + RETIRE_MARGIN:
-            return False
-        info = uop.info
-        if info.is_membar:
-            # A barrier retires only once every *older* store has drained
-            # (the store queue also holds younger, not-yet-retired stores).
-            if thread.store_queue and thread.store_queue[0].seq < uop.seq:
-                thread.stats.membar_block_cycles += 1
-                self.hooks.on_membar_blocked(self, thread, now)
-                return False
-        if info.is_store and now < uop.data_ready_cycle:
-            return False
-        if info.is_load and not thread.is_trailing:
-            if not self.hooks.can_retire_load(self, thread, uop, now):
-                thread.stats.retire_stall_cycles += 1
-                return False
-        return True
-
-    def _do_retire(self, thread: HwThread, uop: Uop, now: int) -> None:
-        uop.state = _RETIRED
-        uop.retire_cycle = now
-        thread.rob.popleft()
-        if uop.prev_phys_dest is not None:
-            self.regfile.release(uop.prev_phys_dest)
-        info = uop.info
-        if info.is_load:
-            if thread.is_trailing:
-                # Input-replication cross-check and LVQ deallocation.
-                if (uop.lvq_addr_check is not None
-                        and uop.lvq_addr_check != uop.mem_addr):
-                    self.hooks.on_trailing_divergence(
-                        self, thread, uop, "lvq-address-mismatch", now)
-                self.hooks.trailing_load_consume(self, thread, uop, now)
-                thread.stats.lvq_reads += 1
-            else:
-                thread.load_queue.remove(uop)
-                self.hooks.on_load_retired(self, thread, uop, now)
-        elif info.is_store:
-            if thread.is_trailing:
-                # Trailing stores exist only to be compared; they free
-                # their store-queue entry at retirement.
-                thread.store_queue.remove(uop)
-            self.hooks.on_store_retired(self, thread, uop, now)
-        elif info.is_halt:
-            thread.done = True
-        # Committed architectural view (checkpoint/forensics substrate).
-        # Rename gives a uop a destination exactly when it writes rd.
-        if uop.phys_dest is not None:
-            thread.arch_regs[uop.instr.rd] = self.regfile.values[uop.phys_dest]
-        if info.is_load:
-            thread.committed_load_index = uop.load_index + 1
-        elif info.is_store:
-            thread.committed_store_index = uop.store_index + 1
-        if info.is_control:
-            thread.committed_pc = uop.actual_target
-        else:
-            thread.committed_pc = (uop.pc + 1) % thread.program_length
-        if self.retire_trace:
-            trace = self.retire_trace.get(thread.tid)
-            if trace is not None:
-                trace.append(uop)
-        stats = thread.stats
-        stats.retired += 1
-        self.stats.retired_total += 1
-        if (stats.done_cycle is None
-                and thread.target_instructions is not None
-                and stats.retired >= thread.target_instructions):
-            stats.done_cycle = now
-        self.hooks.on_uop_retired(self, thread, uop, now)
+                uop.state = _RETIRED
+                uop.retire_cycle = now
+                rob.popleft()
+                prev = uop.prev_phys_dest
+                if prev is not None:
+                    ready[prev] = True
+                    free.append(prev)
+                if info.is_load:
+                    if thread.is_trailing:
+                        # Input-replication cross-check and LVQ deallocation.
+                        if (uop.lvq_addr_check is not None
+                                and uop.lvq_addr_check != uop.mem_addr):
+                            hooks.on_trailing_divergence(
+                                self, thread, uop, "lvq-address-mismatch", now)
+                        hooks.trailing_load_consume(self, thread, uop, now)
+                        thread.stats.lvq_reads += 1
+                    else:
+                        thread.load_queue.remove(uop)
+                        if on_load_retired is not None:
+                            on_load_retired(self, thread, uop, now)
+                    thread.committed_load_index = uop.load_index + 1
+                elif info.is_store:
+                    if thread.is_trailing:
+                        # Trailing stores exist only to be compared; they
+                        # free their store-queue entry at retirement.
+                        thread.store_queue.remove(uop)
+                    if on_store_retired is not None:
+                        on_store_retired(self, thread, uop, now)
+                    thread.committed_store_index = uop.store_index + 1
+                elif info.is_halt:
+                    thread.done = True
+                # Committed architectural view (checkpoint/forensics
+                # substrate).  Rename gives a uop a destination exactly
+                # when it writes rd.
+                dest = uop.phys_dest
+                if dest is not None:
+                    thread.arch_regs[uop.instr.rd] = values[dest]
+                if info.is_control:
+                    thread.committed_pc = uop.actual_target
+                else:
+                    thread.committed_pc = (uop.pc + 1) % thread.program_length
+                if retire_trace:
+                    trace = retire_trace.get(thread.tid)
+                    if trace is not None:
+                        trace.append(uop)
+                if on_uop_retired is not None:
+                    on_uop_retired(self, thread, uop, now)
+            if budget != before:
+                # Counted per thread: no hook reads the counts, and the
+                # target is reached in this cycle either way.
+                stats = thread.stats
+                stats.retired += before - budget
+                if (stats.done_cycle is None
+                        and thread.target_instructions is not None
+                        and stats.retired >= thread.target_instructions):
+                    stats.done_cycle = now
+        self.stats.retired_total += width - budget
 
     # -- phase 4: queue insertion ------------------------------------------------
-    def _insert_queue(self, now: int) -> None:
+    def _insert(self, now: int) -> None:
         for tid, uops in self.map_pipe.pop_ready(now):
             self.qbox.insert_chunk(self.threads[tid], uops, now)
 
@@ -333,13 +391,14 @@ class Core:
             writes += uop.instr.writes_reg
             loads += info.is_load
             stores += info.is_store
-        if self.regfile.free_count < writes:
+        if len(self.regfile.free) < writes:
             self.stats.rename_stalls += 1
             return False
-        if not thread.is_trailing and thread.lq_free() < loads:
+        if (not thread.is_trailing
+                and thread.lq_capacity - len(thread.load_queue) < loads):
             thread.stats.map_stall_lq_full += 1
             return False
-        if thread.sq_free() < stores:
+        if thread.sq_capacity - len(thread.store_queue) < stores:
             thread.stats.map_stall_sq_full += 1
             return False
         if not self._iq_space_for(thread, len(uops)):
@@ -349,17 +408,24 @@ class Core:
 
     def _iq_space_for(self, thread: HwThread, count: int) -> bool:
         """Global occupancy check honouring the one-reserved-chunk-per-
-        thread deadlock rule (Section 4.3)."""
-        total = sum(t.iq_occupancy for t in self.threads)
-        reserve = sum(
-            max(0, self.config.iq_reserved_per_thread - t.iq_occupancy)
-            for t in self.threads if t is not thread and not t.done)
-        return total + count + reserve <= self.config.iq_entries
+        thread deadlock rule (Section 4.3): every other live thread keeps
+        its reserved entries."""
+        reserved = self.config.iq_reserved_per_thread
+        need = count - self.config.iq_entries
+        for other in self.threads:
+            occupancy = other.iq_occupancy
+            need += occupancy
+            if (occupancy < reserved and other is not thread
+                    and not other.done):
+                need += reserved - occupancy
+        return need <= 0
 
     def _map_chunk(self, thread: HwThread, chunk: FetchChunk, now: int) -> None:
         live: List[Uop] = []
-        rename = thread.rename
-        rename_map = rename.map
+        rename_map = thread.rename.map
+        regfile = self.regfile
+        free = regfile.free
+        ready = regfile.ready
         rob = thread.rob
         for uop in chunk.uops:
             if uop.state is _SQUASHED:
@@ -368,10 +434,25 @@ class Core:
             info = uop.info
             sources = instr.source_regs
             if sources:
-                uop.phys_srcs = [rename_map[reg] for reg in sources]
+                # Indexed out for the common counts: a comprehension
+                # costs several times as much.
+                count = len(sources)
+                if count == 2:
+                    uop.phys_srcs = [rename_map[sources[0]],
+                                     rename_map[sources[1]]]
+                elif count == 1:
+                    uop.phys_srcs = [rename_map[sources[0]]]
+                else:
+                    uop.phys_srcs = [rename_map[reg] for reg in sources]
             if instr.writes_reg:
-                uop.phys_dest, uop.prev_phys_dest = (
-                    rename.rename_dest(instr.rd))
+                # RenameMap.rename_dest: writes_reg excludes r0, and
+                # _can_map counted a free register for every write.
+                reg = free.popleft()
+                ready[reg] = False
+                rd = instr.rd
+                uop.prev_phys_dest = rename_map[rd]
+                rename_map[rd] = reg
+                uop.phys_dest = reg
             uop.state = _RENAMED
             rob.append(uop)
             if info.is_load:
@@ -394,7 +475,7 @@ class Core:
             self.map_pipe.push((thread.tid, live), now)
 
     # -- phase 6: fetch delivery -----------------------------------------------------
-    def _deliver_fetch(self, now: int) -> None:
+    def _deliver(self, now: int) -> None:
         for tid, chunk in self.fetch_pipe.pop_ready(now):
             thread = self.threads[tid]
             thread.rmb_inflight -= 1

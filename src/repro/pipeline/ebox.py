@@ -40,34 +40,27 @@ class FunctionalUnitPools:
     """Busy-until tracking for every individual unit instance.
 
     The units are grouped by (class, queue half) into slots, slot
-    ``2 * fu_class.ordinal + half``, so an issue finds its candidate
-    units and their busy-until cycles by list index.
+    ``2 * fu_class.ordinal + half``.  A slot holds one cell per unit
+    the half reaches, ``[busy-until cycle, issues, unit]``, so an issue
+    walks its candidates in unit order with one index per cell.
     """
 
     def __init__(self, pool_sizes: Optional[Dict[FuClass, int]] = None) -> None:
         self.pool_sizes = dict(pool_sizes or POOL_SIZES)
-        slots = 2 * len(FuClass)
-        #: Per slot, the units the half reaches (``None`` for a class
-        #: without a pool), each unit's busy-until cycle and its issues.
-        self._units: List[Optional[Tuple[Unit, ...]]] = [None] * slots
-        self._busy_until: List[List[int]] = [[] for _ in range(slots)]
-        self._issues: List[List[int]] = [[] for _ in range(slots)]
+        #: Per slot, its cells; ``None`` for a class without a pool.
+        self._cells: List[Optional[List[list]]] = [None] * (2 * len(FuClass))
         self._structural_stalls = 0
         for fu_class in self.pool_sizes:
             for half in (0, 1):
-                slot = 2 * fu_class.ordinal + half
-                units = tuple((fu_class, index) for index
-                              in self.units_for_half(fu_class, half))
-                self._units[slot] = units
-                self._busy_until[slot] = [0] * len(units)
-                self._issues[slot] = [0] * len(units)
+                self._cells[2 * fu_class.ordinal + half] = [
+                    [0, 0, (fu_class, index)]
+                    for index in self.units_for_half(fu_class, half)]
 
     @property
     def stats(self) -> FunctionalUnitStats:
         """Issues and structural stalls so far."""
-        per_unit = {unit: count
-                    for units, issues in zip(self._units, self._issues)
-                    if units for unit, count in zip(units, issues) if count}
+        per_unit = {unit: issues for cells in self._cells if cells
+                    for _, issues, unit in cells if issues}
         return FunctionalUnitStats(
             issues=sum(per_unit.values()),
             structural_stalls=self._structural_stalls,
@@ -80,11 +73,11 @@ class FunctionalUnitPools:
         start = half * per_half
         return range(start, start + per_half)
 
-    def _slot(self, fu_class: FuClass, half: int) -> int:
-        slot = 2 * fu_class.ordinal + half
-        if self._units[slot] is None:
+    def _slot(self, fu_class: FuClass, half: int) -> List[list]:
+        cells = self._cells[2 * fu_class.ordinal + half]
+        if cells is None:
             raise KeyError(fu_class)
-        return slot
+        return cells
 
     def acquire(self, fu_class: FuClass, half: int, now: int,
                 busy_cycles: int = 1) -> Optional[Unit]:
@@ -93,17 +86,14 @@ class FunctionalUnitPools:
         Returns the (class, index) actually used, or None when every unit
         in the partition is busy this cycle (a structural stall).
         """
-        slot = 2 * fu_class.ordinal + half
-        busy_until = self._busy_until[slot]
-        for position, until in enumerate(busy_until):
-            if until <= now:
-                busy_until[position] = now + busy_cycles
-                self._issues[slot][position] += 1
-                return self._units[slot][position]
+        for cell in self._cells[2 * fu_class.ordinal + half] or ():
+            if cell[0] <= now:
+                cell[0] = now + busy_cycles
+                cell[1] += 1
+                return cell[2]
         self._slot(fu_class, half)  # a class without a pool raises
         self._structural_stalls += 1
         return None
 
     def is_free(self, fu_class: FuClass, half: int, now: int) -> bool:
-        return any(until <= now
-                   for until in self._busy_until[self._slot(fu_class, half)])
+        return any(cell[0] <= now for cell in self._slot(fu_class, half))

@@ -6,9 +6,19 @@ CRT controllers implementing input replication (load value queue, line
 prediction queue) and output comparison (store comparator) on top of
 them.  Keeping the pipeline free of RMT knowledge mirrors the paper's
 framing: SRT is a set of *extensions* to an existing commercial design.
+
+Two rules keep the hooks off the per-uop paths of machines they do
+nothing on:
+
+- The core calls ``on_uop_retired``, ``can_retire_load``,
+  ``on_load_retired`` and ``on_store_retired`` only when the installed
+  hooks object overrides their default (:func:`acting`); assigning
+  ``Core.hooks`` rebinds them.
+- The QBOX asks ``queue_half_for`` only for a trailing thread's uops:
+  every other uop takes its default half.
 """
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.pipeline.core import Core
@@ -100,10 +110,19 @@ class CoreHooks:
 
     def queue_half_for(self, core: "Core", thread: "HwThread",
                        uop: "Uop", default_half: int) -> int:
-        """Instruction-queue half steering (preferential space redundancy)."""
+        """Instruction-queue half steering (preferential space
+        redundancy); asked for trailing threads' uops only."""
         return default_half
 
     # -- bookkeeping ---------------------------------------------------------
     def on_squash(self, core: "Core", thread: "HwThread", from_seq: int,
                   now: int) -> None:
         """Uops of ``thread`` younger than ``from_seq`` were squashed."""
+
+
+def acting(hooks: CoreHooks, name: str) -> Optional[Callable]:
+    """``hooks``' bound hook ``name``, or ``None`` when neither its
+    class nor the instance overrides :class:`CoreHooks`' default."""
+    method = getattr(hooks, name)
+    default = getattr(CoreHooks, name)
+    return None if getattr(method, "__func__", None) is default else method

@@ -31,20 +31,6 @@ class IBox:
         self._rotation = 0
 
     # -- thread chooser ---------------------------------------------------
-    def _fetchable(self, thread: HwThread, now: int) -> bool:
-        if thread.done or thread.fetch_halted:
-            return False
-        if now < thread.fetch_stalled_until:
-            return False
-        if thread.rmb_load() >= thread.rmb.capacity - 1:
-            return False
-        if thread.is_trailing:
-            if thread.fetch_via_lpq:
-                return self.core.hooks.trailing_fetch_ready(
-                    self.core, thread, now)
-            return self.core.hooks.trailing_may_fetch(self.core, thread, now)
-        return True
-
     def _chooser_load(self, thread: HwThread) -> int:
         """Occupancy metric for the thread chooser.
 
@@ -59,20 +45,47 @@ class IBox:
         return thread.rmb_load()
 
     def choose_thread(self, now: int) -> Optional[HwThread]:
-        threads = self.core.threads
-        candidates = [t for t in threads if self._fetchable(t, now)]
-        if not candidates:
-            return None
-        if self.core.trailing_priority:
-            trailing = [t for t in candidates if t.is_trailing]
-            if trailing:
-                candidates = trailing
-        self._rotation += 1
-        if len(candidates) == 1:
-            return candidates[0]
-        return min(candidates,
-                   key=lambda t: (self._chooser_load(t),
-                                  (t.tid + self._rotation) % len(threads)))
+        """The fetchable thread with the lowest chooser load, ties broken
+        by a rotating thread order; under ``trailing_priority`` any
+        fetchable trailing thread goes before every other thread."""
+        core = self.core
+        hooks = core.hooks
+        threads = core.threads
+        count = len(threads)
+        rotation = self._rotation + 1
+        icount = self.config.fetch_policy == "icount"
+        chosen = None
+        chosen_first = False
+        chosen_load = chosen_order = 0
+        for thread in threads:
+            if (thread.done or thread.fetch_halted
+                    or now < thread.fetch_stalled_until):
+                continue
+            rmb_load = len(thread.rmb) + thread.rmb_inflight
+            if rmb_load >= thread.rmb.capacity - 1:
+                continue
+            first = False
+            if thread.is_trailing:
+                if thread.fetch_via_lpq:
+                    if not hooks.trailing_fetch_ready(core, thread, now):
+                        continue
+                elif not hooks.trailing_may_fetch(core, thread, now):
+                    continue
+                first = core.trailing_priority
+            if chosen_first and not first:
+                continue
+            load = self._chooser_load(thread) if icount else rmb_load
+            order = (thread.tid + rotation) % count
+            if (chosen is None or first and not chosen_first
+                    or load < chosen_load
+                    or load == chosen_load and order < chosen_order):
+                chosen = thread
+                chosen_first = first
+                chosen_load = load
+                chosen_order = order
+        if chosen is not None:
+            self._rotation = rotation
+        return chosen
 
     # -- per-cycle fetch ---------------------------------------------------
     def fetch(self, now: int) -> None:
@@ -86,22 +99,25 @@ class IBox:
 
     # -- leading / single-thread fetch --------------------------------------
     def _fetch_leading(self, thread: HwThread, now: int) -> None:
+        core = self.core
+        line_predictor = core.line_predictor
         pc = thread.fetch_pc
         for _ in range(self.config.fetch_chunks_per_cycle):
             if thread.fetch_halted or thread.rmb_load() >= thread.rmb.capacity:
                 break
-            avail = self.core.hierarchy.fetch(
-                self.core.core_id, thread.code_addr(pc), now)
+            avail = core.hierarchy.fetch(
+                core.core_id, thread.code_addr(pc), now)
             if avail > now:
                 thread.fetch_stalled_until = avail
                 thread.stats.fetch_icache_stall_cycles += avail - now
                 break
-            proposal = self.core.line_predictor.predict(pc)
+            proposal = line_predictor.predict(pc)
             thread.stats.line_predictions += 1
             chunk = self._build_chunk(thread, pc, now)
-            self._push_chunk(thread, chunk, now)
+            thread.rmb_inflight += 1
+            core.fetch_pipe.push((thread.tid, chunk), now)
             pc = chunk.next_pc
-            if not self.core.line_predictor.verify(
+            if not line_predictor.verify(
                     chunk.start_pc, proposal, chunk.next_pc):
                 # Misfetch: retrained above; re-initiate fetch after a bubble.
                 thread.stats.misfetches += 1
@@ -119,8 +135,10 @@ class IBox:
         uops: List[Uop] = []
         cur = pc % wrap
         next_pc = cur
+        seq = core.last_seq
         for _ in range(self.config.chunk_size):
-            uop = Uop(core.next_seq(), tid, cur, instructions[cur], now)
+            seq += 1
+            uop = Uop(seq, tid, cur, instructions[cur], now)
             info = uop.info
             taken = False
             if info.is_control:
@@ -135,8 +153,8 @@ class IBox:
                 break
             cur = (cur + 1) % wrap
             next_pc = cur
-        return FetchChunk(thread=thread.tid, start_pc=pc % wrap, uops=uops,
-                          next_pc=next_pc, fetch_cycle=now)
+        core.last_seq = seq
+        return FetchChunk(tid, pc % wrap, uops, next_pc, now)
 
     def _predict_control(self, thread: HwThread, uop: Uop, pc: int) -> bool:
         """Fill the uop's prediction; returns predicted-taken."""
@@ -194,7 +212,8 @@ class IBox:
             core.hooks.trailing_commit_chunk(core, thread, now)
             chunk = self._build_trailing_chunk(
                 thread, start_pc, pcs, next_pc, half_hints, now)
-            self._push_chunk(thread, chunk, now)
+            thread.rmb_inflight += 1
+            core.fetch_pipe.push((thread.tid, chunk), now)
 
     def _build_trailing_chunk(self, thread: HwThread, start_pc: int,
                               pcs: List[int], next_pc: int,
@@ -205,8 +224,10 @@ class IBox:
         wrap = thread.program_length
         tid = thread.tid
         uops: List[Uop] = []
+        seq = core.last_seq
         for position, pc in enumerate(pcs):
-            uop = Uop(core.next_seq(), tid, pc, instructions[pc], now, True)
+            seq += 1
+            uop = Uop(seq, tid, pc, instructions[pc], now, True)
             info = uop.info
             if info.is_control:
                 follower = (pcs[position + 1] if position + 1 < len(pcs)
@@ -218,11 +239,5 @@ class IBox:
             if info.is_halt:
                 thread.fetch_halted = True
             uops.append(uop)
-        return FetchChunk(thread=thread.tid, start_pc=start_pc, uops=uops,
-                          next_pc=next_pc, fetch_cycle=now,
-                          half_hints=half_hints)
-
-    # -- shared ---------------------------------------------------------------
-    def _push_chunk(self, thread: HwThread, chunk: FetchChunk, now: int) -> None:
-        thread.rmb_inflight += 1
-        self.core.fetch_pipe.push((thread.tid, chunk), now)
+        core.last_seq = seq
+        return FetchChunk(tid, start_pc, uops, next_pc, now, half_hints)

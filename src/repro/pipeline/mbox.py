@@ -23,10 +23,13 @@ from repro.util.bits import MASK64
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import Core
 
+_RETIRED = UopState.RETIRED
 
-@dataclass
+
+@dataclass(slots=True)
 class LoadPlan:
-    """How an issuing load will get its data."""
+    """How an issuing load will get its data (built with positional
+    arguments: one per load issue)."""
 
     raw_addr: int
     addr: int
@@ -64,12 +67,12 @@ class MBox:
                 and self._store_pending(thread, uop.memdep_seq)):
             return None
 
+        # The youngest older store to the same word forwards; a store
+        # with an unknown address (None) is speculated past.  Most
+        # stores miss on the address, so it is tested first.
+        seq = uop.seq
         for store in reversed(thread.store_queue):
-            if store.seq >= uop.seq:
-                continue
-            if store.mem_addr is None:
-                continue  # unknown address: speculate past it
-            if store.mem_addr != addr:
+            if store.mem_addr != addr or store.seq >= seq:
                 continue
             if store.info.is_partial_store:
                 # Partial forwarding is not supported: the store must drain
@@ -80,15 +83,14 @@ class MBox:
                 return None
             if now < store.data_ready_cycle:
                 return None  # store data not yet available to forward
-            return LoadPlan(raw_addr=raw, addr=addr, value=store.store_value,
-                            extra_latency=0, forwarded_from=store.seq)
+            return LoadPlan(raw, addr, store.store_value, 0, store.seq)
 
-        value = self.read_memory(thread, addr)
+        core = self.core
+        physical = thread.phys_addr(addr)
+        value = core.memory.get(physical, 0)
         t0 = now + self.config.rbox_latency
-        avail = self.core.hierarchy.load(
-            self.core.core_id, thread.phys_addr(addr), t0)
-        return LoadPlan(raw_addr=raw, addr=addr, value=value,
-                        extra_latency=avail - t0)
+        avail = core.hierarchy.load(core.core_id, physical, t0)
+        return LoadPlan(raw, addr, value, avail - t0)
 
     def _plan_trailing_load(self, thread: HwThread, uop: Uop, raw: int,
                             addr: int, now: int) -> Optional[LoadPlan]:
@@ -96,8 +98,7 @@ class MBox:
         if entry is None:
             return None  # LVQ entry not yet arrived (CRT cross-core delay)
         entry_addr, entry_value = entry
-        return LoadPlan(raw_addr=raw, addr=addr, value=entry_value,
-                        extra_latency=0, lvq_entry=True, lvq_addr=entry_addr)
+        return LoadPlan(raw, addr, entry_value, 0, None, True, entry_addr)
 
     def _store_pending(self, thread: HwThread, seq: int) -> bool:
         """Is the store-set dependence target still unexecuted?"""
@@ -139,9 +140,6 @@ class MBox:
                                   reason="memory-order violation")
 
     # -- architectural memory ------------------------------------------------
-    def read_memory(self, thread: HwThread, addr: int) -> int:
-        return self.core.memory.get(thread.phys_addr(addr), 0)
-
     def commit_store(self, thread: HwThread, uop: Uop) -> None:
         """Write a draining store's value to the architectural memory image."""
         key = thread.phys_addr(uop.mem_addr)
@@ -156,32 +154,36 @@ class MBox:
             self.core.memory[key] = uop.store_value
 
     # -- store drain ----------------------------------------------------------
-    def drain_stores(self, now: int) -> None:
+    def drain(self, now: int) -> None:
         """Move verified/retired stores into the merge buffer, in order."""
+        core = self.core
+        hooks = core.hooks
+        release_delay = core.store_release_delay
         budget = 4
-        for thread in self.core.threads:
-            while budget and thread.store_queue:
-                head = thread.store_queue[0]
-                if head.state is not UopState.RETIRED:
+        for thread in core.threads:
+            store_queue = thread.store_queue
+            while budget and store_queue:
+                head = store_queue[0]
+                if head.state is not _RETIRED:
                     break
-                if now < head.retire_cycle + self.core.store_release_delay:
+                if now < head.retire_cycle + release_delay:
                     break  # central checker holds the store (lockstep)
-                if (self.core.hooks.store_needs_verification(thread)
+                if (hooks.store_needs_verification(thread)
                         and not head.verified):
                     break
-                if not self.core.hierarchy.store_drain(
-                        self.core.core_id, thread.phys_addr(head.mem_addr), now):
+                if not core.hierarchy.store_drain(
+                        core.core_id, thread.phys_addr(head.mem_addr), now):
                     break  # merge buffer full: back-pressure
-                thread.store_queue.pop(0)
+                store_queue.pop(0)
                 self.commit_store(thread, head)
-                log = self.core.drain_log.get(thread.tid)
+                log = core.drain_log.get(thread.tid)
                 if log is not None:
                     # Record the committed memory word (merged for partial
                     # stores) so the stream compares against the golden
                     # model's architectural store effects.
-                    committed = self.core.memory[thread.phys_addr(head.mem_addr)]
+                    committed = core.memory[thread.phys_addr(head.mem_addr)]
                     log.append((head.instr.op.name, head.mem_addr, committed))
                 thread.stats.store_lifetime_sum += now - head.retire_cycle
                 thread.stats.store_lifetime_count += 1
-                self.core.hooks.on_store_drained(self.core, thread, head, now)
+                hooks.on_store_drained(core, thread, head, now)
                 budget -= 1

@@ -2,13 +2,14 @@
 
 Each half can issue up to four instructions per cycle to its own subset
 of functional units (Section 3.3).  A uop's default half follows from
-its position in the map chunk; the RMT hooks can override this, which is
-how preferential space redundancy steers trailing instructions to the
-half opposite their leading counterparts (Section 4.5).
+its position in the map chunk; for a trailing thread's uop the RMT
+hooks can override this, which is how preferential space redundancy
+steers trailing instructions to the half opposite their leading
+counterparts (Section 4.5).
 
 Scheduling is wakeup/select.  At insertion a uop counts its sources
 whose physical registers are not yet ready and waits on each of them;
-the bypass event that writes a register (``Core._process_events``)
+the bypass event that writes a register (``Core._writeback``)
 wakes its waiters, and a uop whose count reaches zero joins its half's
 ready list.  Select walks that list oldest insertion first, so it
 issues exactly the uops an in-order scan of the whole half would.  A
@@ -24,7 +25,6 @@ loads and two stores (Section 3.4).
 """
 
 from bisect import insort
-from heapq import heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, List
 
@@ -40,6 +40,11 @@ _ISSUED = UopState.ISSUED
 _SQUASHED = UopState.SQUASHED
 _MEM = FuClass.MEM
 _insertion_order = attrgetter("queue_order")
+
+#: Writeback event kinds (``Core.events``), in the order they run for
+#: one uop.
+BYPASS = 0
+COMPLETE = 1
 
 
 class QBox:
@@ -71,28 +76,39 @@ class QBox:
     def insert_chunk(self, thread: HwThread, uops: List[Uop], now: int) -> None:
         core = self.core
         ready_regs = core.regfile.ready
-        queue_half_for = core.hooks.queue_half_for
+        # Only a trailing thread's uops may be steered (hooks contract).
+        queue_half_for = (core.hooks.queue_half_for if thread.is_trailing
+                          else None)
+        occupied = self.occupied
+        queued = self.queued
+        ready_lists = self.ready
+        waiters = self.waiters
+        capacity = self.half_capacity
+        inserted = self._inserted
         for position, uop in enumerate(uops):
             if uop.state is _SQUASHED:
                 continue
-            half = queue_half_for(core, thread, uop, position % 2)
-            if self.occupied[half] >= self.half_capacity:
+            half = position % 2
+            if queue_half_for is not None:
+                half = queue_half_for(core, thread, uop, half)
+            if occupied[half] >= capacity:
                 half = 1 - half
             uop.queue_half = half
             uop.state = _QUEUED
             uop.queue_cycle = now
-            self._inserted += 1
-            uop.queue_order = self._inserted
-            self.occupied[half] += 1
-            self.queued[half] += 1
+            inserted += 1
+            uop.queue_order = inserted
+            occupied[half] += 1
+            queued[half] += 1
             waiting = 0
             for reg in uop.phys_srcs:
                 if not ready_regs[reg]:
                     waiting += 1
-                    self.waiters[reg].append(uop)
+                    waiters[reg].append(uop)
             uop.waiting = waiting
             if not waiting:
-                self.ready[half].append(uop)  # the newest insertion
+                ready_lists[half].append(uop)  # the newest insertion
+        self._inserted = inserted
 
     def wake(self, reg: int) -> None:
         """Physical register ``reg`` was written: wake its waiters."""
@@ -118,12 +134,19 @@ class QBox:
         config = self.config
         threads = core.threads
         acquire = core.fus.acquire
+        plan_load = core.mbox.plan_load
         per_half = config.issue_width // 2
+        max_mem = config.max_mem_issue
+        max_loads = config.max_load_issue
+        max_stores = config.max_store_issue
+        occupied = self.occupied
+        queued = self.queued
+        ready_lists = self.ready
         earliest_queue_cycle = now - self.min_queue_wait
         mem_issued = loads_issued = stores_issued = 0
         for half in (0, 1):
-            self.occupied[half] = self.queued[half]
-            ready = self.ready[half]
+            occupied[half] = queued[half]
+            ready = ready_lists[half]
             if not ready:
                 continue
             issued_this_half = 0
@@ -137,16 +160,16 @@ class QBox:
                 info = uop.info
                 is_mem = info.fu_class is _MEM
                 if is_mem:
-                    if mem_issued >= config.max_mem_issue:
+                    if mem_issued >= max_mem:
                         continue
-                    if info.is_load and loads_issued >= config.max_load_issue:
+                    if info.is_load and loads_issued >= max_loads:
                         continue
-                    if info.is_store and stores_issued >= config.max_store_issue:
+                    if info.is_store and stores_issued >= max_stores:
                         continue
                 thread = threads[uop.thread]
                 plan = None
                 if info.is_load:
-                    plan = core.mbox.plan_load(thread, uop, now)
+                    plan = plan_load(thread, uop, now)
                     if plan is None:
                         continue  # must wait; retries next cycle
                 fu = acquire(info.fu_class, half, now)
@@ -158,18 +181,24 @@ class QBox:
                     mem_issued += 1
                     loads_issued += info.is_load
                     stores_issued += info.is_store
-            self.ready[half] = [u for u in ready if u.state is _QUEUED]
-            self.occupied[half] = self.queued[half]
+            if issued_this_half:
+                queued[half] -= issued_this_half
+                # Squashed uops left behind go at the half's next rebuild;
+                # select skips them until then.
+                ready_lists[half] = [u for u in ready if u.state is _QUEUED]
+                occupied[half] = queued[half]
 
     # -- execution (value computation happens here; sources are final) ------
     def _do_issue(self, thread: HwThread, uop: Uop, fu: tuple, plan, now: int) -> None:
+        """Issue ``uop`` on unit ``fu``: compute its values and schedule
+        its writeback events.  The caller counts it out of its half's
+        ``queued`` entries."""
         core = self.core
         info = uop.info
         uop.state = _ISSUED
         uop.issue_cycle = now
         uop.fu = fu
         thread.iq_occupancy -= 1
-        self.queued[uop.queue_half] -= 1
         # Dependents wake up after the execute latency alone (results are
         # bypassed around the RBOX register-read stages); the instruction
         # itself completes — resolves branches, becomes retire-eligible —
@@ -197,20 +226,28 @@ class QBox:
             values = core.regfile.values
             sources = uop.phys_srcs
             count = len(sources)
-            uop.result = info.alu(
-                values[sources[0]] if count else 0,
-                values[sources[1]] if count > 1 else 0,
-                values[sources[2]] if count > 2 else 0,
-                uop.instr.imm)
+            if count == 2:
+                uop.result = info.alu(values[sources[0]], values[sources[1]],
+                                      0, uop.instr.imm)
+            elif count == 1:
+                uop.result = info.alu(values[sources[0]], 0, 0,
+                                      uop.instr.imm)
+            else:
+                uop.result = info.alu(
+                    values[sources[0]] if count else 0,
+                    values[sources[1]] if count else 0,
+                    values[sources[2]] if count else 0, uop.instr.imm)
 
         if core.result_corruptor is not None:
             core.result_corruptor(uop, now)
+        # Writeback buckets by due cycle (see Core._writeback); a uop
+        # without a destination has nothing to bypass.
         events = core.events
         seq = uop.seq
-        bypass_cycle = now + bypass_latency
-        heappush(events, (bypass_cycle, seq, "bypass", uop))
-        heappush(events, (bypass_cycle + self.config.rbox_latency, seq,
-                          "complete", uop))
+        due = now + bypass_latency
+        if uop.phys_dest is not None:
+            events[due].append((seq, BYPASS, uop))
+        events[due + self.config.rbox_latency].append((seq, COMPLETE, uop))
 
     def _resolve_control_values(self, thread: HwThread, uop: Uop) -> None:
         """Compute a control uop's actual outcome from register values."""

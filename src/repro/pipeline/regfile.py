@@ -5,6 +5,11 @@ Table 1: 512 physical registers backing 256 architectural registers
 registers themselves, which is what makes the simulation value-true:
 redundant threads really compute, wrong-path uops really execute, and
 injected bit flips really propagate.
+
+The core's rename, writeback and retire stages do this bookkeeping
+inline on ``values``, ``ready``, ``free`` and ``RenameMap.map``; the
+methods here are the reference they follow, which the checkpoint
+restore and the unit tests call.
 """
 
 from collections import deque
@@ -22,22 +27,23 @@ class PhysicalRegisterFile:
         self.num_regs = num_regs
         self.values: List[int] = [0] * num_regs
         self.ready: List[bool] = [True] * num_regs
-        self._free: Deque[int] = deque(range(num_regs))
+        #: Free registers, allocated from the left, released to the right.
+        self.free: Deque[int] = deque(range(num_regs))
 
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return len(self.free)
 
     def allocate(self) -> int:
-        if not self._free:
+        if not self.free:
             raise OutOfPhysicalRegisters()
-        reg = self._free.popleft()
+        reg = self.free.popleft()
         self.ready[reg] = False
         return reg
 
     def release(self, reg: int) -> None:
         self.ready[reg] = True
-        self._free.append(reg)
+        self.free.append(reg)
 
     def write(self, reg: int, value: int) -> None:
         self.values[reg] = value

@@ -128,9 +128,10 @@ class Uop:
                 f"{self.instr.op.name} {self.state.name}>")
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchChunk:
-    """Up to eight contiguous instructions fetched together."""
+    """Up to eight contiguous instructions fetched together (fetch
+    builds one per chunk, with positional arguments)."""
 
     thread: int
     start_pc: int

@@ -28,9 +28,12 @@ class DelayLine(Generic[T]):
 
     def pop_ready(self, now: int) -> List[T]:
         """Pop and return every item whose delay has elapsed by ``now``."""
-        ready: List[T] = []
-        while self._items and self._items[0][0] <= now:
-            ready.append(self._items.popleft()[1])
+        items = self._items
+        if not items or items[0][0] > now:
+            return []
+        ready: List[T] = [items.popleft()[1]]
+        while items and items[0][0] <= now:
+            ready.append(items.popleft()[1])
         return ready
 
     def peek_ready(self, now: int) -> List[T]:

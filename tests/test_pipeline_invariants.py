@@ -1,6 +1,7 @@
 """Facts the cycle core works out once and then reads as attributes: a
 uop's opcode record and defaults, each hardware thread's role flags,
-program length and redundant pair, and the phase calls of one cycle."""
+program length and redundant pair, the phase calls of one cycle, and
+which hooks act on the per-uop paths."""
 
 import dataclasses
 
@@ -10,6 +11,8 @@ from repro.core.config import MachineConfig
 from repro.core.machine import make_machine
 from repro.isa.generator import generate_benchmark
 from repro.isa.instructions import Instruction, Op
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.hooks import CoreHooks, acting
 from repro.pipeline.thread import ThreadRole
 from repro.pipeline.uop import Uop
 
@@ -85,3 +88,55 @@ def test_step_calls_the_phase_table(kind, programs):
     machine = make_machine(kind, MachineConfig(), programs[:1])
     assert machine._phase_calls == tuple(
         phase for _, phase in machine.phases)
+
+
+class RetireCounter(CoreHooks):
+    def __init__(self):
+        self.retired = 0
+
+    def on_uop_retired(self, core, thread, uop, now):
+        self.retired += 1
+
+
+class TestHooks:
+    def test_acting_skips_defaults_only(self):
+        counter = RetireCounter()
+        assert acting(CoreHooks(), "on_uop_retired") is None
+        assert acting(counter, "on_uop_retired") == counter.on_uop_retired
+        assert acting(counter, "can_retire_load") is None
+        hooks = CoreHooks()
+        hooks.on_store_retired = print
+        assert acting(hooks, "on_store_retired") is print
+
+    def test_hooks_replaced_after_construction_are_called(self, programs):
+        machine = make_machine("base", MachineConfig(), programs[:1])
+        machine.run(max_instructions=50)
+        counter = RetireCounter()
+        core = machine.cores[0]
+        before = core.stats.retired_total
+        core.hooks = counter
+        for _ in range(200):
+            machine.step()
+        assert counter.retired == core.stats.retired_total - before > 0
+
+    @pytest.mark.parametrize("kind", ["srt", "crt"])
+    def test_queue_half_asked_for_trailing_uops_only(self, kind, programs):
+        machine = make_machine(kind, MachineConfig(
+            preferential_space_redundancy=True), programs[:1])
+        controller = machine.controller
+        asked = []
+
+        def queue_half_for(core, thread, uop, default_half):
+            asked.append(thread.is_trailing)
+            return type(controller).queue_half_for(
+                controller, core, thread, uop, default_half)
+
+        controller.queue_half_for = queue_half_for
+        machine.run(max_instructions=200)
+        assert asked and all(asked)
+
+
+def test_negative_writeback_latencies_are_rejected():
+    for field in ("rbox_latency", "mbox_latency"):
+        with pytest.raises(ValueError, match=field):
+            CoreConfig(**{field: -1})
