@@ -374,34 +374,43 @@ class Core:
         first = self._rename_rotation = (self._rename_rotation + 1) % n
         for index in range(first, first + n):
             thread = threads[index % n]
-            chunk = thread.rmb.peek()
-            if chunk is None:
+            rmb = thread.rmb
+            if not rmb:
                 continue
+            chunk = rmb[0]
             if not self._can_map(thread, chunk):
                 continue
-            thread.rmb.pop()
+            rmb.popleft()
             self._map_chunk(thread, chunk, now)
             return  # PBOX maps one chunk per cycle
 
     def _can_map(self, thread: HwThread, chunk: FetchChunk) -> bool:
         uops = chunk.uops
-        writes = loads = stores = 0
-        for uop in uops:
-            info = uop.info
-            writes += uop.instr.writes_reg
-            loads += info.is_load
-            stores += info.is_store
-        if len(self.regfile.free) < writes:
-            self.stats.rename_stalls += 1
-            return False
-        if (not thread.is_trailing
-                and thread.lq_capacity - len(thread.load_queue) < loads):
-            thread.stats.map_stall_lq_full += 1
-            return False
-        if thread.sq_capacity - len(thread.store_queue) < stores:
-            thread.stats.map_stall_sq_full += 1
-            return False
-        if not self._iq_space_for(thread, len(uops)):
+        count = len(uops)
+        free_regs = len(self.regfile.free)
+        lq_free = thread.lq_capacity - len(thread.load_queue)
+        sq_free = thread.sq_capacity - len(thread.store_queue)
+        # A chunk needs at most one register, load and store entry per
+        # uop: its writes, loads and stores are counted only when some
+        # partition has fewer free entries than that.
+        if (free_regs < count or sq_free < count
+                or lq_free < count and not thread.is_trailing):
+            writes = loads = stores = 0
+            for uop in uops:
+                info = uop.info
+                writes += uop.instr.writes_reg
+                loads += info.is_load
+                stores += info.is_store
+            if free_regs < writes:
+                self.stats.rename_stalls += 1
+                return False
+            if not thread.is_trailing and lq_free < loads:
+                thread.stats.map_stall_lq_full += 1
+                return False
+            if sq_free < stores:
+                thread.stats.map_stall_sq_full += 1
+                return False
+        if not self._iq_space_for(thread, count):
             thread.stats.map_stall_iq_full += 1
             return False
         return True
@@ -479,7 +488,7 @@ class Core:
         for tid, chunk in self.fetch_pipe.pop_ready(now):
             thread = self.threads[tid]
             thread.rmb_inflight -= 1
-            thread.rmb.push(chunk)
+            thread.rmb.append(chunk)
 
     # -- squash ------------------------------------------------------------------------
     def squash_from(self, thread: HwThread, from_seq: int, now: int,

@@ -48,7 +48,7 @@ class FunctionalUnitPools:
     def __init__(self, pool_sizes: Optional[Dict[FuClass, int]] = None) -> None:
         self.pool_sizes = dict(pool_sizes or POOL_SIZES)
         #: Per slot, its cells; ``None`` for a class without a pool.
-        self._cells: List[Optional[List[list]]] = [None] * (2 * len(FuClass))
+        self._cells: List[Optional[List[list]]] = [None] * 2 * len(FuClass)
         self._structural_stalls = 0
         for fu_class in self.pool_sizes:
             for half in (0, 1):

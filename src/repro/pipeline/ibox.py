@@ -62,7 +62,7 @@ class IBox:
                     or now < thread.fetch_stalled_until):
                 continue
             rmb_load = len(thread.rmb) + thread.rmb_inflight
-            if rmb_load >= thread.rmb.capacity - 1:
+            if rmb_load >= thread.rmb_capacity - 1:
                 continue
             first = False
             if thread.is_trailing:
@@ -103,7 +103,7 @@ class IBox:
         line_predictor = core.line_predictor
         pc = thread.fetch_pc
         for _ in range(self.config.fetch_chunks_per_cycle):
-            if thread.fetch_halted or thread.rmb_load() >= thread.rmb.capacity:
+            if thread.fetch_halted or thread.rmb_load() >= thread.rmb_capacity:
                 break
             avail = core.hierarchy.fetch(
                 core.core_id, thread.code_addr(pc), now)
@@ -192,7 +192,7 @@ class IBox:
         """Fetch exact chunks from the line prediction queue."""
         core = self.core
         for _ in range(self.config.fetch_chunks_per_cycle):
-            if thread.rmb_load() >= thread.rmb.capacity:
+            if thread.rmb_load() >= thread.rmb_capacity:
                 break
             spec = core.hooks.trailing_peek_chunk(core, thread, now)
             if spec is None:

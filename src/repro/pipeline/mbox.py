@@ -15,7 +15,7 @@ cache entirely and read the load value queue instead (Section 4.1).
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.isa.executor import align_word, merge_partial_store
+from repro.isa.executor import WORD_MASK, merge_partial_store
 from repro.pipeline.thread import HwThread
 from repro.pipeline.uop import Uop, UopState
 from repro.util.bits import MASK64
@@ -47,9 +47,10 @@ class MBox:
 
     # -- address computation ------------------------------------------------
     def effective_address(self, uop: Uop) -> tuple:
+        """``(raw, word-aligned)`` address: ``align_word``, inline."""
         base = self.core.regfile.values[uop.phys_srcs[0]]
         raw = (base + uop.instr.imm) & MASK64
-        return raw, align_word(raw)
+        return raw, raw & WORD_MASK
 
     # -- load planning ---------------------------------------------------------
     def plan_load(self, thread: HwThread, uop: Uop, now: int) -> Optional[LoadPlan]:
@@ -86,7 +87,7 @@ class MBox:
             return LoadPlan(raw, addr, store.store_value, 0, store.seq)
 
         core = self.core
-        physical = thread.phys_addr(addr)
+        physical = addr + thread.addr_offset  # thread.phys_addr
         value = core.memory.get(physical, 0)
         t0 = now + self.config.rbox_latency
         avail = core.hierarchy.load(core.core_id, physical, t0)

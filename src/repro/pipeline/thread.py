@@ -15,7 +15,6 @@ from repro.isa.instructions import INSTRUCTION_BYTES, NUM_ARCH_REGS
 from repro.isa.program import Program
 from repro.pipeline.regfile import PhysicalRegisterFile, RenameMap
 from repro.pipeline.uop import FetchChunk, Uop
-from repro.util.fifo import BoundedFifo
 
 
 class ThreadRole(enum.Enum):
@@ -90,9 +89,14 @@ class HwThread:
         self.done = False
         self.target_instructions: Optional[int] = None
 
-        # Rate-matching buffer (per-thread, Section 3.1).
-        self.rmb: BoundedFifo[FetchChunk] = BoundedFifo(
-            rmb_chunks, name=f"rmb.t{tid}")
+        # Rate-matching buffer (per-thread, Section 3.1): a plain deque,
+        # since fetch never lets it and the IBOX pipe together hold more
+        # than ``rmb_capacity`` chunks.
+        if rmb_chunks <= 0:
+            raise ValueError(f"rmb.t{tid}: capacity must be positive, "
+                             f"got {rmb_chunks}")
+        self.rmb: Deque[FetchChunk] = deque()
+        self.rmb_capacity = rmb_chunks
         self.rmb_inflight = 0   # chunks in the IBOX pipe headed for the RMB
 
         # Completion unit view: every renamed uop in program order.
@@ -128,7 +132,10 @@ class HwThread:
         return addr + self.addr_offset
 
     def code_addr(self, pc: int) -> int:
-        return self.phys_addr(self.program.pc_to_addr(pc))
+        """``phys_addr(program.pc_to_addr(pc))``, written out: fetch asks
+        it for every chunk."""
+        return (self.program.code_base + pc * INSTRUCTION_BYTES
+                + self.addr_offset)
 
     def code_addrs(self, pcs: Iterable[int]) -> List[int]:
         """:meth:`code_addr` of each of ``pcs``, in order: instructions
