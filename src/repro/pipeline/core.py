@@ -430,14 +430,16 @@ class Core:
         return need <= 0
 
     def _map_chunk(self, thread: HwThread, chunk: FetchChunk, now: int) -> None:
-        live: List[Uop] = []
+        uops = chunk.uops
+        squashed = False
         rename_map = thread.rename.map
         regfile = self.regfile
         free = regfile.free
         ready = regfile.ready
         rob = thread.rob
-        for uop in chunk.uops:
+        for uop in uops:
             if uop.state is _SQUASHED:
+                squashed = True
                 continue
             instr = uop.instr
             info = uop.info
@@ -455,7 +457,7 @@ class Core:
                     uop.phys_srcs = [rename_map[reg] for reg in sources]
             if instr.writes_reg:
                 # RenameMap.rename_dest: writes_reg excludes r0, and
-                # _can_map counted a free register for every write.
+                # _can_map made sure of a free register for every write.
                 reg = free.popleft()
                 ready[reg] = False
                 rd = instr.rd
@@ -478,10 +480,13 @@ class Core:
                 thread.next_store_index += 1
                 thread.store_queue.append(uop)
                 self.store_sets.store_dispatched(thread.tid, uop.pc, uop.seq)
-            live.append(uop)
-        if live:
-            thread.iq_occupancy += len(live)
-            self.map_pipe.push((thread.tid, live), now)
+        if squashed:
+            # The chunk's uops travel on without a copy unless some
+            # were squashed before rename.
+            uops = [uop for uop in uops if uop.state is not _SQUASHED]
+        if uops:
+            thread.iq_occupancy += len(uops)
+            self.map_pipe.push((thread.tid, uops), now)
 
     # -- phase 6: fetch delivery -----------------------------------------------------
     def _deliver(self, now: int) -> None:
