@@ -124,11 +124,10 @@ class RmtController(CoreHooks):
         if thread is pair.leading:
             pair.tracker.leading_retired(uop.fu, uop.queue_half)
             if self._lpq_mode:
-                if uop.info.is_control:
-                    next_pc = uop.actual_target
-                else:
-                    next_pc = (uop.pc + 1) % thread.program_length
-                pair.aggregator.add(uop.pc, next_pc, uop.queue_half, now)
+                # The core set committed_pc, where the retired path
+                # continues, before calling this hook.
+                pair.aggregator.add(uop.pc, thread.committed_pc,
+                                    uop.queue_half, now)
         else:
             pair.tracker.trailing_retired(uop.fu, uop.queue_half)
 

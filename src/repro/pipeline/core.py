@@ -507,15 +507,23 @@ class Core:
             if uop.phys_dest is not None:
                 thread.rename.undo_rename(uop.instr.rd, uop.phys_dest,
                                           uop.prev_phys_dest)
+            # The memory queues are in program order and the squash
+            # unwinds youngest first, so a squashed entry is normally
+            # the last one.
             info = uop.info
+            queue = None
             if info.is_load:
                 thread.next_load_index = uop.load_index
-                if not thread.is_trailing and uop in thread.load_queue:
-                    thread.load_queue.remove(uop)
+                if not thread.is_trailing:
+                    queue = thread.load_queue
             elif info.is_store:
                 thread.next_store_index = uop.store_index
-                if uop in thread.store_queue:
-                    thread.store_queue.remove(uop)
+                queue = thread.store_queue
+            if queue:
+                if queue[-1] is uop:
+                    queue.pop()
+                elif uop in queue:
+                    queue.remove(uop)
             if uop.state is UopState.QUEUED:
                 self.qbox.squash(uop)
                 thread.iq_occupancy -= 1

@@ -85,6 +85,7 @@ class QBox:
         waiters = self.waiters
         capacity = self.half_capacity
         inserted = self._inserted
+        occupied_before = occupied[:]
         for position, uop in enumerate(uops):
             if uop.state is _SQUASHED:
                 continue
@@ -99,7 +100,6 @@ class QBox:
             inserted += 1
             uop.queue_order = inserted
             occupied[half] += 1
-            queued[half] += 1
             waiting = 0
             for reg in uop.phys_srcs:
                 if not ready_regs[reg]:
@@ -109,6 +109,9 @@ class QBox:
             if not waiting:
                 ready_lists[half].append(uop)  # the newest insertion
         self._inserted = inserted
+        # Each inserted uop is queued in its half as well as occupying it.
+        queued[0] += occupied[0] - occupied_before[0]
+        queued[1] += occupied[1] - occupied_before[1]
 
     def wake(self, reg: int) -> None:
         """Physical register ``reg`` was written: wake its waiters."""
