@@ -445,16 +445,17 @@ class Core:
             info = uop.info
             sources = instr.source_regs
             if sources:
-                # Indexed out for the common counts: a comprehension
+                # A tuple of ints, which the collector stops tracking;
+                # indexed out for the common counts, where a generator
                 # costs several times as much.
                 count = len(sources)
                 if count == 2:
-                    uop.phys_srcs = [rename_map[sources[0]],
-                                     rename_map[sources[1]]]
+                    uop.phys_srcs = (rename_map[sources[0]],
+                                     rename_map[sources[1]])
                 elif count == 1:
-                    uop.phys_srcs = [rename_map[sources[0]]]
+                    uop.phys_srcs = (rename_map[sources[0]],)
                 else:
-                    uop.phys_srcs = [rename_map[reg] for reg in sources]
+                    uop.phys_srcs = tuple(rename_map[reg] for reg in sources)
             if instr.writes_reg:
                 # RenameMap.rename_dest: writes_reg excludes r0, and
                 # _can_map made sure of a free register for every write.
