@@ -103,7 +103,8 @@ class IBox:
         line_predictor = core.line_predictor
         pc = thread.fetch_pc
         for _ in range(self.config.fetch_chunks_per_cycle):
-            if thread.fetch_halted or thread.rmb_load() >= thread.rmb_capacity:
+            if (thread.fetch_halted or len(thread.rmb) + thread.rmb_inflight
+                    >= thread.rmb_capacity):
                 break
             avail = core.hierarchy.fetch(
                 core.core_id, thread.code_addr(pc), now)
@@ -192,7 +193,7 @@ class IBox:
         """Fetch exact chunks from the line prediction queue."""
         core = self.core
         for _ in range(self.config.fetch_chunks_per_cycle):
-            if thread.rmb_load() >= thread.rmb_capacity:
+            if len(thread.rmb) + thread.rmb_inflight >= thread.rmb_capacity:
                 break
             spec = core.hooks.trailing_peek_chunk(core, thread, now)
             if spec is None:
