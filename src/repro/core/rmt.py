@@ -99,7 +99,7 @@ class RmtController(CoreHooks):
             # nearly exhausted by unverified stores, push the partial chunk
             # so the trailing thread can catch up and verify them.
             leading = pair.leading
-            if (len(leading.store_queue) >= leading.sq_capacity
+            if (len(leading.store_queue) == leading.sq_capacity
                     and len(aggregator)):
                 aggregator.flush(now, reason="pressure")
 

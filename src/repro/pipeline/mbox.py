@@ -28,8 +28,8 @@ _RETIRED = UopState.RETIRED
 
 @dataclass(slots=True)
 class LoadPlan:
-    """How an issuing load will get its data (built with positional
-    arguments: one per load issue)."""
+    """How an issuing load will get its data (built positionally: the
+    issue path makes one per load)."""
 
     raw_addr: int
     addr: int

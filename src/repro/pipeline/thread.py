@@ -148,11 +148,5 @@ class HwThread:
         """Occupancy metric for the ICOUNT-like thread chooser."""
         return len(self.rmb) + self.rmb_inflight
 
-    def sq_free(self) -> int:
-        return self.sq_capacity - len(self.store_queue)
-
-    def lq_free(self) -> int:
-        return self.lq_capacity - len(self.load_queue)
-
     def __repr__(self) -> str:
         return f"<hwthread {self.tid} {self.role.value} {self.program.name}>"

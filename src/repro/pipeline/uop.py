@@ -130,8 +130,8 @@ class Uop:
 
 @dataclass(slots=True)
 class FetchChunk:
-    """Up to eight contiguous instructions fetched together (fetch
-    builds one per chunk, with positional arguments)."""
+    """Up to eight contiguous instructions fetched together (built
+    positionally: fetch makes one per chunk)."""
 
     thread: int
     start_pc: int
