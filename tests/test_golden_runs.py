@@ -88,6 +88,11 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, object], Dict[str, object]]] = {
     "srt+ptsq": ("srt", {"per_thread_store_queues": True}, {}),
     "srt+nosc": ("srt", {"store_comparison": False}, {}),
     "srt+recovery": ("srt", {"recovery_enabled": True}, {}),
+    # Without preferential space redundancy, ``same_unit_fraction``
+    # depends on which unit each uop claimed.
+    "srt+nopsr": ("srt", {"preferential_space_redundancy": False}, {}),
+    # Trailing threads fetch through the predictors, not the LPQ.
+    "srt+predfetch": ("srt", {"trailing_fetch_mode": "predictor"}, {}),
     "lockstep": ("lockstep", {}, {}),
     "crt": ("crt", {}, {}),
     # Zero latencies: a load's bypass event, and with ``rbox_latency=0``
