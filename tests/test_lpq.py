@@ -166,3 +166,86 @@ class TestChunkAggregator:
             lpq.ack()
             lpq.commit()
         assert collected == path
+
+
+@st.composite
+def retired_path(draw):
+    """``(wrap, steps)``: a retired path of ``(pc, next_pc)`` steps in a
+    program of ``wrap`` instructions, each step starting where the last
+    one went.  Steps fall through, jump (a taken branch) or loop to
+    themselves; ``[1, 3, 3]`` is a jump to 3 and a self-loop there."""
+    wrap = draw(st.sampled_from([4, 16, 1 << 30]))
+    pc = draw(st.integers(0, wrap - 1))
+    steps = []
+    for _ in range(draw(st.integers(1, 60))):
+        how = draw(st.sampled_from(["next", "next", "next", "jump", "self"]))
+        if how == "next":
+            next_pc = (pc + 1) % wrap
+        elif how == "jump":
+            next_pc = draw(st.integers(0, min(wrap, 64) - 1))
+        else:
+            next_pc = pc
+        steps.append((pc, next_pc))
+        pc = next_pc
+    return wrap, steps
+
+
+class TestBlockedFlushes:
+    """A one- or two-chunk LPQ that fills up: flushes block, and the
+    pending path grows past a chunk and across discontinuities."""
+
+    @staticmethod
+    def drain(lpq, out):
+        while lpq.peek_active(now=1 << 30) is not None:
+            out.append(lpq.peek_active(now=1 << 30))
+            lpq.ack()
+            lpq.commit()
+
+    def test_self_loop_after_taken_branch(self):
+        lpq = LinePredictionQueue(capacity=1)
+        agg = ChunkAggregator(lpq, chunk_size=8, forward_latency=0, wrap=100)
+        agg.add(50, 51, None, now=0)
+        agg.flush(now=0)                  # the LPQ's one slot is taken
+        for pc, next_pc in ((1, 3), (3, 3), (3, 3)):
+            agg.add(pc, next_pc, None, now=1)
+        assert agg._pcs == [1, 3, 3]
+        chunks = []
+        while len(agg):
+            self.drain(lpq, chunks)
+            agg.flush(now=2)
+        self.drain(lpq, chunks)
+        assert [(c.pcs, c.next_pc) for c in chunks] == [
+            ([50], 51), ([1], 3), ([3], 3), ([3], 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(retired_path(), st.integers(1, 2), st.integers(1, 8),
+           st.lists(st.booleans(), min_size=60, max_size=60))
+    def test_pushed_chunks_rebuild_the_path(self, path, capacity,
+                                            chunk_size, drains):
+        wrap, steps = path
+        lpq = LinePredictionQueue(capacity=capacity)
+        agg = ChunkAggregator(lpq, chunk_size=chunk_size, forward_latency=0,
+                              wrap=wrap)
+        chunks = []
+        for now, ((pc, next_pc), drain) in enumerate(zip(steps, drains)):
+            if drain:
+                self.drain(lpq, chunks)
+            agg.add(pc, next_pc, now % 2, now)
+        while len(agg):
+            self.drain(lpq, chunks)
+            agg.flush(now=len(steps))
+        self.drain(lpq, chunks)
+        assert lpq.stats.chunks_pushed == len(chunks)
+        for chunk_out, following in zip(chunks, chunks[1:] + [None]):
+            pcs = chunk_out.pcs
+            assert 1 <= len(pcs) <= chunk_size
+            assert chunk_out.start_pc == pcs[0]
+            assert all(b == (a + 1) % wrap for a, b in zip(pcs, pcs[1:]))
+            assert len(chunk_out.half_hints) == len(pcs)
+            if following is not None:
+                assert chunk_out.next_pc == following.start_pc
+        assert chunks[-1].next_pc == steps[-1][1]
+        assert [pc for c in chunks for pc in c.pcs] == [
+            pc for pc, _ in steps]
+        assert [hint for c in chunks for hint in c.half_hints] == [
+            now % 2 for now in range(len(steps))]

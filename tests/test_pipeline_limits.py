@@ -1,9 +1,11 @@
 """Structural-limit tests: issue widths, memory ports, IQ reservation."""
 
-from collections import Counter
+from collections import Counter, defaultdict
+
+import pytest
 
 from repro.core.config import MachineConfig
-from repro.core.machine import BaseMachine
+from repro.core.machine import BaseMachine, make_machine
 from repro.isa.assembler import assemble
 from repro.isa.generator import generate_benchmark
 from repro.pipeline.uop import UopState
@@ -56,6 +58,45 @@ class TestIssueLimits:
             assert max(stores.values()) <= config.max_store_issue
         if mems:
             assert max(mems.values()) <= config.max_mem_issue
+
+
+class TestUnitClaims:
+    """Every unit is pipelined: within a cycle, a (class, half) slot's
+    claims take its units in order, and the pools' statistics count
+    every issued uop on the unit it took."""
+
+    @pytest.mark.parametrize("kind,name", [("base", "mgrid"),
+                                           ("srt", "gcc"),
+                                           ("crt", "swim")])
+    def test_claims_and_statistics(self, kind, name):
+        programs = [generate_benchmark(name)]
+        if kind == "crt":
+            programs.append(generate_benchmark("m88ksim"))
+        machine = make_machine(kind, MachineConfig(), programs)
+        machine.warm(2000)
+        claims = defaultdict(list)      # (core, cycle, class, half) -> units
+        for core in machine.cores:
+            original = core.qbox._do_issue
+
+            def wrapped(thread, uop, fu, plan, now, core=core,
+                        original=original):
+                claims[core.core_id, now, fu[0], uop.queue_half].append(fu)
+                return original(thread, uop, fu, plan, now)
+
+            core.qbox._do_issue = wrapped
+        machine.run(max_instructions=800)
+        assert claims, "nothing issued"
+        for core in machine.cores:
+            fus = core.fus
+            issued = Counter(fu for (core_id, *_), units in claims.items()
+                             if core_id == core.core_id for fu in units)
+            stats = fus.stats
+            assert stats.per_unit_issues == dict(issued)
+            assert stats.issues == sum(issued.values())
+        for (_, _, fu_class, half), units in claims.items():
+            reachable = machine.cores[0].fus.units_for_half(fu_class, half)
+            assert units == [(fu_class, index)
+                             for index in reachable[:len(units)]]
 
 
 class TestIqReservation:
