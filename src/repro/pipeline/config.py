@@ -53,6 +53,8 @@ class CoreConfig:
     def __post_init__(self) -> None:
         if self.iq_entries % 2:
             raise ValueError("instruction queue must split into two halves")
+        if self.issue_width < 2:
+            raise ValueError("each queue half must issue at least one uop")
         if self.max_load_issue + self.max_store_issue < self.max_mem_issue - 1:
             raise ValueError("memory issue limits inconsistent")
         if min(self.rbox_latency, self.mbox_latency) < 0:

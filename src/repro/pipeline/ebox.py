@@ -8,9 +8,10 @@ cycle to its own unit subset), which is the structural basis for
 preferential space redundancy: steering a trailing uop to the opposite
 queue half guarantees it a physically different unit instance.
 
-Per-instance occupancy is tracked so the paper's Figure 7 statistic
-(fraction of corresponding instruction pairs executing on the *same*
-unit) can be measured directly.
+Every unit is pipelined: it takes a new operation each cycle.  Per-unit
+issue counts let the paper's Figure 7 statistic (fraction of
+corresponding instruction pairs executing on the *same* unit) be
+measured directly.
 """
 
 from dataclasses import dataclass, field
@@ -37,63 +38,59 @@ class FunctionalUnitStats:
 
 
 class FunctionalUnitPools:
-    """Busy-until tracking for every individual unit instance.
+    """Every individual unit instance, grouped by (class, queue half)
+    into slots, slot ``2 * fu_class.ordinal + half``.
 
-    The units are grouped by (class, queue half) into slots, slot
-    ``2 * fu_class.ordinal + half``.  A slot holds one cell per unit
-    the half reaches, ``[busy-until cycle, issues, unit]``, so an issue
-    walks its candidates in unit order with one index per cell.
+    Because every unit is pipelined, the k-th claim on a slot in a
+    cycle takes the slot's k-th unit, and a claim past its last unit is
+    a structural stall.  The QBOX's select counts claims per slot
+    inline and records each in ``issues`` (or ``structural_stalls``);
+    :meth:`acquire` is the reference it follows, one claim at a time
+    with a busy-until cycle per unit.
     """
 
-    def __init__(self, pool_sizes: Optional[Dict[FuClass, int]] = None) -> None:
-        self.pool_sizes = dict(pool_sizes or POOL_SIZES)
-        #: Per slot, its cells; ``None`` for a class without a pool.
-        self._cells: List[Optional[List[list]]] = [None] * 2 * len(FuClass)
-        self._structural_stalls = 0
-        for fu_class in self.pool_sizes:
-            for half in (0, 1):
-                self._cells[2 * fu_class.ordinal + half] = [
-                    [0, 0, (fu_class, index)]
-                    for index in self.units_for_half(fu_class, half)]
+    def __init__(self) -> None:
+        #: Per slot, its units in order.
+        self.units: List[Tuple[Unit, ...]] = [
+            tuple((fu_class, index)
+                  for index in self.units_for_half(fu_class, half))
+            for fu_class in FuClass for half in (0, 1)]
+        #: Per slot, the issues each of its units took.
+        self.issues: List[List[int]] = [[0] * len(units)
+                                        for units in self.units]
+        self.structural_stalls = 0
+        self._busy_until = [[0] * len(units) for units in self.units]
 
     @property
     def stats(self) -> FunctionalUnitStats:
         """Issues and structural stalls so far."""
-        per_unit = {unit: issues for cells in self._cells if cells
-                    for _, issues, unit in cells if issues}
+        per_unit = {unit: issues
+                    for units, counts in zip(self.units, self.issues)
+                    for unit, issues in zip(units, counts) if issues}
         return FunctionalUnitStats(
             issues=sum(per_unit.values()),
-            structural_stalls=self._structural_stalls,
+            structural_stalls=self.structural_stalls,
             per_unit_issues=per_unit)
 
     def units_for_half(self, fu_class: FuClass, half: int) -> range:
         """Unit indices of ``fu_class`` reachable from queue half ``half``."""
-        size = self.pool_sizes[fu_class]
-        per_half = size // 2
+        per_half = POOL_SIZES[fu_class] // 2
         start = half * per_half
         return range(start, start + per_half)
 
-    def _slot(self, fu_class: FuClass, half: int) -> List[list]:
-        cells = self._cells[2 * fu_class.ordinal + half]
-        if cells is None:
-            raise KeyError(fu_class)
-        return cells
-
-    def acquire(self, fu_class: FuClass, half: int, now: int,
-                busy_cycles: int = 1) -> Optional[Unit]:
+    def acquire(self, fu_class: FuClass, half: int,
+                now: int) -> Optional[Unit]:
         """Claim a free unit of ``fu_class`` in ``half``'s partition.
 
         Returns the (class, index) actually used, or None when every unit
         in the partition is busy this cycle (a structural stall).
         """
-        for cell in self._cells[2 * fu_class.ordinal + half] or ():
-            if cell[0] <= now:
-                cell[0] = now + busy_cycles
-                cell[1] += 1
-                return cell[2]
-        self._slot(fu_class, half)  # a class without a pool raises
-        self._structural_stalls += 1
+        slot = 2 * fu_class.ordinal + half
+        busy_until = self._busy_until[slot]
+        for index, until in enumerate(busy_until):
+            if until <= now:
+                busy_until[index] = now + 1
+                self.issues[slot][index] += 1
+                return self.units[slot][index]
+        self.structural_stalls += 1
         return None
-
-    def is_free(self, fu_class: FuClass, half: int, now: int) -> bool:
-        return any(cell[0] <= now for cell in self._slot(fu_class, half))

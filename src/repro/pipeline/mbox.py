@@ -12,7 +12,6 @@ Trailing-thread loads bypass the load queue, store queue, and data
 cache entirely and read the load value queue instead (Section 4.1).
 """
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.isa.executor import WORD_MASK, merge_partial_store
@@ -24,20 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.core import Core
 
 _RETIRED = UopState.RETIRED
-
-
-@dataclass(slots=True)
-class LoadPlan:
-    """How an issuing load will get its data (built positionally: the
-    issue path makes one per load)."""
-
-    raw_addr: int
-    addr: int
-    value: int
-    extra_latency: int              # beyond the MBOX stage latency
-    forwarded_from: Optional[int] = None
-    lvq_entry: bool = False
-    lvq_addr: Optional[int] = None  # address recorded by the leading thread
 
 
 class MBox:
@@ -53,16 +38,26 @@ class MBox:
         return raw, raw & WORD_MASK
 
     # -- load planning ---------------------------------------------------------
-    def plan_load(self, thread: HwThread, uop: Uop, now: int) -> Optional[LoadPlan]:
+    def plan_load(self, thread: HwThread, uop: Uop,
+                  now: int) -> Optional[tuple]:
         """Decide whether the load can issue this cycle and how.
 
         Returns None when the load must wait (forwarding data not ready,
         partial-store overlap, store-set dependence, or a missing LVQ
-        entry for a trailing load).
+        entry for a trailing load).  Otherwise returns the plan ``(raw
+        address, word address, value, latency beyond the MBOX stage,
+        seq of the store it forwards from or None, address the LVQ
+        entry recorded or None)``, which ``QBox._do_issue`` stores.
         """
-        raw, addr = self.effective_address(uop)
+        core = self.core
+        # effective_address, inline.
+        raw = (core.regfile.values[uop.phys_srcs[0]] + uop.instr.imm) & MASK64
+        addr = raw & WORD_MASK
         if thread.is_trailing:
-            return self._plan_trailing_load(thread, uop, raw, addr, now)
+            entry = core.hooks.trailing_load_probe(core, thread, uop, now)
+            if entry is None:
+                return None  # LVQ entry not yet arrived (CRT cross-core delay)
+            return raw, addr, entry[1], 0, None, entry[0]
 
         if (uop.memdep_seq is not None
                 and self._store_pending(thread, uop.memdep_seq)):
@@ -79,27 +74,17 @@ class MBox:
                 # Partial forwarding is not supported: the store must drain
                 # to the cache first (Section 4.4.2's chunk-termination case).
                 thread.stats.partial_store_block_cycles += 1
-                self.core.hooks.on_partial_store_block(
-                    self.core, thread, store, now)
+                core.hooks.on_partial_store_block(core, thread, store, now)
                 return None
             if now < store.data_ready_cycle:
                 return None  # store data not yet available to forward
-            return LoadPlan(raw, addr, store.store_value, 0, store.seq)
+            return raw, addr, store.store_value, 0, store.seq, None
 
-        core = self.core
         physical = addr + thread.addr_offset  # thread.phys_addr
-        value = core.memory.get(physical, 0)
         t0 = now + self.config.rbox_latency
-        avail = core.hierarchy.load(core.core_id, physical, t0)
-        return LoadPlan(raw, addr, value, avail - t0)
-
-    def _plan_trailing_load(self, thread: HwThread, uop: Uop, raw: int,
-                            addr: int, now: int) -> Optional[LoadPlan]:
-        entry = self.core.hooks.trailing_load_probe(self.core, thread, uop, now)
-        if entry is None:
-            return None  # LVQ entry not yet arrived (CRT cross-core delay)
-        entry_addr, entry_value = entry
-        return LoadPlan(raw, addr, entry_value, 0, None, True, entry_addr)
+        return (raw, addr, core.memory.get(physical, 0),
+                core.hierarchy.load(core.core_id, physical, t0) - t0,
+                None, None)
 
     def _store_pending(self, thread: HwThread, seq: int) -> bool:
         """Is the store-set dependence target still unexecuted?"""

@@ -26,7 +26,7 @@ loads and two stores (Section 3.4).
 
 from bisect import insort
 from operator import attrgetter
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.isa.instructions import FuClass
 from repro.pipeline.thread import HwThread
@@ -67,6 +67,11 @@ class QBox:
         self.waiters: List[List[Uop]] = [
             [] for _ in range(self.config.physical_registers)]
         self._inserted = 0
+        #: Per half, the core's unit slots it reaches and their issue
+        #: counts, each indexed by class ordinal.
+        fus = core.fus
+        self._slots = tuple((fus.units[half::2], fus.issues[half::2])
+                            for half in (0, 1))
 
     # -- occupancy -------------------------------------------------------
     def occupancy(self, half: int) -> int:
@@ -133,11 +138,25 @@ class QBox:
 
     # -- select ---------------------------------------------------------------
     def issue(self, now: int) -> None:
+        """Select: walk each half's ready list, oldest insertion first,
+        and issue what the issue, memory-port and unit limits allow.
+
+        A half keeps the uops it skips, in order, as its next ready
+        list; one the walk finds no longer ``QUEUED`` is dropped, and
+        one squashed behind the walk stays until a later walk meets it.
+        Every unit is pipelined, so the k-th claim on a (class, half)
+        slot in a cycle takes the slot's k-th unit, and a claim past
+        its last unit is a structural stall: what
+        :meth:`~repro.pipeline.ebox.FunctionalUnitPools.acquire`
+        returns, counted into the same statistics.
+        """
         core = self.core
         config = self.config
         threads = core.threads
-        acquire = core.fus.acquire
+        fus = core.fus
+        slots = self._slots
         plan_load = core.mbox.plan_load
+        do_issue = self._do_issue
         per_half = config.issue_width // 2
         max_mem = config.max_mem_issue
         max_loads = config.max_load_issue
@@ -152,47 +171,59 @@ class QBox:
             ready = ready_lists[half]
             if not ready:
                 continue
+            units, unit_issues = slots[half]
+            claims = [0] * len(units)
+            kept = []
             issued_this_half = 0
-            for uop in ready:
-                if issued_this_half >= per_half:
-                    break
+            walk = iter(ready)
+            for uop in walk:
                 if uop.state is not _QUEUED:
                     continue  # squashed since it became ready
                 if uop.queue_cycle > earliest_queue_cycle:
+                    kept.append(uop)
                     continue
                 info = uop.info
-                is_mem = info.fu_class is _MEM
-                if is_mem:
-                    if mem_issued >= max_mem:
-                        continue
-                    if info.is_load and loads_issued >= max_loads:
-                        continue
-                    if info.is_store and stores_issued >= max_stores:
-                        continue
+                fu_class = info.fu_class
+                if fu_class is _MEM and (
+                        mem_issued >= max_mem
+                        or info.is_load and loads_issued >= max_loads
+                        or info.is_store and stores_issued >= max_stores):
+                    kept.append(uop)
+                    continue
                 thread = threads[uop.thread]
                 plan = None
                 if info.is_load:
                     plan = plan_load(thread, uop, now)
                     if plan is None:
+                        kept.append(uop)
                         continue  # must wait; retries next cycle
-                fu = acquire(info.fu_class, half, now)
-                if fu is None:
-                    continue  # structural hazard on this half's units
-                self._do_issue(thread, uop, fu, plan, now)
+                ordinal = fu_class.ordinal
+                claim = claims[ordinal]
+                slot_units = units[ordinal]
+                if claim == len(slot_units):
+                    # Structural hazard on this half's units.
+                    fus.structural_stalls += 1
+                    kept.append(uop)
+                    continue
+                claims[ordinal] = claim + 1
+                unit_issues[ordinal][claim] += 1
+                do_issue(thread, uop, slot_units[claim], plan, now)
                 issued_this_half += 1
-                if is_mem:
+                if fu_class is _MEM:
                     mem_issued += 1
                     loads_issued += info.is_load
                     stores_issued += info.is_store
+                if issued_this_half == per_half:
+                    kept += walk
+                    break
+            ready_lists[half] = kept
             if issued_this_half:
                 queued[half] -= issued_this_half
-                # Squashed uops left behind go at the half's next rebuild;
-                # select skips them until then.
-                ready_lists[half] = [u for u in ready if u.state is _QUEUED]
                 occupied[half] = queued[half]
 
     # -- execution (value computation happens here; sources are final) ------
-    def _do_issue(self, thread: HwThread, uop: Uop, fu: tuple, plan, now: int) -> None:
+    def _do_issue(self, thread: HwThread, uop: Uop, fu: tuple,
+                  plan: Optional[tuple], now: int) -> None:
         """Issue ``uop`` on unit ``fu``: compute its values and schedule
         its writeback events.  The caller counts it out of its half's
         ``queued`` entries."""
@@ -209,16 +240,13 @@ class QBox:
         bypass_latency = info.exec_latency
 
         if info.is_load:
-            uop.raw_addr = plan.raw_addr
-            uop.mem_addr = plan.addr
-            uop.result = plan.value
-            uop.forwarded_from = plan.forwarded_from
-            if plan.lvq_entry:
-                # The entry is consumed (and its address cross-checked) at
-                # retirement, so wrong-path trailing loads in predictor
-                # fetch mode neither deallocate nor falsely flag entries.
-                uop.lvq_addr_check = plan.lvq_addr
-            bypass_latency = self.config.mbox_latency + plan.extra_latency
+            # The plan: see MBox.plan_load.  An LVQ entry is consumed (and
+            # its address cross-checked) at retirement, so wrong-path
+            # trailing loads in predictor fetch mode neither deallocate
+            # nor falsely flag entries.
+            (uop.raw_addr, uop.mem_addr, uop.result, extra_latency,
+             uop.forwarded_from, uop.lvq_addr_check) = plan
+            bypass_latency = self.config.mbox_latency + extra_latency
         elif info.is_store:
             core.mbox.execute_store(thread, uop, now + 1)
             bypass_latency = 1

@@ -45,13 +45,6 @@ class TestAcquire:
             pools.acquire(FuClass.FP, 0, now=0)
         assert pools.acquire(FuClass.FP, 0, now=1) is not None
 
-    def test_busy_cycles_respected(self):
-        pools = FunctionalUnitPools()
-        pools.acquire(FuClass.MEM, 0, now=0, busy_cycles=5)
-        pools.acquire(FuClass.MEM, 0, now=0, busy_cycles=5)
-        assert not pools.is_free(FuClass.MEM, 0, now=4)
-        assert pools.is_free(FuClass.MEM, 0, now=5)
-
     def test_per_unit_issue_stats(self):
         pools = FunctionalUnitPools()
         fu = pools.acquire(FuClass.INT, 0, now=0)
