@@ -76,7 +76,7 @@ class LinePredictionQueue:
         return len(self._chunks) >= self.capacity
 
     def push(self, chunk: LpqChunk) -> None:
-        if self.full:
+        if len(self._chunks) >= self.capacity:
             raise RuntimeError("LPQ overflow: aggregator must gate on free "
                                "space")
         self._chunks.append(chunk)
@@ -140,6 +140,9 @@ class ChunkAggregator:
         self._half_hints: List[Optional[int]] = []
         self._next_pc: Optional[int] = None   # where the retired path goes
         self._last_add_cycle: Optional[int] = None
+        #: A flush blocked on a full LPQ since the pending instructions
+        #: were last empty, so they may hold more than one chunk.
+        self._backlog = False
 
     def __len__(self) -> int:
         return len(self._pcs)
@@ -158,32 +161,68 @@ class ChunkAggregator:
         taken branch that actually fell through keeps the chunk growing,
         exactly as in Section 4.4.2's last observation.
         """
-        if self._pcs and pc != self._next_pc:
-            self.flush(now, reason="discontinuity")
-        self._pcs.append(pc)
+        pcs = self._pcs
+        if pcs and pc != self._next_pc:
+            self.flush(now)
+            pcs = self._pcs
+        pcs.append(pc)
         self._half_hints.append(queue_half)
         self._next_pc = next_pc
         self._last_add_cycle = now
-        if len(self._pcs) >= self.chunk_size or next_pc != (pc + 1) % self.wrap:
+        if len(pcs) >= self.chunk_size or next_pc != (pc + 1) % self.wrap:
             # Chunk limit reached, or the path jumps away (taken branch):
             # the continuation address is known, so terminate now.
-            self.flush(now, reason="full" if len(self._pcs) >= self.chunk_size
-                       else "discontinuity")
+            self.flush(now)
 
     def flush(self, now: int, reason: str = "forced") -> None:
         """Terminate the pending instructions and push them to the LPQ.
 
-        If a previous flush was blocked by a full LPQ, the pending run may
-        have grown past the chunk size or even across a discontinuity
-        (retirement of non-loads is not gated on LPQ room), so the pending
-        instructions are emitted as proper chunks: split at every
-        discontinuity and every ``chunk_size`` instructions.  Whatever
-        does not fit in the LPQ right now stays pending.
+        Unless a flush blocked on a full LPQ since the pending
+        instructions were last empty, they are one contiguous run of at
+        most ``chunk_size`` (:meth:`add` terminates a chunk at either
+        limit), pushed whole.  A blocked flush leaves them pending, and
+        since retirement of non-loads is not gated on LPQ room, they may
+        then grow past the chunk size or even across a discontinuity:
+        :meth:`_push_backlog` emits them as proper chunks.  Contiguity
+        is tested pc by pc, never from the span of the first and last:
+        a jump then a self-loop, ``[1, 3, 3]``, spans three pcs but
+        makes three chunks.
         """
+        if self._pcs:
+            lpq = self.lpq
+            if self._backlog:
+                if not self._push_backlog(now):
+                    return  # retry on a later flush; stay pending
+            elif lpq.full:
+                lpq.stats.full_stalls += 1
+                self._backlog = True
+                return  # retry on a later flush; stay pending
+            else:
+                lpq.push(LpqChunk(self._pcs[0], self._pcs, self._next_pc,
+                                  self._half_hints,
+                                  now + self.forward_latency))
+                self._pcs = []
+                self._half_hints = []
+        if reason != "forced":
+            stats = self.lpq.stats
+            if reason == "membar":
+                stats.flush_membar += 1
+            elif reason == "partial-store":
+                stats.flush_partial_store += 1
+            elif reason == "timeout":
+                stats.flush_timeout += 1
+            elif reason == "pressure":
+                stats.flush_pressure += 1
+        self._last_add_cycle = None
+
+    def _push_backlog(self, now: int) -> bool:
+        """Push the pending instructions as chunks, split at every
+        discontinuity and every ``chunk_size`` instructions; False when
+        the LPQ fills first, leaving the rest pending."""
         while self._pcs:
             if self.lpq.full:
                 self.lpq.stats.full_stalls += 1
-                return  # retry on a later flush; stay pending
+                return False
             length = 1
             while (length < min(self.chunk_size, len(self._pcs))
                    and self._pcs[length]
@@ -198,16 +237,8 @@ class ChunkAggregator:
                 available_cycle=now + self.forward_latency))
             self._pcs = self._pcs[length:]
             self._half_hints = self._half_hints[length:]
-        stats = self.lpq.stats
-        if reason == "membar":
-            stats.flush_membar += 1
-        elif reason == "partial-store":
-            stats.flush_partial_store += 1
-        elif reason == "timeout":
-            stats.flush_timeout += 1
-        elif reason == "pressure":
-            stats.flush_pressure += 1
-        self._last_add_cycle = None
+        self._backlog = False
+        return True
 
     def tick(self, now: int) -> None:
         """Timeout flush: leading retirement stalled with a partial chunk."""
@@ -221,3 +252,4 @@ class ChunkAggregator:
         self._half_hints = []
         self._next_pc = None
         self._last_add_cycle = None
+        self._backlog = False
