@@ -17,11 +17,12 @@ The checker:
   mismatches as detected faults.
 
 With no fault injector attached, core 1 cannot differ from core 0, so
-the machine simulates core 0 and its hierarchy only.  It decides once,
-before its first warm-up or cycle (:meth:`Machine._begin`): it mirrors
-when ``injector`` is ``None``, and any attached
-:class:`~repro.core.faults.FaultInjector`, even an empty one, keeps both
-cores simulated.  A mirroring machine reports core 0 as core 1 too
+the machine builds and simulates core 0 and its hierarchy only: core 1,
+its hierarchy and its memory image are built when a
+:class:`~repro.core.faults.FaultInjector` attaches, before its faults
+do.  The machine decides once, before its first warm-up or cycle
+(:meth:`Machine._begin`): it mirrors when ``injector`` is ``None``, and
+any attached injector, even an empty one, keeps both cores simulated.  A mirroring machine reports core 0 as core 1 too
 (:attr:`LockstepMachine.reported_cores`), so its statistics, hang
 reports and occupancy samples carry ``core1.*`` entries equal to
 ``core0.*``, and its checker counts one comparison per store core 0
@@ -89,35 +90,41 @@ class LockstepMachine(Machine):
         #: Whether core 1 mirrors core 0; ``None`` until :meth:`_begin`.
         self.mirroring: Optional[bool] = None
         self.checker = LockstepChecker(self)
-        self.memories: List[Dict[int, int]] = [{}, {}]
-
-        hw_count = len(programs)
-        lq = partition(config.core.load_queue_entries, hw_count)
-        sq = partition(config.core.store_queue_entries, hw_count)
-
-        for core_id in range(2):
-            hier_config = type(config.hierarchy)(**vars(config.hierarchy))
-            hier_config.checker_latency = checker_latency
-            hierarchy = MemoryHierarchy(hier_config, num_cores=1)
-            self.hierarchies.append(hierarchy)
-            core = Core(core_id, config.core, hierarchy,
-                        self.memories[core_id], hooks=self.checker,
-                        trailing_priority=config.trailing_priority)
-            # Stores, like all outputs, are compared before leaving the
-            # sphere of replication.
-            core.store_release_delay = checker_latency
-            # Both cores report themselves as core 0 to their private
-            # hierarchy but keep distinct ids for the checker.
-            self.cores.append(core)
-            for index, program in enumerate(programs):
-                thread = core.add_thread(program, ThreadRole.SINGLE,
-                                         asid=index, lq_capacity=lq,
-                                         sq_capacity=sq)
-                if core_id == 0:
-                    self._register_logical_thread(program.name, thread)
-
+        #: Each built core's private architectural memory image.
+        self.memories: List[Dict[int, int]] = []
+        self._programs = programs
+        self._build_core()
         # memory property kept for interface parity; core 0's image.
         self.memory = self.memories[0]
+
+    def _build_core(self) -> None:
+        """Add the next core, its private hierarchy and memory image,
+        and its copy of every logical thread."""
+        config = self.config
+        core_id = len(self.cores)
+        hier_config = type(config.hierarchy)(**vars(config.hierarchy))
+        hier_config.checker_latency = self.checker_latency
+        hierarchy = MemoryHierarchy(hier_config, num_cores=1)
+        self.hierarchies.append(hierarchy)
+        memory: Dict[int, int] = {}
+        self.memories.append(memory)
+        # Both cores report themselves as core 0 to their private
+        # hierarchy but keep distinct ids for the checker.
+        core = Core(core_id, config.core, hierarchy, memory,
+                    hooks=self.checker,
+                    trailing_priority=config.trailing_priority)
+        # Stores, like all outputs, are compared before leaving the
+        # sphere of replication.
+        core.store_release_delay = self.checker_latency
+        self.cores.append(core)
+        hw_count = len(self._programs)
+        lq = partition(config.core.load_queue_entries, hw_count)
+        sq = partition(config.core.store_queue_entries, hw_count)
+        for index, program in enumerate(self._programs):
+            thread = core.add_thread(program, ThreadRole.SINGLE, asid=index,
+                                     lq_capacity=lq, sq_capacity=sq)
+            if core_id == 0:
+                self._register_logical_thread(program.name, thread)
 
     def _begin(self) -> None:
         if self.mirroring is None:
@@ -126,11 +133,17 @@ class LockstepMachine(Machine):
                 del self.cores[1:], self.hierarchies[1:]
 
     def attach_injector(self, injector) -> None:
+        """Attach ``injector`` and build core 1 (and its hierarchy and
+        memory image), which only a fault can make differ from core 0;
+        :class:`~repro.core.faults.FaultInjector` attaches its faults
+        right after this."""
         if self.mirroring:
             raise RuntimeError(
                 "this lockstep machine already simulates core 0 only; "
                 "attach the fault injector before its first warm-up or "
                 "cycle")
+        if len(self.cores) == 1:
+            self._build_core()
         super().attach_injector(injector)
 
     @property

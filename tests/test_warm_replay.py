@@ -74,13 +74,14 @@ def warm_state(machine: Machine) -> list:
 def test_replay_matches_reexecution(kind):
     programs = [generate_benchmark("gcc", seed=4),
                 generate_benchmark("li", seed=4)]
+    # An attached injector builds a lockstep machine's core 1 and its
+    # hierarchy and keeps them simulated, so both are warmed and compared.
     reference = make_machine(kind, MachineConfig(), programs)
+    FaultInjector(reference, [])
     reference_warm(reference, STEPS)
     # The first warm-up records each program's path, the second replays.
     for _ in range(2):
         machine = make_machine(kind, MachineConfig(), programs)
-        # An attached injector keeps a lockstep machine's core 1 and its
-        # hierarchy simulated, so both are warmed and compared.
         FaultInjector(machine, [])
         machine.warm(STEPS)
         assert warm_state(machine) == warm_state(reference)
