@@ -146,14 +146,32 @@ class SetAssociativeCache(NextLevel):
 
     def warm(self, addrs: Iterable[int]) -> None:
         """Install the block of each address in turn, without timing
-        (used for warm-start runs)."""
-        # _index_tag inlined: a warm-up installs thousands of blocks.
-        block_bytes, num_sets = self.block_bytes, self.num_sets
-        fill = self._fill
+        (used for warm-start runs).
+
+        ``_index_tag`` and ``_fill`` inline: a warm-up installs
+        thousands of blocks.  Like ``_fill``, an install into a full set
+        evicts its least recently used way even when the block is
+        already resident: a known modelling bug, whose fix changes
+        every warmed state and so lands on its own.
+        """
+        block_bytes, num_sets, assoc = (self.block_bytes, self.num_sets,
+                                        self.assoc)
+        sets = self._sets
+        stamp = self._use_stamp
+        evicted = 0
         for addr in addrs:
             block = addr // block_bytes
-            self._use_stamp += 1
-            fill(block % num_sets, block // num_sets)
+            stamp += 1
+            index = block % num_sets
+            ways = sets.get(index)
+            if ways is None:
+                ways = sets[index] = {}
+            elif len(ways) >= assoc:
+                del ways[min(ways, key=ways.get)]
+                evicted += 1
+            ways[block // num_sets] = stamp
+        self._use_stamp = stamp
+        self.stats.writebacks += evicted
 
     # -- warmed-state copies ----------------------------------------------
     def is_pristine(self) -> bool:
