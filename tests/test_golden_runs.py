@@ -92,7 +92,7 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, object], Dict[str, object]]] = {
     # depends on which unit each uop claimed.
     "srt+nopsr": ("srt", {"preferential_space_redundancy": False}, {}),
     # Trailing threads fetch through the predictors, not the LPQ.
-    "srt+predfetch": ("srt", {"trailing_fetch_mode": "predictor"}, {}),
+    "srt+predfetch": ("srt", {"trailing_fetch_mode": "predictors"}, {}),
     "lockstep": ("lockstep", {}, {}),
     "crt": ("crt", {}, {}),
     # Zero latencies: a load's bypass event, and with ``rbox_latency=0``
