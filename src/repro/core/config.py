@@ -71,6 +71,12 @@ class MachineConfig:
     #: re-detects after every retained checkpoint is UNRECOVERABLE.
     recovery_max_attempts: int = 3
 
+    def __post_init__(self) -> None:
+        if self.trailing_fetch_mode not in ("lpq", "predictors"):
+            raise ValueError(
+                f"trailing_fetch_mode must be 'lpq' or 'predictors', not "
+                f"{self.trailing_fetch_mode!r}")
+
     # -- serialisation (experiment reproducibility) --------------------------
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -97,6 +97,14 @@ class TestTable1Parameters:
         with pytest.raises(ValueError):
             CoreConfig(iq_entries=127)
 
+    def test_half_without_issue_slot_rejected(self):
+        with pytest.raises(ValueError):
+            CoreConfig(issue_width=1)
+
+    def test_unknown_trailing_fetch_mode_rejected(self):
+        with pytest.raises(ValueError, match="trailing_fetch_mode"):
+            MachineConfig(trailing_fetch_mode="predictor")
+
 
 class TestMachineFactory:
     def test_unknown_kind_rejected(self):
