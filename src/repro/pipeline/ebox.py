@@ -37,9 +37,22 @@ class FunctionalUnitStats:
     per_unit_issues: Dict[Unit, int] = field(default_factory=dict)
 
 
+def units_for_half(fu_class: FuClass, half: int) -> range:
+    """Unit indices of ``fu_class`` reachable from queue half ``half``."""
+    per_half = POOL_SIZES[fu_class] // 2
+    start = half * per_half
+    return range(start, start + per_half)
+
+
+#: Per (class, queue half) slot, slot ``2 * fu_class.ordinal + half``,
+#: its units in order.  A unit is a value, so every core shares these.
+SLOT_UNITS: Tuple[Tuple[Unit, ...], ...] = tuple(
+    tuple((fu_class, index) for index in units_for_half(fu_class, half))
+    for fu_class in FuClass for half in (0, 1))
+
+
 class FunctionalUnitPools:
-    """Every individual unit instance, grouped by (class, queue half)
-    into slots, slot ``2 * fu_class.ordinal + half``.
+    """One core's unit instances, by slot (:data:`SLOT_UNITS`).
 
     Because every unit is pipelined, the k-th claim on a slot in a
     cycle takes the slot's k-th unit, and a claim past its last unit is
@@ -49,34 +62,26 @@ class FunctionalUnitPools:
     with a busy-until cycle per unit.
     """
 
+    units = SLOT_UNITS
+    units_for_half = staticmethod(units_for_half)
+
     def __init__(self) -> None:
-        #: Per slot, its units in order.
-        self.units: List[Tuple[Unit, ...]] = [
-            tuple((fu_class, index)
-                  for index in self.units_for_half(fu_class, half))
-            for fu_class in FuClass for half in (0, 1)]
         #: Per slot, the issues each of its units took.
         self.issues: List[List[int]] = [[0] * len(units)
-                                        for units in self.units]
+                                        for units in SLOT_UNITS]
         self.structural_stalls = 0
-        self._busy_until = [[0] * len(units) for units in self.units]
+        self._busy_until = [[0] * len(units) for units in SLOT_UNITS]
 
     @property
     def stats(self) -> FunctionalUnitStats:
         """Issues and structural stalls so far."""
         per_unit = {unit: issues
-                    for units, counts in zip(self.units, self.issues)
+                    for units, counts in zip(SLOT_UNITS, self.issues)
                     for unit, issues in zip(units, counts) if issues}
         return FunctionalUnitStats(
             issues=sum(per_unit.values()),
             structural_stalls=self.structural_stalls,
             per_unit_issues=per_unit)
-
-    def units_for_half(self, fu_class: FuClass, half: int) -> range:
-        """Unit indices of ``fu_class`` reachable from queue half ``half``."""
-        per_half = POOL_SIZES[fu_class] // 2
-        start = half * per_half
-        return range(start, start + per_half)
 
     def acquire(self, fu_class: FuClass, half: int,
                 now: int) -> Optional[Unit]:
@@ -91,6 +96,6 @@ class FunctionalUnitPools:
             if until <= now:
                 busy_until[index] = now + 1
                 self.issues[slot][index] += 1
-                return self.units[slot][index]
+                return SLOT_UNITS[slot][index]
         self.structural_stalls += 1
         return None
