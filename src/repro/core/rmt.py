@@ -121,15 +121,15 @@ class RmtController(CoreHooks):
         pair = thread.pair
         if pair is None:
             return
+        half = uop.queue_half
         if thread is pair.leading:
-            pair.tracker.leading_retired(uop.fu, uop.queue_half)
+            pair.tracker.leading_retired(uop.fu, half)
             if self._lpq_mode:
                 # The core set committed_pc, where the retired path
                 # continues, before calling this hook.
-                pair.aggregator.add(uop.pc, thread.committed_pc,
-                                    uop.queue_half, now)
+                pair.aggregator.add(uop.pc, thread.committed_pc, half, now)
         else:
-            pair.tracker.trailing_retired(uop.fu, uop.queue_half)
+            pair.tracker.trailing_retired(uop.fu, half)
 
     def on_membar_blocked(self, core: "Core", thread: HwThread,
                           now: int) -> None:

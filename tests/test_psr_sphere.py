@@ -31,6 +31,19 @@ class TestFuCorrespondenceTracker:
         assert tracker.stats.pairs == 2
         assert tracker.stats.same_unit == 1
 
+    def test_trailing_ahead_stays_unpaired(self):
+        """A trailing retirement with no leading record is unpaired, and
+        the leading record that arrives later for its index never pairs."""
+        tracker = FuCorrespondenceTracker()
+        tracker.trailing_retired((FuClass.INT, 0), 0)   # index 0: no record
+        tracker.leading_retired((FuClass.INT, 0), 0)    # index 0: too late
+        tracker.leading_retired((FuClass.FP, 1), 1)     # index 1
+        assert tracker.stats.pairs == 0
+        tracker.trailing_retired((FuClass.FP, 1), 1)    # pairs with index 1
+        assert tracker.stats.pairs == 1
+        assert tracker.stats.same_unit == 1
+        assert tracker.stats.same_half == 1
+
     def test_missing_fu_ignored(self):
         tracker = FuCorrespondenceTracker()
         tracker.leading_retired(None, 0)
