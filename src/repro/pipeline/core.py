@@ -170,11 +170,14 @@ class Core:
         # only earlier threads' images yet, and two threads share an
         # address space only as the redundant copies of one program, so
         # a word already there keeps its place and gets its own value:
-        # what a setdefault per word left.
-        image = program.initial_memory
-        offset = thread.addr_offset
-        self.memory.update(zip(map(offset.__add__, image), image.values())
-                           if offset else image)
+        # what a setdefault per word left.  A trailing thread is such a
+        # copy, added after its leading thread into the same memory, so
+        # every word of its image is there already.
+        if not thread.is_trailing:
+            image = program.initial_memory
+            offset = thread.addr_offset
+            self.memory.update(zip(map(offset.__add__, image), image.values())
+                               if offset else image)
         return thread
 
     # -- phase 1: writeback ----------------------------------------------------

@@ -110,8 +110,9 @@ class QBox:
                 if not ready_regs[reg]:
                     waiting += 1
                     waiters[reg].append(uop)
-            uop.waiting = waiting
-            if not waiting:
+            if waiting:
+                uop.waiting = waiting  # a uop is inserted once, at 0
+            else:
                 ready_lists[half].append(uop)  # the newest insertion
         self._inserted = inserted
         # Each inserted uop is queued in its half as well as occupying it.
