@@ -27,20 +27,14 @@ class LvqStats:
     peak_occupancy: int = 0
 
 
-@dataclass
-class LvqEntry:
-    load_index: int
-    addr: int
-    value: int
-    available_cycle: int
-
-
 class LoadValueQueue:
     def __init__(self, capacity: int = 64, forward_latency: int = 2) -> None:
         self.capacity = capacity
         self.forward_latency = forward_latency
         self.stats = LvqStats()
-        self._entries: Dict[int, LvqEntry] = {}
+        #: Per load correlation tag, ``(available cycle, (address,
+        #: value))``: the pair is what :meth:`probe` returns.
+        self._entries: Dict[int, Tuple[int, Tuple[int, int]]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -57,21 +51,23 @@ class LoadValueQueue:
 
     def write(self, load_index: int, addr: int, value: int, now: int) -> None:
         """Record a retiring leading-thread load."""
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise RuntimeError("LVQ overflow: caller must gate retirement "
                                "on has_room()")
-        self._entries[load_index] = LvqEntry(
-            load_index, addr, value, now + self.forward_latency)
-        self.stats.writes += 1
-        self.stats.peak_occupancy = max(self.stats.peak_occupancy,
-                                        len(self._entries))
+        entries[load_index] = (now + self.forward_latency, (addr, value))
+        stats = self.stats
+        stats.writes += 1
+        if len(entries) > stats.peak_occupancy:
+            stats.peak_occupancy = len(entries)
 
     def probe(self, load_index: int, now: int) -> Optional[Tuple[int, int]]:
-        """Associative lookup by tag; None until the entry has arrived."""
+        """Associative lookup by tag: ``(address, value)``, or None until
+        the entry has arrived."""
         entry = self._entries.get(load_index)
-        if entry is None or now < entry.available_cycle:
+        if entry is None or now < entry[0]:
             return None
-        return entry.addr, entry.value
+        return entry[1]
 
     def consume(self, load_index: int) -> None:
         self._entries.pop(load_index, None)

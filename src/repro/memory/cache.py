@@ -111,8 +111,15 @@ class SetAssociativeCache(NextLevel):
 
     def access(self, addr: int, now: int, write: bool = False) -> int:
         """Access ``addr``; return the cycle its data becomes available."""
-        index, tag = self._index_tag(addr)
-        ways = self._sets.setdefault(index, {})
+        # _index_tag and block_addr inline: every fetch and load lands here.
+        block_bytes = self.block_bytes
+        num_sets = self.num_sets
+        block = addr // block_bytes
+        index = block % num_sets
+        tag = block // num_sets
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = {}
         self._use_stamp += 1
         if tag in ways:
             ways[tag] = self._use_stamp
@@ -120,7 +127,7 @@ class SetAssociativeCache(NextLevel):
             return now + self.hit_latency
 
         self.stats.misses += 1
-        block = self.block_addr(addr)
+        block = addr & ~(block_bytes - 1)
         pending = self._mshrs.get(block)
         if pending is not None and pending > now:
             # Merge with the outstanding fill for this block.
