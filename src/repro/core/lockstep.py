@@ -17,12 +17,13 @@ The checker:
   mismatches as detected faults.
 
 With no fault injector attached, core 1 cannot differ from core 0, so
-the machine builds and simulates core 0 and its hierarchy only: core 1,
+the machine builds and simulates core 0 and its hierarchy only; core 1,
 its hierarchy and its memory image are built when a
-:class:`~repro.core.faults.FaultInjector` attaches, before its faults
-do.  The machine decides once, before its first warm-up or cycle
+:class:`~repro.core.faults.FaultInjector` attaches.  The machine
+decides once, before its first warm-up or cycle
 (:meth:`Machine._begin`): it mirrors when ``injector`` is ``None``, and
-any attached injector, even an empty one, keeps both cores simulated.  A mirroring machine reports core 0 as core 1 too
+any attached injector, even an empty one, keeps both cores simulated.
+A mirroring machine reports core 0 as core 1 too
 (:attr:`LockstepMachine.reported_cores`), so its statistics, hang
 reports and occupancy samples carry ``core1.*`` entries equal to
 ``core0.*``, and its checker counts one comparison per store core 0
@@ -98,8 +99,8 @@ class LockstepMachine(Machine):
         self.memory = self.memories[0]
 
     def _build_core(self) -> None:
-        """Add the next core, its private hierarchy and memory image,
-        and its copy of every logical thread."""
+        """Add the next core with its own hierarchy, memory image and
+        copy of every logical thread."""
         config = self.config
         core_id = len(self.cores)
         hier_config = type(config.hierarchy)(**vars(config.hierarchy))
@@ -133,10 +134,8 @@ class LockstepMachine(Machine):
                 del self.cores[1:], self.hierarchies[1:]
 
     def attach_injector(self, injector) -> None:
-        """Attach ``injector`` and build core 1 (and its hierarchy and
-        memory image), which only a fault can make differ from core 0;
-        :class:`~repro.core.faults.FaultInjector` attaches its faults
-        right after this."""
+        """Attach ``injector`` and build core 1, before the injector's
+        faults attach."""
         if self.mirroring:
             raise RuntimeError(
                 "this lockstep machine already simulates core 0 only; "

@@ -76,7 +76,7 @@ class LinePredictionQueue:
         return len(self._chunks) >= self.capacity
 
     def push(self, chunk: LpqChunk) -> None:
-        if len(self._chunks) >= self.capacity:
+        if self.full:
             raise RuntimeError("LPQ overflow: aggregator must gate on free "
                                "space")
         self._chunks.append(chunk)
@@ -140,17 +140,11 @@ class ChunkAggregator:
         self._half_hints: List[Optional[int]] = []
         self._next_pc: Optional[int] = None   # where the retired path goes
         self._last_add_cycle: Optional[int] = None
-        #: A flush blocked on a full LPQ since the pending instructions
-        #: were last empty, so they may hold more than one chunk.
+        #: A flush blocked since the pending instructions were last empty.
         self._backlog = False
 
     def __len__(self) -> int:
         return len(self._pcs)
-
-    def has_room(self) -> bool:
-        """Retirement gate: a retiring instruction must always have
-        somewhere to go, even if it forces a chunk push."""
-        return not self.lpq.full
 
     def add(self, pc: int, next_pc: int, queue_half: Optional[int],
             now: int) -> None:
@@ -177,52 +171,27 @@ class ChunkAggregator:
     def flush(self, now: int, reason: str = "forced") -> None:
         """Terminate the pending instructions and push them to the LPQ.
 
-        Unless a flush blocked on a full LPQ since the pending
-        instructions were last empty, they are one contiguous run of at
-        most ``chunk_size`` (:meth:`add` terminates a chunk at either
-        limit), pushed whole.  A blocked flush leaves them pending, and
-        since retirement of non-loads is not gated on LPQ room, they may
-        then grow past the chunk size or even across a discontinuity:
-        :meth:`_push_backlog` emits them as proper chunks.  Contiguity
-        is tested pc by pc, never from the span of the first and last:
-        a jump then a self-loop, ``[1, 3, 3]``, spans three pcs but
-        makes three chunks.
+        :meth:`add` ends a chunk at either limit, so the pending
+        instructions are one chunk, pushed whole, unless a flush blocked
+        on a full LPQ since they were last empty.  Then they may have
+        grown past the chunk size or across a discontinuity (retirement
+        of non-loads is not gated on LPQ room), and are split at every
+        discontinuity, tested pc by pc (a jump then a self-loop,
+        ``[1, 3, 3]``, spans three pcs but is three chunks), and every
+        ``chunk_size`` instructions.  Whatever does not fit in the LPQ
+        right now stays pending.
         """
-        if self._pcs:
-            lpq = self.lpq
-            if self._backlog:
-                if not self._push_backlog(now):
-                    return  # retry on a later flush; stay pending
-            elif lpq.full:
-                lpq.stats.full_stalls += 1
-                self._backlog = True
-                return  # retry on a later flush; stay pending
-            else:
-                lpq.push(LpqChunk(self._pcs[0], self._pcs, self._next_pc,
-                                  self._half_hints,
-                                  now + self.forward_latency))
-                self._pcs = []
-                self._half_hints = []
-        if reason != "forced":
-            stats = self.lpq.stats
-            if reason == "membar":
-                stats.flush_membar += 1
-            elif reason == "partial-store":
-                stats.flush_partial_store += 1
-            elif reason == "timeout":
-                stats.flush_timeout += 1
-            elif reason == "pressure":
-                stats.flush_pressure += 1
-        self._last_add_cycle = None
-
-    def _push_backlog(self, now: int) -> bool:
-        """Push the pending instructions as chunks, split at every
-        discontinuity and every ``chunk_size`` instructions; False when
-        the LPQ fills first, leaving the rest pending."""
+        if self._pcs and not self._backlog and not self.lpq.full:
+            self.lpq.push(LpqChunk(self._pcs[0], self._pcs, self._next_pc,
+                                   self._half_hints,
+                                   now + self.forward_latency))
+            self._pcs = []
+            self._half_hints = []
         while self._pcs:
             if self.lpq.full:
                 self.lpq.stats.full_stalls += 1
-                return False
+                self._backlog = True
+                return  # retry on a later flush; stay pending
             length = 1
             while (length < min(self.chunk_size, len(self._pcs))
                    and self._pcs[length]
@@ -238,7 +207,16 @@ class ChunkAggregator:
             self._pcs = self._pcs[length:]
             self._half_hints = self._half_hints[length:]
         self._backlog = False
-        return True
+        stats = self.lpq.stats
+        if reason == "membar":
+            stats.flush_membar += 1
+        elif reason == "partial-store":
+            stats.flush_partial_store += 1
+        elif reason == "timeout":
+            stats.flush_timeout += 1
+        elif reason == "pressure":
+            stats.flush_pressure += 1
+        self._last_add_cycle = None
 
     def tick(self, now: int) -> None:
         """Timeout flush: leading retirement stalled with a partial chunk."""

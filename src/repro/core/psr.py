@@ -40,26 +40,21 @@ class FuCorrespondenceTracker:
 
     def leading_retired(self, fu: Optional[tuple],
                         queue_half: Optional[int]) -> None:
-        seen = self._leading_seen
-        self._leading_records[seen] = (fu, queue_half)
-        self._leading_seen = seen + 1
+        self._leading_records[self._leading_seen] = (fu, queue_half)
+        self._leading_seen += 1
 
     def trailing_retired(self, fu: Optional[tuple],
                          queue_half: Optional[int]) -> None:
-        """Pair with the leading record of the same retirement index; a
-        trailing thread ahead of its leading one finds none and stays
-        unpaired."""
         index = self._trailing_seen
-        self._trailing_seen = index + 1
+        self._trailing_seen += 1
         record = self._leading_records.pop(index, None)
-        if record is None or fu is None:
+        if record is None:
             return
         lead_fu, lead_half = record
-        if lead_fu is None:
+        if lead_fu is None or fu is None:
             return
-        stats = self.stats
-        stats.pairs += 1
+        self.stats.pairs += 1
         if lead_fu == fu:
-            stats.same_unit += 1
+            self.stats.same_unit += 1
         if lead_half is not None and lead_half == queue_half:
-            stats.same_half += 1
+            self.stats.same_half += 1

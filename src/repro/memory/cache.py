@@ -97,9 +97,6 @@ class SetAssociativeCache(NextLevel):
         return self.num_sets, self.assoc, self.block_bytes
 
     # -- address helpers ------------------------------------------------
-    def block_addr(self, addr: int) -> int:
-        return addr & ~(self.block_bytes - 1)
-
     def _index_tag(self, addr: int) -> tuple:
         block = addr // self.block_bytes
         return block % self.num_sets, block // self.num_sets
@@ -111,12 +108,10 @@ class SetAssociativeCache(NextLevel):
 
     def access(self, addr: int, now: int, write: bool = False) -> int:
         """Access ``addr``; return the cycle its data becomes available."""
-        # _index_tag and block_addr inline: every fetch and load lands here.
-        block_bytes = self.block_bytes
-        num_sets = self.num_sets
-        block = addr // block_bytes
-        index = block % num_sets
-        tag = block // num_sets
+        # _index_tag inline: every fetch and load lands here.
+        block = addr // self.block_bytes
+        index = block % self.num_sets
+        tag = block // self.num_sets
         ways = self._sets.get(index)
         if ways is None:
             ways = self._sets[index] = {}
@@ -127,7 +122,7 @@ class SetAssociativeCache(NextLevel):
             return now + self.hit_latency
 
         self.stats.misses += 1
-        block = addr & ~(block_bytes - 1)
+        block = addr & ~(self.block_bytes - 1)
         pending = self._mshrs.get(block)
         if pending is not None and pending > now:
             # Merge with the outstanding fill for this block.
@@ -153,16 +148,11 @@ class SetAssociativeCache(NextLevel):
 
     def warm(self, addrs: Iterable[int]) -> None:
         """Install the block of each address in turn, without timing
-        (used for warm-start runs).
-
-        ``_index_tag`` and ``_fill`` inline: a warm-up installs
-        thousands of blocks.  Like ``_fill``, an install into a full set
-        evicts its least recently used way even when the block is
-        already resident: a known modelling bug, whose fix changes
-        every warmed state and so lands on its own.
-        """
-        block_bytes, num_sets, assoc = (self.block_bytes, self.num_sets,
-                                        self.assoc)
+        (used for warm-start runs)."""
+        # _index_tag and _fill inline: a warm-up installs thousands of
+        # blocks.  As in _fill, a full set evicts even for a resident block.
+        block_bytes, num_sets = self.block_bytes, self.num_sets
+        assoc = self.assoc
         sets = self._sets
         stamp = self._use_stamp
         evicted = 0

@@ -22,7 +22,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, DefaultDict, Dict, List, Optional, Tuple
 
-from repro.isa.instructions import FuClass
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig
@@ -47,7 +46,6 @@ _ISSUED = UopState.ISSUED
 _EXECUTED = UopState.EXECUTED
 _RETIRED = UopState.RETIRED
 _SQUASHED = UopState.SQUASHED
-_MEM = FuClass.MEM
 
 #: One entry of a cycle's phase table: (profiler stage, phase(now)).
 Phase = Tuple[str, Callable[[int], None]]
@@ -280,7 +278,6 @@ class Core:
         ready = regfile.ready
         free = regfile.free
         retire_trace = self.retire_trace
-        margin = RETIRE_MARGIN
         for index in range(first, first + n):
             thread = threads[index % n]
             rob = thread.rob
@@ -288,31 +285,25 @@ class Core:
             while budget > 0 and rob:
                 uop = rob[0]
                 if (uop.state is not _EXECUTED
-                        or now < uop.complete_cycle + margin):
+                        or now < uop.complete_cycle + RETIRE_MARGIN):
                     break
                 info = uop.info
-                # Loads, stores and barriers are the memory class.
-                is_mem = info.fu_class is _MEM
-                if is_mem:
-                    if info.is_load:
-                        if (can_retire_load is not None
-                                and not thread.is_trailing
-                                and not can_retire_load(self, thread, uop,
-                                                        now)):
-                            thread.stats.retire_stall_cycles += 1
-                            break
-                    elif info.is_store:
-                        if now < uop.data_ready_cycle:
-                            break
-                    elif info.is_membar:
-                        # A barrier retires only once every *older* store
-                        # has drained (the store queue also holds younger
-                        # ones).
-                        store_queue = thread.store_queue
-                        if store_queue and store_queue[0].seq < uop.seq:
-                            thread.stats.membar_block_cycles += 1
-                            hooks.on_membar_blocked(self, thread, now)
-                            break
+                if info.is_load:
+                    if (can_retire_load is not None and not thread.is_trailing
+                            and not can_retire_load(self, thread, uop, now)):
+                        thread.stats.retire_stall_cycles += 1
+                        break
+                elif info.is_store:
+                    if now < uop.data_ready_cycle:
+                        break
+                elif info.is_membar:
+                    # A barrier retires only once every *older* store has
+                    # drained (the store queue also holds younger ones).
+                    store_queue = thread.store_queue
+                    if store_queue and store_queue[0].seq < uop.seq:
+                        thread.stats.membar_block_cycles += 1
+                        hooks.on_membar_blocked(self, thread, now)
+                        break
                 budget -= 1
                 uop.state = _RETIRED
                 uop.retire_cycle = now
@@ -321,10 +312,7 @@ class Core:
                 if prev is not None:
                     ready[prev] = True
                     free.append(prev)
-                if not is_mem:
-                    if info.is_halt:
-                        thread.done = True
-                elif info.is_load:
+                if info.is_load:
                     if thread.is_trailing:
                         # Input-replication cross-check and LVQ deallocation.
                         if (uop.lvq_addr_check is not None
@@ -346,6 +334,8 @@ class Core:
                     if on_store_retired is not None:
                         on_store_retired(self, thread, uop, now)
                     thread.committed_store_index = uop.store_index + 1
+                elif info.is_halt:
+                    thread.done = True
                 # Committed architectural view (checkpoint/forensics
                 # substrate).  Rename gives a uop a destination exactly
                 # when it writes rd.

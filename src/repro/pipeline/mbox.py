@@ -30,13 +30,6 @@ class MBox:
         self.core = core
         self.config = core.config
 
-    # -- address computation ------------------------------------------------
-    def effective_address(self, uop: Uop) -> tuple:
-        """``(raw, word-aligned)`` address: ``align_word``, inline."""
-        base = self.core.regfile.values[uop.phys_srcs[0]]
-        raw = (base + uop.instr.imm) & MASK64
-        return raw, raw & WORD_MASK
-
     # -- load planning ---------------------------------------------------------
     def plan_load(self, thread: HwThread, uop: Uop,
                   now: int) -> Optional[tuple]:
@@ -50,7 +43,7 @@ class MBox:
         entry recorded or None)``, which ``QBox._do_issue`` stores.
         """
         core = self.core
-        # effective_address, inline.
+        # The effective address and its word (align_word), inline.
         raw = (core.regfile.values[uop.phys_srcs[0]] + uop.instr.imm) & MASK64
         addr = raw & WORD_MASK
         if thread.is_trailing:
@@ -96,10 +89,10 @@ class MBox:
     # -- store execution --------------------------------------------------------
     def execute_store(self, thread: HwThread, uop: Uop, now: int) -> None:
         """Resolve a store's address and data; check for order violations."""
-        raw, addr = self.effective_address(uop)
-        uop.raw_addr = raw
-        uop.mem_addr = addr
-        uop.store_value = self.core.regfile.values[uop.phys_srcs[1]]
+        values = self.core.regfile.values
+        uop.raw_addr = (values[uop.phys_srcs[0]] + uop.instr.imm) & MASK64
+        uop.mem_addr = uop.raw_addr & WORD_MASK
+        uop.store_value = values[uop.phys_srcs[1]]
         uop.data_ready_cycle = now + self.config.store_data_delay
         self.core.store_sets.store_completed(thread.tid, uop.pc, uop.seq)
         self._check_violations(thread, uop, now)

@@ -67,11 +67,9 @@ class QBox:
         self.waiters: List[List[Uop]] = [
             [] for _ in range(self.config.physical_registers)]
         self._inserted = 0
-        #: Per half, the core's unit slots it reaches and their issue
-        #: counts, each indexed by class ordinal.
+        #: Per half, its unit slots and their issue counts by class.
         fus = core.fus
-        self._slots = tuple((fus.units[half::2], fus.issues[half::2])
-                            for half in (0, 1))
+        self._slots = [(fus.units[h::2], fus.issues[h::2]) for h in (0, 1)]
 
     # -- occupancy -------------------------------------------------------
     def occupancy(self, half: int) -> int:
@@ -139,20 +137,9 @@ class QBox:
 
     # -- select ---------------------------------------------------------------
     def issue(self, now: int) -> None:
-        """Select: walk each half's ready list, oldest insertion first,
-        and issue what the issue, memory-port and unit limits allow.
-
-        A half keeps the uops it skips, in order, as its next ready
-        list; one the walk finds no longer ``QUEUED`` is dropped, and
-        one squashed behind the walk stays until a later walk meets it.
-        The walk stops at the first uop inserted too recently to issue:
-        every later one was inserted no earlier.
-        Every unit is pipelined, so the k-th claim on a (class, half)
-        slot in a cycle takes the slot's k-th unit, and a claim past
-        its last unit is a structural stall: what
-        :meth:`~repro.pipeline.ebox.FunctionalUnitPools.acquire`
-        returns, counted into the same statistics.
-        """
+        """Walk each half's ready list and keep the uops it skips, in
+        order, as the next one.  The k-th claim on a unit slot in a
+        cycle takes the slot's k-th unit, as ``fus.acquire`` would."""
         core = self.core
         config = self.config
         threads = core.threads
@@ -183,8 +170,7 @@ class QBox:
                 if uop.state is not _QUEUED:
                     continue  # squashed since it became ready
                 if uop.queue_cycle > earliest_queue_cycle:
-                    # Insertion order is queue-cycle order: the rest of
-                    # the list is as young as this uop.
+                    # Insertion order is queue-cycle order: so is the rest.
                     kept.append(uop)
                     kept += walk
                     break
@@ -245,38 +231,35 @@ class QBox:
         # only after the full RBOX+EBOX traversal.
         bypass_latency = info.exec_latency
 
-        if info.fu_class is _MEM:
-            if info.is_load:
-                # The plan: see MBox.plan_load.  An LVQ entry is consumed
-                # (and its address cross-checked) at retirement, so
-                # wrong-path trailing loads in predictor fetch mode neither
-                # deallocate nor falsely flag entries.
-                (uop.raw_addr, uop.mem_addr, uop.result, extra_latency,
-                 uop.forwarded_from, uop.lvq_addr_check) = plan
-                bypass_latency = self.config.mbox_latency + extra_latency
-            elif info.is_store:
-                core.mbox.execute_store(thread, uop, now + 1)
-                bypass_latency = 1
+        if info.is_load:
+            # The plan: see MBox.plan_load.  An LVQ entry is consumed (and
+            # its address cross-checked) at retirement, so wrong-path
+            # trailing loads in predictor fetch mode neither deallocate
+            # nor falsely flag entries.
+            (uop.raw_addr, uop.mem_addr, uop.result, extra_latency,
+             uop.forwarded_from, uop.lvq_addr_check) = plan
+            bypass_latency = self.config.mbox_latency + extra_latency
+        elif info.is_store:
+            core.mbox.execute_store(thread, uop, now + 1)
+            bypass_latency = 1
         elif info.is_control:
             self._resolve_control_values(thread, uop)
-        else:
-            instr = uop.instr
-            if instr.writes_reg:
-                # Absent sources read 0.
-                values = core.regfile.values
-                sources = uop.phys_srcs
-                count = len(sources)
-                if count == 2:
-                    uop.result = info.alu(values[sources[0]],
-                                          values[sources[1]], 0, instr.imm)
-                elif count == 1:
-                    uop.result = info.alu(values[sources[0]], 0, 0,
-                                          instr.imm)
-                else:
-                    uop.result = info.alu(
-                        values[sources[0]] if count else 0,
-                        values[sources[1]] if count else 0,
-                        values[sources[2]] if count else 0, instr.imm)
+        elif uop.instr.writes_reg:
+            # Absent sources read 0.
+            values = core.regfile.values
+            sources = uop.phys_srcs
+            count = len(sources)
+            if count == 2:
+                uop.result = info.alu(values[sources[0]], values[sources[1]],
+                                      0, uop.instr.imm)
+            elif count == 1:
+                uop.result = info.alu(values[sources[0]], 0, 0,
+                                      uop.instr.imm)
+            else:
+                uop.result = info.alu(
+                    values[sources[0]] if count else 0,
+                    values[sources[1]] if count else 0,
+                    values[sources[2]] if count else 0, uop.instr.imm)
 
         if core.result_corruptor is not None:
             core.result_corruptor(uop, now)

@@ -65,13 +65,11 @@ class RenameMap:
         if len(free) < NUM_ARCH_REGS:
             raise OutOfPhysicalRegisters()
         #: Per architectural register, its current physical register:
-        #: the next free ones, allocated and written 0 in one step.
+        #: the first free ones, allocated and written 0 in one step.
         self.map: List[int] = [free.popleft() for _ in range(NUM_ARCH_REGS)]
-        values = regfile.values
-        ready = regfile.ready
         for reg in self.map:
-            values[reg] = 0
-            ready[reg] = True
+            regfile.values[reg] = 0
+            regfile.ready[reg] = True
 
     def rename_dest(self, arch_reg: int) -> tuple:
         """Allocate a new physical register for ``arch_reg``.

@@ -112,6 +112,11 @@ class HangReport:
         return "\n".join(lines)
 
 
+#: A thread's fingerprint keys after its name, in the order they are set.
+_THREAD_KEYS = (".misfetches", ".rob", ".lq", ".sq", ".rmb", ".membar_blocks",
+                ".partial_store_blocks", ".retire_stalls")
+
+
 def _describe_head(thread) -> str:
     """One-line description of the uop blocking a thread's ROB head."""
     if thread.done:
@@ -135,81 +140,52 @@ class ProgressWatchdog:
         self.report: Optional[HangReport] = None
         self.last_fingerprint: Optional[Fingerprint] = None
         self._baseline: Optional[Fingerprint] = None
-        #: The fingerprint's keys, formatted once: per reported core id,
-        #: its own and its threads' (see :meth:`_core_keys`); per pair
-        #: name, its queues'.
-        self._core_key_table: Dict[int, tuple] = {}
-        self._pair_key_table: Dict[str, tuple] = {}
+        #: Per (reported core id, thread id), the thread's fingerprint
+        #: keys, formatted once: its name, then :data:`_THREAD_KEYS`.
+        self._thread_keys: Dict[tuple, tuple] = {}
 
     # -- fingerprinting ----------------------------------------------------
-    def _core_keys(self, core_id: int, core) -> tuple:
-        """``(retired, squashes, iq.half0, iq.half1, threads)`` keys of
-        ``core`` reported as ``core_id``; ``threads`` holds, per thread,
-        its name (the blocker key) and its eight counter keys.  A core's
-        threads, with their ids and roles, are fixed at construction."""
-        keys = self._core_key_table.get(core_id)
-        if keys is None:
-            prefix = f"core{core_id}."
-            threads = []
-            for thread in core.threads:
-                tname = f"{prefix}t{thread.tid}({thread.role.value})"
-                threads.append((tname, *(tname + suffix for suffix in (
-                    ".misfetches", ".rob", ".lq", ".sq", ".rmb",
-                    ".membar_blocks", ".partial_store_blocks",
-                    ".retire_stalls"))))
-            keys = self._core_key_table[core_id] = (
-                prefix + "retired", prefix + "squashes",
-                prefix + "iq.half0", prefix + "iq.half1", tuple(threads))
-        return keys
-
-    def _pair_keys(self, name: str) -> tuple:
-        keys = self._pair_key_table.get(name)
-        if keys is None:
-            prefix = f"pair.{name}."
-            keys = self._pair_key_table[name] = tuple(
-                prefix + suffix for suffix in (
-                    "lvq", "lvq_capacity", "lpq", "lpq_pending",
-                    "comparator_backlog", "slack"))
-        return keys
-
     def fingerprint(self, now: int) -> Fingerprint:
         machine = self.machine
         fp = Fingerprint(cycle=now)
         for name, hw in machine._measured.items():
             fp.measured[name] = hw.stats.retired
-        activity, queues = fp.activity, fp.queues
-        blockers, stalls = fp.blockers, fp.stalls
         for core_id, core in machine.reported_cores:
-            retired, squashes, half0, half1, thread_keys = self._core_keys(
-                core_id, core)
-            activity[retired] = core.stats.retired_total
-            activity[squashes] = core.stats.squashes
-            queues[half0] = core.qbox.occupancy(0)
-            queues[half1] = core.qbox.occupancy(1)
-            for thread, (tname, misfetches, rob, lq, sq, rmb, membar,
-                         partial, retire) in zip(core.threads, thread_keys):
+            prefix = f"core{core_id}."
+            fp.activity[prefix + "retired"] = core.stats.retired_total
+            fp.activity[prefix + "squashes"] = core.stats.squashes
+            fp.queues[prefix + "iq.half0"] = core.qbox.occupancy(0)
+            fp.queues[prefix + "iq.half1"] = core.qbox.occupancy(1)
+            for thread in core.threads:
+                keys = self._thread_keys.get((core_id, thread.tid))
+                if keys is None:
+                    tname = f"{prefix}t{thread.tid}({thread.role.value})"
+                    keys = self._thread_keys[core_id, thread.tid] = (
+                        tname, *(tname + key for key in _THREAD_KEYS))
+                (tname, misfetches, rob, lq, sq, rmb, membar, partial,
+                 retire) = keys
                 ts = thread.stats
-                activity[misfetches] = ts.misfetches
-                queues[rob] = len(thread.rob)
-                queues[lq] = len(thread.load_queue)
-                queues[sq] = len(thread.store_queue)
-                queues[rmb] = thread.rmb_load()
-                blockers[tname] = _describe_head(thread)
-                stalls[membar] = ts.membar_block_cycles
-                stalls[partial] = ts.partial_store_block_cycles
-                stalls[retire] = ts.retire_stall_cycles
+                fp.activity[misfetches] = ts.misfetches
+                fp.queues[rob] = len(thread.rob)
+                fp.queues[lq] = len(thread.load_queue)
+                fp.queues[sq] = len(thread.store_queue)
+                fp.queues[rmb] = thread.rmb_load()
+                fp.blockers[tname] = _describe_head(thread)
+                fp.stalls[membar] = ts.membar_block_cycles
+                fp.stalls[partial] = ts.partial_store_block_cycles
+                fp.stalls[retire] = ts.retire_stall_cycles
         controller = getattr(machine, "controller", None)
         if controller is not None:
             for pair in controller.pairs:
-                (lvq, lvq_capacity, lpq, lpq_pending, backlog,
-                 slack) = self._pair_keys(pair.name)
-                queues[lvq] = len(pair.lvq)
-                queues[lvq_capacity] = pair.lvq.capacity
-                queues[lpq] = len(pair.lpq)
-                queues[lpq_pending] = len(pair.aggregator)
-                queues[backlog] = len(pair.comparator)
-                queues[slack] = (pair.leading.stats.retired
-                                 - pair.trailing.stats.retired)
+                prefix = f"pair.{pair.name}."
+                fp.queues[prefix + "lvq"] = len(pair.lvq)
+                fp.queues[prefix + "lvq_capacity"] = pair.lvq.capacity
+                fp.queues[prefix + "lpq"] = len(pair.lpq)
+                fp.queues[prefix + "lpq_pending"] = len(pair.aggregator)
+                fp.queues[prefix + "comparator_backlog"] = (
+                    len(pair.comparator))
+                fp.queues[prefix + "slack"] = (pair.leading.stats.retired
+                                               - pair.trailing.stats.retired)
         return fp
 
     # -- per-cycle observation ---------------------------------------------

@@ -17,13 +17,12 @@ Model (one redundant pair; abstractions documented in docs/VERIFY.md):
   ``I`` (any other instruction); lengths exceed every queue capacity so
   full-queue dynamics are actually exercised.
 - ``lead-retire`` — the leading thread retires the next instruction in
-  program order.  Gates mirror ``RmtController.can_retire_load`` and
-  the aggregator's ``has_room``: LPQ must have room (chunks are
-  modelled one instruction long), a load also needs LVQ room, a store
-  also needs a leading store-queue slot.  Retired instructions enter
-  the LPQ; loads write their value (modelled as the program-order load
-  ordinal) to the LVQ; stores enter the store queue unverified (or
-  pre-verified under ``nosc``).
+  program order.  Gates mirror ``RmtController.can_retire_load``: the
+  LPQ must have room (chunks are modelled one instruction long), a
+  load also needs LVQ room, a store also needs a leading store-queue
+  slot.  Retired instructions enter the LPQ; loads write their value
+  (modelled as the program-order load ordinal) to the LVQ; stores
+  enter the store queue unverified (or pre-verified under ``nosc``).
 - ``trail-fetch`` — the trailing thread pops the LPQ head into its
   out-of-order window, subject to the explicit slack minimum.
 - ``trail-exec`` — a load anywhere in the window executes, consuming
